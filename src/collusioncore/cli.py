@@ -115,7 +115,12 @@ def _setting(args, name: str):
     config = getattr(args, "_config_values", {})
     default = TUNABLE_DEFAULTS[name]
     if name in config:
-        return type(default)(config[name])
+        try:
+            return type(default)(config[name])
+        except ValueError:
+            raise InputError(
+                f"config: {name}={config[name]!r} is not a valid {type(default).__name__}"
+            ) from None
     return default
 
 
@@ -180,6 +185,15 @@ def _load_partition(path):
         raise InputError(str(exc)) from None
 
 
+def _load_features(path):
+    if not path or not Path(path).exists():
+        raise InputError(f"missing features file: {path}")
+    try:
+        return read_features(path)
+    except (ValueError, OSError) as exc:
+        raise InputError(str(exc)) from None
+
+
 def _provider(args, seed):
     dim = _setting(args, "dim")
     if getattr(args, "provider", "stub") == "file":
@@ -187,7 +201,10 @@ def _provider(args, seed):
             raise InputError("--embeddings is required with --provider file")
         if not Path(args.embeddings).exists():
             raise InputError(f"missing embeddings file: {args.embeddings}")
-        return FileEmbedder.load(args.embeddings)
+        try:
+            return FileEmbedder.load(args.embeddings)
+        except (ValueError, OSError) as exc:
+            raise InputError(str(exc)) from None
     return HashEmbedder(dim=dim, seed=seed)
 
 
@@ -258,13 +275,17 @@ def _do_communities(graph, partition, seed, out):
 
 
 def _do_interplay(graph, partition, seed, out):
-    """Interaction tables over several community runs, pooled correlations."""
+    """Interaction tables over several community runs, pooled correlations.
+
+    Returns the communities of the first run (at ``seed``) and the outputs.
+    """
     sub = periphery_largest_component(graph, partition)
     outputs = []
     pooled = []
     for offset in range(3):
         communities = louvain(sub, seed=seed + offset)
         if offset == 0:
+            first = communities
             write_communities(communities, out / "communities.csv")
             outputs.append("communities.csv")
         rows = interplay_table(graph, partition, communities)
@@ -284,7 +305,7 @@ def _do_interplay(graph, partition, seed, out):
             lines.append(f"wcs_vs_{metric}=undefined ({exc})")
     (out / "correlations.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs.append("correlations.txt")
-    return outputs
+    return first, outputs
 
 
 def _do_features(dataset, partition, provider, pair_cap, out):
@@ -377,7 +398,7 @@ def cmd_interplay(args):
     partition = _load_partition(args.partition)
     seed = _setting(args, "seed")
     out = _out_dir(args)
-    outputs = _do_interplay(graph, partition, seed, out)
+    _, outputs = _do_interplay(graph, partition, seed, out)
     _write_manifest(out, "interplay", args, [args.graph, args.partition],
                     outputs, {"louvain": seed})
     return EXIT_OK
@@ -412,9 +433,7 @@ def cmd_features(args):
 
 
 def cmd_nurse_train(args):
-    if not args.features or not Path(args.features).exists():
-        raise InputError(f"missing features file: {args.features}")
-    feats = read_features(args.features)
+    feats = _load_features(args.features)
     labeled = [f for f in feats if f.label]
     if not labeled:
         raise InputError("features file has no labeled rows")
@@ -436,11 +455,10 @@ def cmd_nurse_eval(args):
         raise InputError("a trained model is required (--model)")
     if not Path(args.model).exists():
         raise InputError(f"missing model file: {args.model}")
-    if not args.features or not Path(args.features).exists():
-        raise InputError(f"missing features file: {args.features}")
+    feats = _load_features(args.features)
     model = load_model(args.model)
     feats = sorted(
-        (f for f in read_features(args.features) if f.label),
+        (f for f in feats if f.label),
         key=lambda f: f.user_id,
     )
     if not feats:
@@ -483,9 +501,7 @@ def cmd_nurse_eval(args):
 
 
 def cmd_ablate(args):
-    if not args.features or not Path(args.features).exists():
-        raise InputError(f"missing features file: {args.features}")
-    feats = [f for f in read_features(args.features) if f.label]
+    feats = [f for f in _load_features(args.features) if f.label]
     if not feats:
         raise InputError("features file has no labeled rows")
     seed = _setting(args, "seed")
@@ -566,8 +582,8 @@ def cmd_pipeline(args):
     partition, produced = _do_korse(graph, _setting(args, "beta"), out)
     outputs += produced
     outputs += _do_breakage(graph, ORDER_KEYS, _setting(args, "step"), out)
-    communities = louvain(periphery_largest_component(graph, partition), seed=seed)
-    outputs += _do_interplay(graph, partition, seed, out)
+    communities, produced = _do_interplay(graph, partition, seed, out)
+    outputs += produced
     report = case_study_report(dataset, partition)
     write_case_study(report, out / "case_study.txt")
     outputs.append("case_study.txt")

@@ -210,7 +210,7 @@ def write_features(features, path) -> None:
 def read_features(path) -> list[FeatureVector]:
     with Path(path).open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
         if dim < 1 or header != feature_header(dim):
             raise ValueError(f"{path}: unexpected feature header")
@@ -218,6 +218,8 @@ def read_features(path) -> list[FeatureVector]:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
             values = [float(x) for x in row[2:]]
             out.append(
                 FeatureVector(

@@ -1,8 +1,12 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the library's own algorithms: subset enumeration
-for cores, union-find for components, direct formulas for statistics.
+for cores, union-find for components, direct formulas for statistics, and
+rational path lengths for betweenness.
 """
+
+import heapq
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,3 +128,45 @@ def oracle_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def fraction_betweenness(graph):
+    """Brandes betweenness over exact rational path lengths 1/w.
+
+    The ``Fraction`` implementation the library used before it scaled
+    lengths to integers; the library's result must equal it repr for repr.
+    """
+    bc = {n: 0.0 for n in graph.nodes}
+    for source in sorted(graph.nodes):
+        dist = {source: Fraction(0)}
+        sigma = {n: 0 for n in graph.nodes}
+        sigma[source] = 1
+        preds: dict = {n: [] for n in graph.nodes}
+        settled: list = []
+        heap = [(Fraction(0), source)]
+        done: set = set()
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done.add(node)
+            settled.append(node)
+            for nbr, w in graph.adjacency[node]:
+                nd = d + Fraction(1, w)
+                if nbr not in dist or nd < dist[nbr]:
+                    dist[nbr] = nd
+                    sigma[nbr] = sigma[node]
+                    preds[nbr] = [node]
+                    heapq.heappush(heap, (nd, nbr))
+                elif nd == dist[nbr] and node not in preds[nbr]:
+                    sigma[nbr] += sigma[node]
+                    preds[nbr].append(node)
+        delta = {n: 0.0 for n in settled}
+        while settled:
+            node = settled.pop()
+            for pred in preds[node]:
+                delta[pred] += sigma[pred] / sigma[node] * (1.0 + delta[node])
+            if node != source:
+                bc[node] += delta[node]
+    # undirected: every pair was counted from both endpoints
+    return {n: v / 2.0 for n, v in bc.items()}

@@ -6,7 +6,7 @@ import pytest
 from collusioncore.centrality import wbc_baseline, weighted_betweenness
 
 from conftest import clique, graph_from_edges
-from oracles import random_weighted_graph
+from oracles import fraction_betweenness, random_weighted_graph
 
 
 def oracle_betweenness(graph):
@@ -64,6 +64,52 @@ def test_matches_bruteforce_enumeration():
         expected = oracle_betweenness(g)
         for node in g.nodes:
             assert got[node] == pytest.approx(expected[node], abs=1e-9), f"trial {trial}"
+
+
+def test_matches_fraction_brandes_exactly():
+    # integer lengths scaled by lcm(weights) must reproduce the exact rational
+    # kernel float for float, ties and summation order included
+    rng = np.random.default_rng(2001)
+    edge_probs = (0.0, 0.05, 0.15, 0.4, 0.9)
+    max_weights = (1, 2, 5, 25)
+    for trial in range(200):
+        g = random_weighted_graph(
+            rng, max_nodes=40, min_nodes=1,
+            max_weight=max_weights[(trial // len(edge_probs)) % len(max_weights)],
+            edge_prob=edge_probs[trial % len(edge_probs)],
+        )
+        assert repr(weighted_betweenness(g)) == repr(fraction_betweenness(g)), f"trial {trial}"
+
+
+@pytest.mark.parametrize("graph", [
+    graph_from_edges([], isolated=["solo"]),
+    graph_from_edges([], isolated="abcde"),
+    graph_from_edges([("a", "b", 3), ("b", "c", 7), ("x", "y", 25)], isolated=["z"]),
+    graph_from_edges([], isolated=[]),
+], ids=["single-node", "edgeless", "isolated-and-components", "empty"])
+def test_degenerate_graphs_match_fraction_brandes(graph):
+    assert repr(weighted_betweenness(graph)) == repr(fraction_betweenness(graph))
+
+
+def test_matches_networkx_on_power_of_two_weights():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(8)
+    nodes = [f"u{i:02d}" for i in range(60)]
+    edges = [
+        (nodes[i], nodes[j], int(rng.choice([1, 2, 4, 8])))
+        for i in range(60) for j in range(i + 1, 60) if rng.random() < 0.12
+    ]
+    g = graph_from_edges(edges, isolated=nodes)
+    ref = nx.Graph()
+    ref.add_nodes_from(nodes)
+    # reciprocals of powers of two, and their sums here, are exact floats,
+    # so networkx sees the same equal-length ties
+    ref.add_weighted_edges_from((a, b, 1.0 / w) for a, b, w in edges)
+    expected = nx.betweenness_centrality(ref, weight="weight", normalized=False)
+    got = weighted_betweenness(g)
+    assert max(got.values()) > 0
+    for node in nodes:
+        assert got[node] == pytest.approx(expected[node], rel=1e-9, abs=1e-9), node
 
 
 def test_disconnected_components_handled():

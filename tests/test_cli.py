@@ -3,6 +3,7 @@ import json
 import pytest
 
 from collusioncore.cli import main
+from collusioncore.features import feature_header
 
 from conftest import SYNTH_SEED
 
@@ -180,6 +181,37 @@ def test_bad_tunables_are_input_errors(ccn_dir, tmp_path):
                  "--step", "0.5", "--out", str(tmp_path / "x")]) == 3
     assert main(["korse", "--graph", str(ccn_dir / "ccn.tsv"),
                  "--beta", "-1", "--out", str(tmp_path / "y")]) == 3
+
+
+FEATURE_HEADER = ",".join(feature_header(4))
+
+
+@pytest.mark.parametrize("text", [
+    "user_id,label,x\nu1,core,1.0\n",
+    "",
+    f"{FEATURE_HEADER}\nu1\n",
+    f"{FEATURE_HEADER}\nu1,core,1.0,2.0\n",
+], ids=["bad-header", "empty", "id-only-row", "short-row"])
+def test_malformed_features_file_is_input_error(tmp_path, text):
+    bad = tmp_path / "features.csv"
+    bad.write_text(text)
+    assert main(["nurse-train", "--features", str(bad), "--out", str(tmp_path / "x")]) == 3
+
+
+def test_malformed_config_value_is_input_error(features_dir, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=abc\n")
+    assert main(["--config", str(config), "nurse-train",
+                 "--features", str(features_dir / "features.csv"),
+                 "--out", str(tmp_path / "x")]) == 3
+
+
+def test_malformed_embeddings_file_is_input_error(synth_dir, tmp_path):
+    bad = tmp_path / "embeddings.txt"
+    bad.write_text("abc\t0.1,0.2\n")
+    assert main(["features"] + dataset_args(synth_dir) +
+                ["--provider", "file", "--embeddings", str(bad),
+                 "--out", str(tmp_path / "x")]) == 3
 
 
 def test_baseline_wbc_cli(ccn_dir, tmp_path):
