@@ -2,9 +2,9 @@
 
 Every subcommand reads and writes the documented file formats, writes a
 ``manifest.json`` next to its outputs, and exits with: 0 ok, 2 usage,
-3 missing or malformed input, 4 data validation failure, 5 internal error.
-A flat ``key=value`` config file can supply tunable settings; command-line
-flags win over the config file.
+3 missing or malformed input or a setting out of bounds, 4 data validation
+failure, 5 internal error. A flat ``key=value`` config file can supply
+tunable settings; command-line flags win over the config file.
 
 All randomness flows from one ``--seed`` (default 7). Stages derive from
 it deterministically: the generator and the stub embedder use it directly,
@@ -46,18 +46,21 @@ from .nurse import (
     NurseConfig,
     ablations,
     auc,
+    class_split,
     evaluate,
+    fold_metrics,
     load_model,
     loss,
+    min_class_size,
     predict_proba,
     rank_users,
     save_model,
+    summarize_folds,
     train,
     write_eval_report,
     write_method_curves,
-    _fold_metrics,
 )
-from .records import IngestError, ingest, validate, write_dataset
+from .records import ingest, validate, write_dataset
 from .synth import SynthConfig, generate, read_labels, write_labels, write_meta
 
 EXIT_OK = 0
@@ -75,53 +78,79 @@ class ValidationError(Exception):
     """Referential-integrity failure; maps to exit code 4."""
 
 
-# Tunable settings; a config file may provide any of them, flags win.
+# Tunable settings: name -> (default, bound the library enforces, its text).
+# A config file may provide any of them; flags win over the config file.
 TUNABLE_DEFAULTS = {
-    "seed": 7,
-    "beta": 1.0,
-    "step": 0.05,
-    "dim": 768,
-    "pair_cap": 200,
-    "epochs": 300,
-    "learning_rate": 0.01,
-    "momentum": 0.9,
-    "batch_size": 32,
-    "folds": 10,
-    "threshold_k": 0,
+    "seed": (7, lambda v: v >= 0, ">= 0"),
+    "beta": (1.0, lambda v: v > 0, "> 0"),
+    "step": (0.05, lambda v: 0 < v <= 0.05, "in (0, 0.05]"),
+    "dim": (768, lambda v: v >= 1, ">= 1"),
+    "pair_cap": (200, lambda v: v >= 0, ">= 0"),
+    "epochs": (300, lambda v: v >= 1, ">= 1"),
+    "learning_rate": (0.01, None, None),
+    "momentum": (0.9, None, None),
+    "batch_size": (32, lambda v: v >= 1, ">= 1"),
+    "folds": (10, lambda v: v >= 2, ">= 2"),
+    "threshold_k": (0, lambda v: v >= 0, ">= 0"),
 }
+
+# Argument names of input files; the manifest records a digest of each one given.
+INPUT_ARGS = ("comments", "videos", "users", "graph", "partition", "labels",
+              "features", "model", "embeddings")
+
+
+def _read(reader, path, what):
+    """``reader(path)``, with an absent, missing or malformed file as InputError."""
+    if not path:
+        raise InputError(f"a {what} file is required (--{what})")
+    try:
+        return reader(path)
+    except (ValueError, OSError) as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _read_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key=value")
+            raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
+def _resolve_settings(args) -> dict:
+    """Every tunable setting: flag, else config file value, else default.
+
+    Unknown config keys and given values outside their bound are InputErrors.
+    """
+    config = _read(_read_config, args.config, "config") if args.config else {}
+    unknown = sorted(set(config) - set(TUNABLE_DEFAULTS))
+    if unknown:
+        raise InputError(f"config: unknown key(s) {', '.join(unknown)}")
+    settings = {}
+    for name, (default, ok, bound) in TUNABLE_DEFAULTS.items():
+        value = getattr(args, name, None)
+        if value is None and name in config:
+            try:
+                value = type(default)(config[name])
+            except ValueError:
+                raise InputError(
+                    f"config: {name}={config[name]!r} is not a valid {type(default).__name__}"
+                ) from None
+        if value is None:
+            value = default
+        elif ok is not None and not ok(value):
+            raise InputError(f"{name} must be {bound}, got {value!r}")
+        settings[name] = value
+    return settings
+
+
 def _setting(args, name: str):
-    """Flag value if given, else config file value, else built-in default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config_values", {})
-    default = TUNABLE_DEFAULTS[name]
-    if name in config:
-        try:
-            return type(default)(config[name])
-        except ValueError:
-            raise InputError(
-                f"config: {name}={config[name]!r} is not a valid {type(default).__name__}"
-            ) from None
-    return default
+    return args._settings[name]
 
 
 def _sha256(path) -> str:
@@ -132,14 +161,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, args, inputs, outputs, seeds, settings=None) -> None:
+def _write_manifest(out_dir, args, outputs, seeds, settings=None) -> None:
+    inputs = (getattr(args, name, None) for name in INPUT_ARGS)
     manifest = {
-        "command": command,
+        "command": args.command,
         "args": {
             k: v for k, v in sorted(vars(args).items())
             if not k.startswith("_") and k != "func" and v is not None
         },
-        "inputs": {str(p): _sha256(p) for p in inputs if Path(p).exists()},
+        "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).is_file()},
         "outputs": sorted(str(o) for o in outputs),
         "seeds": seeds,
         "settings": settings or {},
@@ -157,55 +187,26 @@ def _out_dir(args) -> Path:
 
 
 def _load_dataset(args):
-    for name in ("comments", "videos", "users"):
-        path = getattr(args, name)
-        if not Path(path).exists():
-            raise InputError(f"missing input file: {path}")
-    try:
-        return ingest(args.comments, args.videos, args.users)
-    except IngestError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _load_graph(path):
-    if not Path(path).exists():
-        raise InputError(f"missing graph file: {path}")
-    try:
-        return read_edgelist(path)
-    except (ValueError, OSError) as exc:
-        raise InputError(str(exc)) from None
-
-
-def _load_partition(path):
-    if not Path(path).exists():
-        raise InputError(f"missing partition file: {path}")
-    try:
-        return read_partition(path)
-    except (ValueError, OSError) as exc:
-        raise InputError(str(exc)) from None
-
-
-def _load_features(path):
-    if not path or not Path(path).exists():
-        raise InputError(f"missing features file: {path}")
-    try:
-        return read_features(path)
-    except (ValueError, OSError) as exc:
-        raise InputError(str(exc)) from None
+    return _read(lambda paths: ingest(*paths), (args.comments, args.videos, args.users),
+                 "dataset")
 
 
 def _provider(args, seed):
-    dim = _setting(args, "dim")
-    if getattr(args, "provider", "stub") == "file":
-        if not getattr(args, "embeddings", None):
-            raise InputError("--embeddings is required with --provider file")
-        if not Path(args.embeddings).exists():
-            raise InputError(f"missing embeddings file: {args.embeddings}")
-        try:
-            return FileEmbedder.load(args.embeddings)
-        except (ValueError, OSError) as exc:
-            raise InputError(str(exc)) from None
-    return HashEmbedder(dim=dim, seed=seed)
+    if args.provider == "file":
+        return _read(FileEmbedder.load, args.embeddings, "embeddings")
+    return HashEmbedder(dim=_setting(args, "dim"), seed=seed)
+
+
+def _labeled(feats, per_class: int) -> list:
+    """The labelled feature rows, at least ``per_class`` of each class."""
+    labeled = [f for f in feats if f.label]
+    core = sum(1 for f in labeled if f.label == "core")
+    if min(core, len(labeled) - core) < per_class:
+        raise InputError(
+            f"too few labelled users: need >= {per_class} per class, "
+            f"have {core} core / {len(labeled) - core} compromised"
+        )
+    return labeled
 
 
 def _nurse_config(args, dim, seed) -> NurseConfig:
@@ -217,6 +218,19 @@ def _nurse_config(args, dim, seed) -> NurseConfig:
         batch_size=_setting(args, "batch_size"),
         seed=seed,
     )
+
+
+def _eval_mode(args) -> str:
+    return "balanced_1to1" if args.mode == "balanced" else "complete"
+
+
+def _cross_validate(run, args, feats, seed):
+    """``run`` (evaluate or ablations) on the labelled ``feats``, once they
+    are known to fill every fold."""
+    folds = _setting(args, "folds")
+    feats = _labeled(feats, min_class_size(folds))
+    config = _nurse_config(args, dim=len(feats[0].tfe), seed=seed)
+    return run(feats, config, mode=_eval_mode(args), folds=folds, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +248,9 @@ def _do_build_ccn(dataset, collusive_only, out):
 
 
 def _do_kcore(graph, mode, out):
-    cm = coreness(graph, mode)
     name = f"coreness_{mode}.tsv"
-    write_coreness(cm, out / name)
-    return cm, [name]
+    write_coreness(coreness(graph, mode), out / name)
+    return [name]
 
 
 def _do_korse(graph, beta, out):
@@ -267,9 +280,15 @@ def _do_breakage(graph, keys, step, out):
     return outputs
 
 
+def _periphery(graph, partition):
+    """Largest periphery component, whose communities the analyses study."""
+    if not partition.periphery & graph.nodes:
+        raise InputError("the partition leaves no periphery user in the graph")
+    return periphery_largest_component(graph, partition)
+
+
 def _do_communities(graph, partition, seed, out):
-    sub = periphery_largest_component(graph, partition)
-    communities = louvain(sub, seed=seed)
+    communities = louvain(_periphery(graph, partition), seed=seed)
     write_communities(communities, out / "communities.csv")
     return communities, ["communities.csv"]
 
@@ -279,7 +298,7 @@ def _do_interplay(graph, partition, seed, out):
 
     Returns the communities of the first run (at ``seed``) and the outputs.
     """
-    sub = periphery_largest_component(graph, partition)
+    sub = _periphery(graph, partition)
     outputs = []
     pooled = []
     for offset in range(3):
@@ -308,8 +327,20 @@ def _do_interplay(graph, partition, seed, out):
     return first, outputs
 
 
+def _do_case_study(dataset, partition, out):
+    if not partition.core or not partition.periphery:
+        raise InputError("the partition needs both core and periphery users")
+    write_case_study(case_study_report(dataset, partition), out / "case_study.txt")
+    return ["case_study.txt"]
+
+
 def _do_features(dataset, partition, provider, pair_cap, out):
-    feats = extract_all(dataset, partition=partition, provider=provider, pair_cap=pair_cap)
+    try:
+        feats = extract_all(dataset, partition=partition, provider=provider, pair_cap=pair_cap)
+    except KeyError as exc:  # a text the embeddings file lacks
+        raise InputError(f"embeddings: {exc.args[0]}") from None
+    if not feats:
+        raise InputError("no users to extract features for")
     write_features(feats, out / "features.csv")
     return feats, ["features.csv"]
 
@@ -331,9 +362,7 @@ def cmd_ingest_check(args):
     if args.out:
         out = _out_dir(args)
         (out / "ingest_check.txt").write_text(text, encoding="utf-8")
-        _write_manifest(out, "ingest-check", args,
-                        [args.comments, args.videos, args.users],
-                        ["ingest_check.txt"], {})
+        _write_manifest(out, args, ["ingest_check.txt"], {})
     sys.stdout.write(text)
     if problems:
         raise ValidationError(f"{len(problems)} referential-integrity violations")
@@ -344,99 +373,73 @@ def cmd_build_ccn(args):
     dataset = _load_dataset(args)
     out = _out_dir(args)
     _, outputs = _do_build_ccn(dataset, not args.all_videos, out)
-    _write_manifest(out, "build-ccn", args,
-                    [args.comments, args.videos, args.users], outputs, {})
+    _write_manifest(out, args, outputs, {})
     return EXIT_OK
 
 
 def cmd_kcore(args):
-    graph = _load_graph(args.graph)
+    graph = _read(read_edgelist, args.graph, "graph")
     out = _out_dir(args)
-    _, outputs = _do_kcore(graph, args.mode, out)
-    _write_manifest(out, "kcore", args, [args.graph], outputs, {})
+    outputs = _do_kcore(graph, args.mode, out)
+    _write_manifest(out, args, outputs, {})
     return EXIT_OK
 
 
 def cmd_korse(args):
-    graph = _load_graph(args.graph)
+    graph = _read(read_edgelist, args.graph, "graph")
     if graph.n_edges == 0:
         raise InputError("graph has no edges; cannot sweep")
-    beta = _setting(args, "beta")
-    if beta <= 0:
-        raise InputError("beta must be > 0")
     out = _out_dir(args)
-    _, outputs = _do_korse(graph, beta, out)
-    _write_manifest(out, "korse", args, [args.graph], outputs, {})
+    _, outputs = _do_korse(graph, _setting(args, "beta"), out)
+    _write_manifest(out, args, outputs, {})
     return EXIT_OK
 
 
 def cmd_breakage(args):
-    graph = _load_graph(args.graph)
+    graph = _read(read_edgelist, args.graph, "graph")
     keys = ORDER_KEYS if args.order_key == "all" else (args.order_key,)
-    step = _setting(args, "step")
-    if not 0 < step <= 0.05:
-        raise InputError("step must be in (0, 0.05]")
     out = _out_dir(args)
-    outputs = _do_breakage(graph, keys, step, out)
-    _write_manifest(out, "breakage", args, [args.graph], outputs, {})
+    outputs = _do_breakage(graph, keys, _setting(args, "step"), out)
+    _write_manifest(out, args, outputs, {})
     return EXIT_OK
 
 
 def cmd_communities(args):
-    graph = _load_graph(args.graph)
-    partition = _load_partition(args.partition)
+    """`communities`, and `interplay`, which adds tables over the same communities."""
+    graph = _read(read_edgelist, args.graph, "graph")
+    partition = _read(read_partition, args.partition, "partition")
     seed = _setting(args, "seed")
     out = _out_dir(args)
-    _, outputs = _do_communities(graph, partition, seed, out)
-    _write_manifest(out, "communities", args, [args.graph, args.partition],
-                    outputs, {"louvain": seed})
-    return EXIT_OK
-
-
-def cmd_interplay(args):
-    graph = _load_graph(args.graph)
-    partition = _load_partition(args.partition)
-    seed = _setting(args, "seed")
-    out = _out_dir(args)
-    _, outputs = _do_interplay(graph, partition, seed, out)
-    _write_manifest(out, "interplay", args, [args.graph, args.partition],
-                    outputs, {"louvain": seed})
+    stage = _do_interplay if args.command == "interplay" else _do_communities
+    _, outputs = stage(graph, partition, seed, out)
+    _write_manifest(out, args, outputs, {"louvain": seed})
     return EXIT_OK
 
 
 def cmd_case_study(args):
     dataset = _load_dataset(args)
-    partition = _load_partition(args.partition)
+    partition = _read(read_partition, args.partition, "partition")
     out = _out_dir(args)
-    report = case_study_report(dataset, partition)
-    write_case_study(report, out / "case_study.txt")
-    _write_manifest(out, "case-study", args,
-                    [args.comments, args.videos, args.users, args.partition],
-                    ["case_study.txt"], {})
+    outputs = _do_case_study(dataset, partition, out)
+    _write_manifest(out, args, outputs, {})
     return EXIT_OK
 
 
 def cmd_features(args):
     dataset = _load_dataset(args)
-    partition = _load_partition(args.partition) if args.partition else None
+    partition = _read(read_partition, args.partition, "partition") if args.partition else None
     seed = _setting(args, "seed")
     provider = _provider(args, seed)
     out = _out_dir(args)
     pair_cap = _setting(args, "pair_cap")
     _, outputs = _do_features(dataset, partition, provider, pair_cap, out)
-    inputs = [args.comments, args.videos, args.users]
-    if args.partition:
-        inputs.append(args.partition)
-    _write_manifest(out, "features", args, inputs, outputs, {"embedder": seed},
+    _write_manifest(out, args, outputs, {"embedder": seed},
                     settings={"pair_cap": pair_cap, "dim": provider.dim})
     return EXIT_OK
 
 
 def cmd_nurse_train(args):
-    feats = _load_features(args.features)
-    labeled = [f for f in feats if f.label]
-    if not labeled:
-        raise InputError("features file has no labeled rows")
+    labeled = _labeled(_read(read_features, args.features, "features"), 2)
     seed = _setting(args, "seed")
     config = _nurse_config(args, dim=len(labeled[0].tfe), seed=seed)
     model = train(labeled, config)
@@ -445,70 +448,36 @@ def cmd_nurse_train(args):
     (out / "train_report.txt").write_text(
         f"examples={len(labeled)}\nfinal_loss={loss(model, labeled)!r}\n", encoding="utf-8"
     )
-    _write_manifest(out, "nurse-train", args, [args.features],
-                    ["model.npz", "train_report.txt"], {"train": seed})
+    _write_manifest(out, args, ["model.npz", "train_report.txt"], {"train": seed})
     return EXIT_OK
 
 
 def cmd_nurse_eval(args):
-    if not args.model:
-        raise InputError("a trained model is required (--model)")
-    if not Path(args.model).exists():
-        raise InputError(f"missing model file: {args.model}")
-    feats = _load_features(args.features)
-    model = load_model(args.model)
-    feats = sorted(
-        (f for f in feats if f.label),
-        key=lambda f: f.user_id,
-    )
-    if not feats:
-        raise InputError("features file has no labeled rows")
+    model = _read(load_model, args.model, "model")
+    feats = _labeled(_read(read_features, args.features, "features"), 1)
+    if "tfe" in model.config.branches and len(feats[0].tfe) != model.config.embedding_dim:
+        raise InputError(f"features have {len(feats[0].tfe)} embedding values, "
+                         f"the model expects {model.config.embedding_dim}")
     seed = _setting(args, "seed")
-    if args.mode == "balanced":
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        core = [f for f in feats if f.label == "core"]
-        comp = [f for f in feats if f.label == "compromised"]
-        target = min(len(core), len(comp))
-        if len(core) > target:
-            core = [core[i] for i in sorted(rng.choice(len(core), target, replace=False))]
-        if len(comp) > target:
-            comp = [comp[i] for i in sorted(rng.choice(len(comp), target, replace=False))]
-        feats = sorted(core + comp, key=lambda f: f.user_id)
+    feats = sorted(feats, key=lambda f: f.user_id)
+    core, comp = class_split(feats, seed if args.mode == "balanced" else None)
+    feats = sorted(core + comp, key=lambda f: f.user_id)
     probs = predict_proba(model, feats)
     scored = [(f.user_id, float(probs[i, CORE]), f.label) for i, f in enumerate(feats)]
-    metrics = _fold_metrics(0, scored)
     out = _out_dir(args)
-    with (out / "eval.csv").open("w", encoding="utf-8") as handle:
-        handle.write("fold,k,precision,recall,f1,auc\n")
-        for k in range(1, metrics.n + 1):
-            handle.write(
-                f"0,{k},{metrics.precision_at[k - 1]!r},{metrics.recall_at[k - 1]!r},"
-                f"{metrics.f1_at[k - 1]!r},{metrics.auc!r}\n"
-            )
-        handle.write(
-            f"mean,breakeven,{metrics.break_even_precision!r},"
-            f"{metrics.break_even_recall!r},{metrics.break_even_f1!r},{metrics.auc!r}\n"
-        )
-    ranked = rank_users(scored)
+    write_eval_report(summarize_folds(_eval_mode(args), [fold_metrics(0, scored)]),
+                      out / "eval.csv")
     with (out / "ranking.tsv").open("w", encoding="utf-8") as handle:
-        for user, score, label in ranked:
+        for user, score, label in rank_users(scored):
             handle.write(f"{user}\t{score!r}\t{label}\n")
-    _write_manifest(out, "nurse-eval", args, [args.model, args.features],
-                    ["eval.csv", "ranking.tsv"], {"sampling": seed})
+    _write_manifest(out, args, ["eval.csv", "ranking.tsv"], {"sampling": seed})
     return EXIT_OK
 
 
 def cmd_ablate(args):
-    feats = [f for f in _load_features(args.features) if f.label]
-    if not feats:
-        raise InputError("features file has no labeled rows")
+    feats = _read(read_features, args.features, "features")
     seed = _setting(args, "seed")
-    folds = _setting(args, "folds")
-    config = _nurse_config(args, dim=len(feats[0].tfe), seed=seed)
-    mode = "balanced_1to1" if args.mode == "balanced" else "complete"
-    reports = ablations(feats, config, mode=mode, folds=folds, seed=seed)
+    reports = _cross_validate(ablations, args, feats, seed)
     out = _out_dir(args)
     outputs = []
     with (out / "ablation_summary.csv").open("w", encoding="utf-8") as handle:
@@ -523,13 +492,12 @@ def cmd_ablate(args):
         fname = f"eval_{name.replace('+', '_')}.csv"
         write_eval_report(report, out / fname)
         outputs.append(fname)
-    _write_manifest(out, "ablate", args, [args.features], outputs,
-                    {"cv": seed, "folds": folds})
+    _write_manifest(out, args, outputs, {"cv": seed, "folds": _setting(args, "folds")})
     return EXIT_OK
 
 
 def cmd_baseline_wbc(args):
-    graph = _load_graph(args.graph)
+    graph = _read(read_edgelist, args.graph, "graph")
     out = _out_dir(args)
     scores = weighted_betweenness(graph)
     ranked = sorted(scores, key=lambda n: (-scores[n], n))
@@ -539,7 +507,7 @@ def cmd_baseline_wbc(args):
     with (out / "wbc_ranking.tsv").open("w", encoding="utf-8") as handle:
         for rank, node in enumerate(ranked, start=1):
             handle.write(f"{rank}\t{node}\t{scores[node]!r}\n")
-    _write_manifest(out, "baseline-wbc", args, [args.graph], ["wbc_ranking.tsv"], {})
+    _write_manifest(out, args, ["wbc_ranking.tsv"], {})
     return EXIT_OK
 
 
@@ -560,7 +528,7 @@ def cmd_synth(args):
     write_dataset(dataset, out / "comments.jsonl", out / "videos.jsonl", out / "users.jsonl")
     write_labels(labels, out / "labels.tsv")
     write_meta(config, out / "synth_meta")
-    _write_manifest(out, "synth", args, [],
+    _write_manifest(out, args,
                     ["comments.jsonl", "videos.jsonl", "users.jsonl", "labels.tsv", "synth_meta"],
                     {"generator": seed})
     return EXIT_OK
@@ -568,7 +536,9 @@ def cmd_synth(args):
 
 def cmd_pipeline(args):
     dataset = _load_dataset(args)
+    planted = _read(read_labels, args.labels, "labels") if args.labels else None
     seed = _setting(args, "seed")
+    provider = _provider(args, seed)
     out = _out_dir(args)
     outputs = []
 
@@ -577,25 +547,18 @@ def cmd_pipeline(args):
     if graph.n_edges == 0:
         raise ValidationError("built graph has no edges; pipeline cannot continue")
     for mode in MODES:
-        _, produced = _do_kcore(graph, mode, out)
-        outputs += produced
+        outputs += _do_kcore(graph, mode, out)
     partition, produced = _do_korse(graph, _setting(args, "beta"), out)
     outputs += produced
     outputs += _do_breakage(graph, ORDER_KEYS, _setting(args, "step"), out)
     communities, produced = _do_interplay(graph, partition, seed, out)
     outputs += produced
-    report = case_study_report(dataset, partition)
-    write_case_study(report, out / "case_study.txt")
-    outputs.append("case_study.txt")
+    outputs += _do_case_study(dataset, partition, out)
 
-    provider = _provider(args, seed)
     feats, produced = _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
     outputs += produced
 
-    folds = _setting(args, "folds")
-    config = _nurse_config(args, dim=provider.dim, seed=seed)
-    mode = "balanced_1to1" if args.mode == "balanced" else "complete"
-    eval_report = evaluate(feats, config, mode=mode, folds=folds, seed=seed)
+    eval_report = _cross_validate(evaluate, args, feats, seed)
     write_eval_report(eval_report, out / "eval.csv")
     outputs.append("eval.csv")
 
@@ -614,11 +577,7 @@ def cmd_pipeline(args):
         f"nurse_mean_breakeven_f1={eval_report.mean_break_even_f1!r}",
         f"wbc_auc={auc(wbc_scores, wbc_labels)!r}",
     ]
-
-    if args.labels:
-        if not Path(args.labels).exists():
-            raise InputError(f"missing labels file: {args.labels}")
-        planted = read_labels(args.labels)
+    if planted is not None:
         planted_core = {u for u, l in planted.items() if l == "core"}
         tp = len(partition.core & planted_core)
         fp = len(partition.core - planted_core)
@@ -628,11 +587,7 @@ def cmd_pipeline(args):
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     outputs.append("summary.txt")
 
-    inputs = [args.comments, args.videos, args.users]
-    if args.labels:
-        inputs.append(args.labels)
-    _write_manifest(out, "pipeline", args, inputs, outputs,
-                    {"seed": seed, "folds": folds})
+    _write_manifest(out, args, outputs, {"seed": seed, "folds": _setting(args, "folds")})
     sys.stdout.write("\n".join(summary) + "\n")
     return EXIT_OK
 
@@ -669,9 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "exit codes: 0 ok, 2 usage, 3 missing/malformed input, "
-            "4 data validation failure, 5 internal error\n\n"
-            "file formats:\n"
+            "exit codes: 0 ok, 2 usage, 3 missing/malformed input or a setting out\n"
+            "of bounds, 4 data validation failure, 5 internal error\n\n"
+            "settings (--config key; its flag is the key with dashes, threshold_k is --k;\n"
+            "an unknown config key is an error):\n"
+            + "".join(f"  {name:<24}default {default!r}, {bound or 'any value'}\n"
+                      for name, (default, _, bound) in TUNABLE_DEFAULTS.items())
+            + "\nfile formats:\n"
             "  comments/videos/users   one JSON object per line (.jsonl) or CSV\n"
             "                          with the same column names (.csv)\n"
             "  ccn.tsv                 '# ccn v1' header, then a<TAB>b<TAB>weight,\n"
@@ -685,113 +644,94 @@ def build_parser() -> argparse.ArgumentParser:
             "  labels.tsv              user<TAB>core|compromised\n"
             "  embeddings file         'dim=<d>' header, then hash<TAB>csv floats\n"
             "  eval.csv                fold,k,precision,recall,f1,auc + summary row\n"
-            "  manifest.json           per-run inputs/outputs/seeds snapshot"
+            "  manifest.json           per-run snapshot: args, sha256 of every input\n"
+            "                          file given (--embeddings too), outputs, seeds"
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="flat key=value settings file (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest-check", help="parse the dataset and report violations")
-    _add_dataset_args(p)
-    p.add_argument("--out", help="optional output directory for the report")
-    p.set_defaults(func=cmd_ingest_check)
+    def command(name, func, help, out_help=None):
+        """Subcommand parser; its --out is required unless ``out_help`` is given."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=out_help is None, help=out_help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("build-ccn", help="build the co-commenting graph")
+    p = command("ingest-check", cmd_ingest_check, "parse the dataset and report violations",
+                out_help="optional output directory for the report")
+    _add_dataset_args(p)
+
+    p = command("build-ccn", cmd_build_ccn, "build the co-commenting graph")
     _add_dataset_args(p)
     p.add_argument("--all-videos", action="store_true",
                    help="use every video, not only collusive ones")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_ccn)
 
-    p = sub.add_parser("kcore", help="coreness decomposition of a graph file")
+    p = command("kcore", cmd_kcore, "coreness decomposition of a graph file")
     p.add_argument("--graph", required=True, help="edge list from build-ccn")
     p.add_argument("--mode", choices=MODES, default="weighted")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_kcore)
 
-    p = sub.add_parser("korse", help="threshold sweep core/periphery split")
+    p = command("korse", cmd_korse, "threshold sweep core/periphery split")
     p.add_argument("--graph", required=True)
     p.add_argument("--beta", type=float, help="density exponent (default 1.0)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_korse)
 
-    p = sub.add_parser("breakage", help="node-removal breakage curves")
+    p = command("breakage", cmd_breakage, "node-removal breakage curves")
     p.add_argument("--graph", required=True)
     p.add_argument("--order-key", dest="order_key", default="all",
                    choices=("all",) + ORDER_KEYS)
     p.add_argument("--step", type=float, help="checkpoint fraction (default 0.05)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_breakage)
 
-    p = sub.add_parser("communities", help="louvain communities of the periphery")
+    p = command("communities", cmd_communities, "louvain communities of the periphery")
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_communities)
 
-    p = sub.add_parser("interplay", help="community/core interaction table")
+    p = command("interplay", cmd_communities, "community/core interaction table")
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_interplay)
 
-    p = sub.add_parser("case-study", help="core vs compromised timeline statistics")
+    p = command("case-study", cmd_case_study, "core vs compromised timeline statistics")
     _add_dataset_args(p)
     p.add_argument("--partition", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_case_study)
 
-    p = sub.add_parser("features", help="extract classifier feature blocks")
+    p = command("features", cmd_features, "extract classifier feature blocks")
     _add_dataset_args(p)
     p.add_argument("--partition", help="optional partition for labels")
     _add_provider_args(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("nurse-train", help="train the fusion classifier")
+    p = command("nurse-train", cmd_nurse_train, "train the fusion classifier")
     p.add_argument("--features", required=True)
     _add_train_args(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_nurse_train)
 
-    p = sub.add_parser("nurse-eval", help="rank users with a trained model")
+    p = command("nurse-eval", cmd_nurse_eval, "rank users with a trained model")
     p.add_argument("--model", help="model file from nurse-train")
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=("balanced", "complete"), default="balanced")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_nurse_eval)
 
-    p = sub.add_parser("ablate", help="cross-validated branch ablations")
+    p = command("ablate", cmd_ablate, "cross-validated branch ablations")
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=("balanced", "complete"), default="balanced")
     p.add_argument("--folds", type=int)
     _add_train_args(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("baseline-wbc", help="weighted betweenness ranking")
+    p = command("baseline-wbc", cmd_baseline_wbc, "weighted betweenness ranking")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", dest="threshold_k", type=int, help="truncate to top k")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_baseline_wbc)
 
-    p = sub.add_parser("synth", help="generate a planted synthetic dataset")
+    p = command("synth", cmd_synth, "generate a planted synthetic dataset")
     p.add_argument("--n-core", dest="n_core", type=int, default=20)
     p.add_argument("--n-compromised", dest="n_compromised", type=int, default=200)
     p.add_argument("--n-videos", dest="n_videos", type=int, default=400)
     p.add_argument("--communities", type=int, default=8)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pipeline", help="run the whole analysis end to end")
+    p = command("pipeline", cmd_pipeline, "run the whole analysis end to end")
     _add_dataset_args(p)
     p.add_argument("--labels", help="planted labels for recovery scoring")
     p.add_argument("--all-videos", action="store_true")
@@ -802,8 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("balanced", "complete"), default="balanced")
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
@@ -812,7 +750,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config_values = _read_config(args.config) if args.config else {}
+        args._settings = _resolve_settings(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,6 +95,8 @@ class FileEmbedder:
             if not header.startswith("dim="):
                 raise ValueError(f"{path}: expected 'dim=<d>' header")
             dim = int(header[4:])
+            if dim < 1:
+                raise ValueError(f"{path}: dim must be >= 1")
             for lineno, line in enumerate(handle, start=2):
                 line = line.rstrip("\n")
                 if not line:
@@ -106,6 +108,8 @@ class FileEmbedder:
                 if not np.all(np.isfinite(vec)):
                     raise ValueError(f"{path}:{lineno}: non-finite entry")
                 table[key] = vec
+        if not table:
+            raise ValueError(f"{path}: no embedding vectors")
         return cls(dim=dim, table=table)
 
     def embed_text(self, text: str) -> np.ndarray:

@@ -215,11 +215,18 @@ def read_features(path) -> list[FeatureVector]:
         if dim < 1 or header != feature_header(dim):
             raise ValueError(f"{path}: unexpected feature header")
         out = []
+        seen = set()
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+            if row[1] not in ("", "core", "compromised"):
+                raise ValueError(f"{path}:{reader.line_num}: label must be core, compromised "
+                                 "or empty")
+            if row[0] in seen:
+                raise ValueError(f"{path}:{reader.line_num}: duplicate user '{row[0]}'")
+            seen.add(row[0])
             values = [float(x) for x in row[2:]]
             out.append(
                 FeatureVector(

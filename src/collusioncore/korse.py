@@ -126,22 +126,28 @@ def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
     )
 
 
-def sweep_curves(partition: CorePartition) -> list[tuple[float, float, float, float]]:
-    """Plot-ready (normalized threshold, density, weight fraction, wicci) rows.
+def _distinct_candidates(partition: CorePartition):
+    """(normalized threshold, point) per distinct candidate of the sweep.
 
     Consecutive thresholds selecting the same candidate collapse into the
-    row with the largest threshold.
+    point with the largest threshold.
     """
     max_threshold = max(p.threshold for p in partition.sweep_trace)
-    rows = []
     last_size = None
     for point in partition.sweep_trace:
         if point.core_size == last_size:
             continue
         last_size = point.core_size
-        norm = point.threshold / max_threshold if max_threshold else 0.0
-        rows.append((norm, point.density, point.weight_fraction, point.wicci))
-    return rows
+        yield (point.threshold / max_threshold if max_threshold else 0.0), point
+
+
+def sweep_curves(partition: CorePartition) -> list[tuple[float, float, float, float]]:
+    """Plot-ready (normalized threshold, density, weight fraction, wicci) rows,
+    one per distinct candidate."""
+    return [
+        (norm, point.density, point.weight_fraction, point.wicci)
+        for norm, point in _distinct_candidates(partition)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +192,8 @@ def read_partition(path) -> CorePartition:
             parts = line.split("\t")
             if len(parts) != 2 or parts[1] not in ("core", "periphery"):
                 raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|periphery'")
+            if parts[0] in core or parts[0] in periphery:
+                raise ValueError(f"{path}:{lineno}: user '{parts[0]}' listed twice")
             (core if parts[1] == "core" else periphery).add(parts[0])
     return CorePartition(
         core=frozenset(core),
@@ -201,13 +209,7 @@ def write_sweep(partition: CorePartition, path) -> None:
     """CSV of the deduplicated sweep, one row per distinct candidate."""
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("norm_threshold,core_size,density,weight_fraction,wicci\n")
-        max_threshold = max(p.threshold for p in partition.sweep_trace)
-        last_size = None
-        for point in partition.sweep_trace:
-            if point.core_size == last_size:
-                continue
-            last_size = point.core_size
-            norm = point.threshold / max_threshold if max_threshold else 0.0
+        for norm, point in _distinct_candidates(partition):
             handle.write(
                 f"{norm!r},{point.core_size},{point.density!r},"
                 f"{point.weight_fraction!r},{point.wicci!r}\n"

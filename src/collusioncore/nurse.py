@@ -11,6 +11,7 @@ fitted on the training set and stored inside the model.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -84,37 +85,43 @@ def _softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _param_shapes(config: NurseConfig) -> dict:
+    """Shape of every parameter tensor, in initialization order."""
+    layers = []  # (name, outputs, inputs): weight (outputs, inputs), bias (outputs,)
+    if "tfe" in config.branches:
+        layers += [("conv", config.conv_channels, config.conv_filter),
+                   ("tfe", config.tfe_fc, config.conv_channels)]
+    if "sfe" in config.branches:
+        layers.append(("sfe", config.sfe_fc, SFE_SIZE))
+    if "mfe" in config.branches:
+        layers.append(("mfe", config.mfe_fc, MFE_SIZE))
+    layers += [("fus", config.fusion_fc, config.fusion_input),
+               ("out", config.classes, config.fusion_fc)]
+    shapes = {}
+    for name, n_out, n_in in layers:
+        shapes[f"{name}_w"] = (n_out, n_in)
+        shapes[f"{name}_b"] = (n_out,)
+    return shapes
+
+
+def _input_sizes(config: NurseConfig) -> dict:
+    sizes = {"mfe": MFE_SIZE, "sfe": SFE_SIZE, "tfe": config.embedding_dim}
+    return {branch: sizes[branch] for branch in config.branches}
+
+
 def init_model(config: NurseConfig, rng=None) -> NurseModel:
     """Fresh parameters (He-scaled normals, zero biases), identity scaling."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    params: dict = {}
-
-    def he(shape, fan_in):
-        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-
-    if "tfe" in config.branches:
-        params["conv_w"] = he((config.conv_channels, config.conv_filter), config.conv_filter)
-        params["conv_b"] = np.zeros(config.conv_channels)
-        params["tfe_w"] = he((config.tfe_fc, config.conv_channels), config.conv_channels)
-        params["tfe_b"] = np.zeros(config.tfe_fc)
-    if "sfe" in config.branches:
-        params["sfe_w"] = he((config.sfe_fc, SFE_SIZE), SFE_SIZE)
-        params["sfe_b"] = np.zeros(config.sfe_fc)
-    if "mfe" in config.branches:
-        params["mfe_w"] = he((config.mfe_fc, MFE_SIZE), MFE_SIZE)
-        params["mfe_b"] = np.zeros(config.mfe_fc)
-    params["fus_w"] = he((config.fusion_fc, config.fusion_input), config.fusion_input)
-    params["fus_b"] = np.zeros(config.fusion_fc)
-    params["out_w"] = he((config.classes, config.fusion_fc), config.fusion_fc)
-    params["out_b"] = np.zeros(config.classes)
-
-    norm_mean = {}
-    norm_std = {}
-    sizes = {"mfe": MFE_SIZE, "sfe": SFE_SIZE, "tfe": config.embedding_dim}
-    for branch in config.branches:
-        norm_mean[branch] = np.zeros(sizes[branch])
-        norm_std[branch] = np.ones(sizes[branch])
+    params = {}
+    for name, shape in _param_shapes(config).items():
+        if name.endswith("_w"):  # fan-in is the second axis of every weight
+            params[name] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
+        else:
+            params[name] = np.zeros(shape)
+    sizes = _input_sizes(config)
+    norm_mean = {branch: np.zeros(size) for branch, size in sizes.items()}
+    norm_std = {branch: np.ones(size) for branch, size in sizes.items()}
     return NurseModel(config=config, params=params, norm_mean=norm_mean, norm_std=norm_std)
 
 
@@ -438,7 +445,8 @@ def rank_users(scored) -> list:
     return sorted(scored, key=lambda t: (-t[1], t[0]))
 
 
-def _fold_metrics(fold: int, scored) -> FoldMetrics:
+def fold_metrics(fold: int, scored) -> FoldMetrics:
+    """Ranking metrics of one held-out set of (user_id, core score, label) triples."""
     ranked = rank_users(scored)
     labels = [1 if lab == "core" else 0 for _, _, lab in ranked]
     scores = [s for _, s, _ in ranked]
@@ -477,6 +485,54 @@ def _fold_metrics(fold: int, scored) -> FoldMetrics:
     )
 
 
+def min_class_size(folds: int) -> int:
+    """Fewest users per class for ``folds``-fold evaluation: one per fold held
+    out, and two left in every fold's training set (see :func:`train`)."""
+    return max(folds, -(-2 * folds // (folds - 1)))
+
+
+def class_split(features, rng=None) -> tuple:
+    """(core, compromised) feature lists, each in input order.
+
+    With ``rng`` (a numpy Generator or a seed) the larger class is
+    undersampled to the size of the smaller one; kept users stay in order.
+    """
+    core = [fv for fv in features if fv.label == "core"]
+    comp = [fv for fv in features if fv.label == "compromised"]
+    if rng is not None:
+        rng = np.random.default_rng(rng)
+        target = min(len(core), len(comp))
+        core, comp = (
+            [group[i] for i in sorted(rng.choice(len(group), size=target, replace=False))]
+            if len(group) > target else group
+            for group in (core, comp)
+        )
+    return core, comp
+
+
+def summarize_folds(mode: str, per_fold) -> EvalReport:
+    """Report of per-fold metrics: fold means, curves cut to the smallest fold."""
+    min_n = min(fm.n for fm in per_fold)
+    ks = tuple(range(1, min_n + 1))
+
+    def mean(values):
+        return float(np.mean(list(values)))
+
+    return EvalReport(
+        mode=mode,
+        folds=tuple(per_fold),
+        mean_auc=mean(fm.auc for fm in per_fold),
+        mean_break_even_precision=mean(fm.break_even_precision for fm in per_fold),
+        mean_break_even_recall=mean(fm.break_even_recall for fm in per_fold),
+        mean_break_even_f1=mean(fm.break_even_f1 for fm in per_fold),
+        mean_f1_at_half=mean(fm.f1_at_half for fm in per_fold),
+        curve_ks=ks,
+        mean_precision_at=tuple(mean(fm.precision_at[k - 1] for fm in per_fold) for k in ks),
+        mean_recall_at=tuple(mean(fm.recall_at[k - 1] for fm in per_fold) for k in ks),
+        mean_f1_at=tuple(mean(fm.f1_at[k - 1] for fm in per_fold) for k in ks),
+    )
+
+
 def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
              folds: int = 10, seed: int = 0) -> EvalReport:
     """Stratified cross-validated ranking evaluation.
@@ -490,25 +546,16 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
     """
     if mode not in ("balanced_1to1", "complete"):
         raise ValueError("mode must be 'balanced_1to1' or 'complete'")
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
     features = sorted(features, key=lambda fv: fv.user_id)
     _labels_array(features)  # validates labels
     rng = np.random.default_rng(seed)
-
-    core = [fv for fv in features if fv.label == "core"]
-    comp = [fv for fv in features if fv.label == "compromised"]
-    if mode == "balanced_1to1":
-        target = min(len(core), len(comp))
-        if len(core) > target:
-            keep = rng.choice(len(core), size=target, replace=False)
-            core = [core[i] for i in sorted(keep)]
-        if len(comp) > target:
-            keep = rng.choice(len(comp), size=target, replace=False)
-            comp = [comp[i] for i in sorted(keep)]
-
-    if len(core) < folds or len(comp) < folds:
+    core, comp = class_split(features, rng if mode == "balanced_1to1" else None)
+    if min(len(core), len(comp)) < min_class_size(folds):
         raise ValueError(
-            f"impossible stratification: need >= {folds} users per class, "
-            f"have {len(core)} core / {len(comp)} compromised"
+            f"impossible stratification: need >= {min_class_size(folds)} users per class "
+            f"for {folds} folds, have {len(core)} core / {len(comp)} compromised"
         )
     assignments: dict = {}
     for group in (core, comp):
@@ -517,7 +564,7 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
     pool = sorted(core + comp, key=lambda fv: fv.user_id)
 
     fold_config = config if mode == "balanced_1to1" else replace(config, class_weight="balanced")
-    fold_metrics = []
+    per_fold = []
     for fold in range(folds):
         train_set = [fv for fv in pool if assignments[fv.user_id] != fold]
         test_set = [fv for fv in pool if assignments[fv.user_id] == fold]
@@ -526,32 +573,8 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
         scored = [
             (fv.user_id, float(probs[i, CORE]), fv.label) for i, fv in enumerate(test_set)
         ]
-        fold_metrics.append(_fold_metrics(fold, scored))
-
-    min_n = min(fm.n for fm in fold_metrics)
-    ks = tuple(range(1, min_n + 1))
-    mean_p = tuple(
-        float(np.mean([fm.precision_at[k - 1] for fm in fold_metrics])) for k in ks
-    )
-    mean_r = tuple(
-        float(np.mean([fm.recall_at[k - 1] for fm in fold_metrics])) for k in ks
-    )
-    mean_f = tuple(
-        float(np.mean([fm.f1_at[k - 1] for fm in fold_metrics])) for k in ks
-    )
-    return EvalReport(
-        mode=mode,
-        folds=tuple(fold_metrics),
-        mean_auc=float(np.mean([fm.auc for fm in fold_metrics])),
-        mean_break_even_precision=float(np.mean([fm.break_even_precision for fm in fold_metrics])),
-        mean_break_even_recall=float(np.mean([fm.break_even_recall for fm in fold_metrics])),
-        mean_break_even_f1=float(np.mean([fm.break_even_f1 for fm in fold_metrics])),
-        mean_f1_at_half=float(np.mean([fm.f1_at_half for fm in fold_metrics])),
-        curve_ks=ks,
-        mean_precision_at=mean_p,
-        mean_recall_at=mean_r,
-        mean_f1_at=mean_f,
-    )
+        per_fold.append(fold_metrics(fold, scored))
+    return summarize_folds(mode, per_fold)
 
 
 ABLATION_SUBSETS = (
@@ -598,25 +621,34 @@ def save_model(model: NurseModel, path) -> None:
 
 
 def load_model(path) -> NurseModel:
-    """Inverse of :func:`save_model`; predictions round-trip bit-exactly."""
-    data = np.load(path)
-    meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-    if meta.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {meta.get('format')}")
-    cfg_dict = dict(meta["config"])
-    cfg_dict["branches"] = tuple(cfg_dict["branches"])
-    config = NurseConfig(**cfg_dict)
-    params = {}
-    norm_mean = {}
-    norm_std = {}
-    for key in data.files:
-        if key.startswith("param_"):
-            params[key[len("param_"):]] = data[key]
-        elif key.startswith("mean_"):
-            norm_mean[key[len("mean_"):]] = data[key]
-        elif key.startswith("std_"):
-            norm_std[key[len("std_"):]] = data[key]
-    return NurseModel(config=config, params=params, norm_mean=norm_mean, norm_std=norm_std)
+    """Inverse of :func:`save_model`; predictions round-trip bit-exactly.
+
+    A file that is not such a model, or whose arrays do not fit its config,
+    raises ValueError.
+    """
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+        if meta.get("format") != MODEL_FORMAT:
+            raise ValueError(f"unsupported model format {meta.get('format')}")
+        cfg_dict = dict(meta["config"])
+        cfg_dict["branches"] = tuple(cfg_dict["branches"])
+        config = NurseConfig(**cfg_dict)
+    except (AttributeError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from None
+    shapes = {f"param_{k}": shape for k, shape in _param_shapes(config).items()}
+    for branch, size in _input_sizes(config).items():
+        shapes[f"mean_{branch}"] = shapes[f"std_{branch}"] = (size,)
+    if {k: (a.shape, a.dtype.kind) for k, a in arrays.items()} != {
+            k: (shape, "f") for k, shape in shapes.items()}:
+        raise ValueError(f"{path}: arrays do not match the model config")
+
+    def strip(prefix):
+        return {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
+
+    return NurseModel(config=config, params=strip("param_"),
+                      norm_mean=strip("mean_"), norm_std=strip("std_"))
 
 
 def write_eval_report(report: EvalReport, path) -> None:

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import shutil
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collusioncore.cli import main
+from collusioncore.embeddings import HashEmbedder, text_key, write_embedding_file
 from collusioncore.features import feature_header
+from collusioncore.records import ingest
 
 from conftest import SYNTH_SEED
 
@@ -285,3 +291,169 @@ def test_rerun_is_byte_identical(synth_dir, tmp_path):
         outs.append(out)
     for fname in ("ccn.tsv", "ccn.tsv.nodes", "stats.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def write(path, content) -> str:
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    path.write_bytes(content)
+    return str(path)
+
+
+def npz_bytes(tmp_path, **arrays) -> bytes:
+    path = tmp_path / "scratch.npz"
+    np.savez(path, **arrays)
+    return path.read_bytes()
+
+
+def write_all_embeddings(data_dir, path, dim) -> str:
+    """Embeddings of every comment text and video text of a dataset."""
+    dataset = ingest(data_dir / "comments.jsonl", data_dir / "videos.jsonl",
+                     data_dir / "users.jsonl")
+    texts = [c.text for c in dataset.comments]
+    texts += [" ".join((v.title, v.description, v.genre)) for v in dataset.videos]
+    write_embedding_file(path, texts, HashEmbedder(dim=dim, seed=0))
+    return str(path)
+
+
+# id: (argv before --out over the fixture paths, fails before --out is created)
+REJECTED = {
+    "pipeline-beta": (lambda p: ["pipeline", *p.data, "--beta", "-1"], True),
+    "pipeline-step": (lambda p: ["pipeline", *p.data, "--step", "0.5"], True),
+    "pipeline-epochs": (lambda p: ["pipeline", *p.data, "--epochs", "0"], True),
+    "pipeline-folds": (lambda p: ["pipeline", *p.data, "--folds", "1"], True),
+    "nurse-train-batch-size": (
+        lambda p: ["nurse-train", "--features", p.features, "--batch-size", "0"], True),
+    "ablate-folds": (lambda p: ["ablate", "--features", p.features, "--folds", "0"], True),
+    "features-dim": (lambda p: ["features", *p.data, "--dim", "0"], True),
+    "features-pair-cap": (lambda p: ["features", *p.data, "--pair-cap", "-5"], True),
+    "baseline-wbc-k": (lambda p: ["baseline-wbc", "--graph", p.graph, "--k", "-1"], True),
+    "nurse-eval-garbage-model": (
+        lambda p: ["nurse-eval", "--model", write(p.tmp / "model.npz", "garbage"),
+                   "--features", p.features], True),
+    "nurse-eval-model-without-meta": (
+        lambda p: ["nurse-eval", "--features", p.features, "--model",
+                   write(p.tmp / "model.npz", npz_bytes(p.tmp, x=np.zeros(2)))], True),
+    "pipeline-labels": (
+        lambda p: ["pipeline", *p.data, "--labels", write(p.tmp / "labels.tsv", "u1 core\n")],
+        True),
+    "config-unknown-key": (
+        lambda p: ["--config", write(p.tmp / "run.cfg", "bogus=3\n"),
+                   "nurse-train", "--features", p.features], True),
+    "features-embedding-missing": (
+        lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
+                   write(p.tmp / "emb.txt", f"dim=2\n{text_key('unused')}\t0.5,0.5\n")],
+        False),
+    "pipeline-impossible-stratification": (
+        lambda p: ["pipeline", *p.data, "--dim", "8", "--folds", "500"], False),
+    "ablate-impossible-stratification": (
+        lambda p: ["ablate", "--features", p.features, "--folds", "500"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, tmp_path, capsys):
+    argv, before_out = REJECTED[case]
+    paths = type("Paths", (), dict(data=dataset_args(synth_dir), graph=str(ccn_dir / "ccn.tsv"),
+                                  features=str(features_dir / "features.csv"), tmp=tmp_path))
+    out = tmp_path / "out"
+    assert main(argv(paths) + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+    if before_out:
+        assert not out.exists()
+    if case == "config-unknown-key":
+        assert "bogus" in err
+    if case == "features-embedding-missing":
+        assert "text hash" in err
+
+
+def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):
+    emb = write_all_embeddings(synth_dir, tmp_path / "emb.txt", dim=4)
+    out = tmp_path / "out"
+    assert main(["features"] + dataset_args(synth_dir) +
+                ["--provider", "file", "--embeddings", emb, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
+    assert manifest["inputs"][emb] == digest
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small valid run's input files, keyed by the kind of file."""
+    d = tmp_path_factory.mktemp("fuzzinputs")
+    data = d / "data"
+    assert main(["synth", "--n-core", "4", "--n-compromised", "16", "--n-videos", "24",
+                 "--communities", "2", "--seed", "3", "--out", str(data)]) == 0
+    assert main(["build-ccn"] + dataset_args(data) + ["--out", str(d / "ccn")]) == 0
+    assert main(["korse", "--graph", str(d / "ccn" / "ccn.tsv"), "--out", str(d / "korse")]) == 0
+    assert main(["features"] + dataset_args(data) +
+                ["--partition", str(d / "korse" / "partition.tsv"), "--dim", "4",
+                 "--out", str(d / "features")]) == 0
+    assert main(["nurse-train", "--features", str(d / "features" / "features.csv"),
+                 "--epochs", "1", "--out", str(d / "model")]) == 0
+    paths = {
+        "graph": d / "ccn" / "ccn.tsv",
+        "partition": d / "korse" / "partition.tsv",
+        "features": d / "features" / "features.csv",
+        "labels": data / "labels.tsv",
+        "model": d / "model" / "model.npz",
+        "embeddings": write_all_embeddings(data, d / "emb.txt", dim=4),
+        "config": write(d / "run.cfg", "seed=3\nepochs=2\n"),
+    }
+    files = {kind: str(path) for kind, path in paths.items()}
+    files["data"] = dataset_args(data)
+    files["valid"] = {kind: open(path, "rb").read() for kind, path in paths.items()}
+    files["dir"] = d
+    return files
+
+
+# (kind of file fuzzed, argv before --out given the valid files and the fuzzed path)
+FUZZ_TARGETS = [
+    ("graph", lambda v, f: ["korse", "--graph", f]),
+    ("graph", lambda v, f: ["breakage", "--graph", f]),
+    ("graph", lambda v, f: ["baseline-wbc", "--graph", f]),
+    ("graph", lambda v, f: ["interplay", "--graph", f, "--partition", v["partition"]]),
+    ("partition", lambda v, f: ["interplay", "--graph", v["graph"], "--partition", f]),
+    ("partition", lambda v, f: ["case-study", *v["data"], "--partition", f]),
+    ("partition", lambda v, f: ["features", *v["data"], "--partition", f, "--dim", "4"]),
+    ("features", lambda v, f: ["nurse-train", "--features", f, "--epochs", "1"]),
+    ("features", lambda v, f: ["nurse-eval", "--model", v["model"], "--features", f]),
+    ("features", lambda v, f: ["ablate", "--features", f, "--folds", "2", "--epochs", "1"]),
+    ("labels", lambda v, f: ["pipeline", *v["data"], "--labels", f, "--dim", "4",
+                             "--epochs", "1", "--folds", "2"]),
+    ("model", lambda v, f: ["nurse-eval", "--model", f, "--features", v["features"]]),
+    ("embeddings", lambda v, f: ["features", *v["data"], "--provider", "file",
+                                 "--embeddings", f]),
+    ("config", lambda v, f: ["--config", f, "kcore", "--graph", v["graph"]]),
+]
+
+
+def fuzzed(valid: bytes, tmp_path, kind):
+    """Arbitrary text, or the valid file with arbitrary text spliced in; a
+    model may also be a well-formed archive around an arbitrary meta entry."""
+    text = st.text(max_size=120).map(lambda t: t.encode("utf-8"))
+    spliced = st.tuples(st.integers(0, len(valid)), st.integers(0, 12), text).map(
+        lambda t: valid[:t[0]] + t[2] + valid[t[0] + t[1]:])
+    options = [text, spliced]
+    if kind == "model":
+        options.append(text.map(lambda meta: npz_bytes(
+            tmp_path, meta=np.frombuffer(meta, dtype=np.uint8))))
+    return st.one_of(options)
+
+
+@pytest.mark.parametrize("target", FUZZ_TARGETS,
+                         ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(FUZZ_TARGETS)])
+def test_fuzzed_input_file_never_exits_5(fuzz_inputs, tmp_path_factory, target):
+    kind, argv = target
+    work = tmp_path_factory.mktemp("fuzz")
+    path, out = work / f"fuzzed.{kind}", work / "out"
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(content=fuzzed(fuzz_inputs["valid"][kind], work, kind))
+    def run(content):
+        path.write_bytes(content)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(argv(fuzz_inputs, str(path)) + ["--out", str(out)]) in (0, 3, 4)
+
+    run()

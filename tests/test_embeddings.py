@@ -94,3 +94,12 @@ def test_file_empty_text_zero_vector(tmp_path):
     loaded = FileEmbedder.load(path)
     assert np.array_equal(loaded.embed_text(""), np.zeros(16))
     assert loaded.empty_text_count == 1
+
+
+@pytest.mark.parametrize("text", ["dim=0\n", "dim=4\n", "dim=-1\nk\t\n"],
+                         ids=["zero-dim", "no-vectors", "negative-dim"])
+def test_file_load_rejects_unusable_files(tmp_path, text):
+    path = tmp_path / "emb.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        FileEmbedder.load(path)

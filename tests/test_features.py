@@ -5,7 +5,10 @@ import pytest
 
 from collusioncore.embeddings import HashEmbedder, cosine
 from collusioncore.features import (
+    MFE_SIZE,
+    SFE_SIZE,
     extract_all,
+    feature_header,
     mfe,
     read_features,
     sfe,
@@ -196,6 +199,17 @@ def test_extract_all_planted_label_counts(provider, synth_default):
     feats = extract_all(dataset, partition=part, provider=provider)
     got_core = sum(1 for f in feats if f.label == "core")
     assert got_core == sum(1 for l in labels.values() if l == "core")
+
+
+@pytest.mark.parametrize("rows", [["u1,periphery"], ["u1,core", "u1,"]],
+                         ids=["unknown-label", "duplicate-user"])
+def test_read_features_rejects_bad_rows(tmp_path, rows):
+    values = ",".join(["0.0"] * (MFE_SIZE + SFE_SIZE + 2))
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(feature_header(2)) + "\n" +
+                    "".join(f"{row},{values}\n" for row in rows))
+    with pytest.raises(ValueError):
+        read_features(path)
 
 
 def test_feature_csv_roundtrip(tmp_path, provider):

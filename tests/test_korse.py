@@ -158,6 +158,13 @@ def test_partition_file_roundtrip(tmp_path, synth_graph):
     assert text.startswith("# core_threshold=")
 
 
+def test_read_partition_rejects_user_listed_twice(tmp_path):
+    path = tmp_path / "partition.tsv"
+    path.write_text("a\tcore\nb\tperiphery\na\tperiphery\n")
+    with pytest.raises(ValueError, match="twice"):
+        read_partition(path)
+
+
 def test_write_sweep_header(tmp_path, triangle):
     part = korse(triangle)
     path = tmp_path / "sweep.csv"

@@ -10,14 +10,18 @@ from collusioncore.nurse import (
     NurseConfig,
     ablations,
     auc,
+    class_split,
     evaluate,
+    fold_metrics,
     forward,
     init_model,
     load_model,
     loss,
     loss_and_grads,
+    min_class_size,
     predict_proba,
     save_model,
+    summarize_folds,
     train,
 )
 
@@ -303,6 +307,49 @@ def test_evaluate_impossible_stratification():
         evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=10, seed=0)
 
 
+def test_min_class_size_matches_fold_arithmetic():
+    # every fold holds out one user of the class and leaves two for training
+    for folds in range(2, 12):
+        want = next(n for n in range(1, 100) if n >= folds and n - math.ceil(n / folds) >= 2)
+        assert min_class_size(folds) == want
+
+
+def test_evaluate_runs_at_min_class_size_and_rejects_one_less():
+    cfg = replace(TINY, epochs=2)
+    for folds in (2, 3):
+        n = min_class_size(folds)
+        evaluate(blob_features(n, seed=27), cfg, folds=folds, seed=0)
+        with pytest.raises(ValueError, match="stratification"):
+            evaluate(blob_features(n - 1, seed=27), cfg, folds=folds, seed=0)
+
+
+def test_evaluate_rejects_fewer_than_two_folds():
+    with pytest.raises(ValueError, match="folds"):
+        evaluate(blob_features(5), TINY, folds=1)
+
+
+def test_class_split_undersamples_the_larger_class():
+    feats = sorted(blob_features(5, seed=28) + blob_features(9, seed=29)[:9],
+                   key=lambda f: f.user_id)
+    feats = [replace(f, user_id=f"u{i:02d}") for i, f in enumerate(feats)]
+    core = [f.user_id for f in feats if f.label == "core"]
+    comp = [f.user_id for f in feats if f.label == "compromised"]
+    assert [[f.user_id for f in group] for group in class_split(feats)] == [core, comp]
+    keep = sorted(np.random.default_rng(11).choice(len(comp), size=len(core), replace=False))
+    got_core, got_comp = class_split(feats, 11)
+    assert [f.user_id for f in got_core] == core
+    assert [f.user_id for f in got_comp] == [comp[i] for i in keep]
+
+
+def test_summary_of_one_fold_is_that_fold():
+    fm = fold_metrics(0, [("a", 0.9, "core"), ("b", 0.2, "compromised"), ("c", 0.6, "core")])
+    report = summarize_folds("complete", [fm])
+    assert report.folds == (fm,)
+    assert (report.mean_auc, report.mean_break_even_precision, report.mean_break_even_f1) == (
+        fm.auc, fm.break_even_precision, fm.break_even_f1)
+    assert report.mean_f1_at == fm.f1_at
+
+
 def test_evaluate_permutation_invariant():
     feats = blob_features(10, seed=24)
     cfg = replace(TINY, epochs=10)
@@ -354,3 +401,20 @@ def test_model_roundtrip_identical_predictions(tmp_path):
     p1 = predict_proba(model, feats)
     p2 = predict_proba(again, feats)
     assert np.array_equal(p1, p2)
+
+
+def test_load_model_rejects_other_files(tmp_path):
+    good = tmp_path / "model.npz"
+    save_model(train(blob_features(5, seed=31), replace(TINY, epochs=2)), good)
+    arrays = dict(np.load(good))
+    wrong_shape = dict(arrays, param_out_b=np.zeros(3))
+    missing = {k: v for k, v in arrays.items() if k != "param_fus_w"}
+    cases = [b"", b"not a model", b"PK\x05\x06" + bytes(18)]
+    for content in cases:
+        good.write_bytes(content)
+        with pytest.raises(ValueError):
+            load_model(good)
+    for bad in ({"x": np.zeros(2)}, wrong_shape, missing):
+        np.savez(good, **bad)
+        with pytest.raises(ValueError):
+            load_model(good)
