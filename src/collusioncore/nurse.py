@@ -8,6 +8,13 @@ outputs are concatenated, fused through a 16-unit layer and classified by a
 2-way softmax. Forward, backward and the training loop are implemented
 directly in numpy; training is deterministic per seed. Feature z-scoring is
 fitted on the training set and stored inside the model.
+
+The conv is the only dense (users, channels, positions) work: the forward
+pass keeps just the pooled value and the two inputs at the pooled position
+of each channel, and the conv gradient flows through that position alone.
+Training evaluates the full-set objective after every epoch under exactly
+the parameters the next epoch's first batch uses, so that batch takes its
+conv rows from the objective's pass instead of recomputing them.
 """
 
 import json
@@ -147,8 +154,29 @@ def _standardize(model: NurseModel, X: dict) -> dict:
     }
 
 
-def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None):
-    """Run the network on standardized inputs; returns (probs, cache)."""
+def _conv_pool(T, conv_w, conv_b):
+    """(pooled, t0, t1) per (user, channel): the max-pooled ReLU of the width-2
+    conv over ``T`` and the two inputs at the pooled position.
+
+    The argmax runs on the pre-activation. Wherever a channel's maximum is
+    positive it is the argmax of the ReLU; elsewhere the pooled value is 0
+    and no gradient flows, so the position does not matter.
+    """
+    z = np.multiply(T[:, None, :-1], conv_w[None, :, 0, None])
+    z += T[:, None, 1:] * conv_w[None, :, 1, None]
+    z += conv_b[None, :, None]
+    idx = np.argmax(z, axis=2)
+    pooled = _relu(np.take_along_axis(z, idx[:, :, None], axis=2)[:, :, 0])
+    return pooled, np.take_along_axis(T, idx, axis=1), np.take_along_axis(T, idx + 1, axis=1)
+
+
+def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None,
+                   conv=None):
+    """Run the network on standardized inputs; returns (probs, cache).
+
+    ``conv`` may give the :func:`_conv_pool` rows of ``X["tfe"]`` under the
+    current conv parameters, computed by an earlier pass, to skip the conv.
+    """
     cfg = model.config
     p = model.params
     if train_mode and rng is None:
@@ -156,21 +184,11 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
     cache: dict = {"X": X, "train": train_mode}
     parts = []
     if "tfe" in cfg.branches:
-        T = X["tfe"]
-        T0, T1 = T[:, :-1], T[:, 1:]
-        z_conv = (
-            T0[:, None, :] * p["conv_w"][None, :, 0, None]
-            + T1[:, None, :] * p["conv_w"][None, :, 1, None]
-            + p["conv_b"][None, :, None]
-        )
-        a_conv = _relu(z_conv)
-        pool_idx = np.argmax(a_conv, axis=2)
-        pooled = np.take_along_axis(a_conv, pool_idx[:, :, None], axis=2)[:, :, 0]
-        z_tfe = pooled @ p["tfe_w"].T + p["tfe_b"]
-        h_tfe = _relu(z_tfe)
-        cache.update(T0=T0, T1=T1, z_conv=z_conv, pool_idx=pool_idx,
-                     pooled=pooled, z_tfe=z_tfe)
-        parts.append(h_tfe)
+        if conv is None:
+            conv = _conv_pool(X["tfe"], p["conv_w"], p["conv_b"])
+        z_tfe = conv[0] @ p["tfe_w"].T + p["tfe_b"]
+        cache.update(conv=conv, z_tfe=z_tfe)
+        parts.append(_relu(z_tfe))
     if "sfe" in cfg.branches:
         z_sfe = X["sfe"] @ p["sfe_w"].T + p["sfe_b"]
         h_sfe = _relu(z_sfe)
@@ -218,19 +236,13 @@ def _backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
         d_htfe = d_fused[:, offset:offset + width]
         offset += width
         d_ztfe = d_htfe * (cache["z_tfe"] > 0)
-        g["tfe_w"] = d_ztfe.T @ cache["pooled"]
+        pooled, t0, t1 = cache["conv"]
+        g["tfe_w"] = d_ztfe.T @ pooled
         g["tfe_b"] = d_ztfe.sum(axis=0)
-        d_pooled = d_ztfe @ p["tfe_w"]
-        d_aconv = np.zeros_like(cache["z_conv"])
-        np.put_along_axis(d_aconv, cache["pool_idx"][:, :, None],
-                          d_pooled[:, :, None], axis=2)
-        d_zconv = d_aconv * (cache["z_conv"] > 0)
-        g["conv_b"] = d_zconv.sum(axis=(0, 2))
+        d_zconv = (d_ztfe @ p["tfe_w"]) * (pooled > 0)  # only the pooled position
+        g["conv_b"] = d_zconv.sum(axis=0)
         g["conv_w"] = np.stack(
-            [
-                np.einsum("bcl,bl->c", d_zconv, cache["T0"]),
-                np.einsum("bcl,bl->c", d_zconv, cache["T1"]),
-            ],
+            [np.einsum("bc,bc->c", d_zconv, t0), np.einsum("bc,bc->c", d_zconv, t1)],
             axis=1,
         )
     if "sfe" in cfg.branches:
@@ -336,15 +348,13 @@ def train(features, config: NurseConfig) -> NurseModel:
     else:
         weights = None
 
-    def objective(params):
-        saved = model.params
-        model.params = params
-        probs, _ = _forward_batch(model, X, train_mode=False)
-        model.params = saved
-        return _cross_entropy(probs, y, weights)
+    def objective():
+        """Full-set loss under the current parameters, and the pass's cache."""
+        probs, cache = _forward_batch(model, X, train_mode=False)
+        return _cross_entropy(probs, y, weights), cache
 
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
-    best_loss = objective(model.params)
+    best_loss, full = objective()
     best_params = {k: v.copy() for k, v in model.params.items()}
     n = len(features)
     for _ in range(config.epochs):
@@ -352,7 +362,10 @@ def train(features, config: NurseConfig) -> NurseModel:
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch_X = {b: X[b][idx] for b in X}
-            probs, cache = _forward_batch(model, batch_X, train_mode=True, rng=rng)
+            # The epoch's first batch runs under the parameters of the last
+            # objective pass, and the conv has no dropout: reuse its rows.
+            conv = tuple(a[idx] for a in full["conv"]) if start == 0 and "conv" in full else None
+            probs, cache = _forward_batch(model, batch_X, train_mode=True, rng=rng, conv=conv)
             yb = y[idx]
             onehot = np.stack([1 - yb, yb], axis=1).astype(float)
             d_logits = (probs - onehot) / len(idx)
@@ -362,7 +375,7 @@ def train(features, config: NurseConfig) -> NurseModel:
             for key, grad in grads.items():
                 velocity[key] = config.momentum * velocity[key] - config.learning_rate * grad
                 model.params[key] = model.params[key] + velocity[key]
-        epoch_loss = objective(model.params)
+        epoch_loss, full = objective()
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_params = {k: v.copy() for k, v in model.params.items()}

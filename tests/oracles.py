@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: subset enumeration
 for cores, union-find for components, direct formulas for statistics, and
-rational path lengths for betweenness.
+rational path lengths for betweenness. The NURSE kernels are the dense
+conv-gradient versions the library used before its pooled-position rewrite.
 """
 
 import heapq
@@ -11,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from collusioncore.graph import Ccn
+from collusioncore.nurse import NurseModel
 
 
 def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_nodes=4):
@@ -170,3 +172,119 @@ def fraction_betweenness(graph):
                 bc[node] += delta[node]
     # undirected: every pair was counted from both endpoints
     return {n: v / 2.0 for n, v in bc.items()}
+
+
+# The NURSE kernels as they were before the conv gradient was restricted to
+# the pooled position; the library's kernels must equal them repr for repr.
+
+
+def _relu(x):
+    return np.maximum(x, 0.0)
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None):
+    """Run the network on standardized inputs; returns (probs, cache)."""
+    cfg = model.config
+    p = model.params
+    if train_mode and rng is None:
+        raise ValueError("train_mode forward needs an rng for dropout")
+    cache: dict = {"X": X, "train": train_mode}
+    parts = []
+    if "tfe" in cfg.branches:
+        T = X["tfe"]
+        T0, T1 = T[:, :-1], T[:, 1:]
+        z_conv = (
+            T0[:, None, :] * p["conv_w"][None, :, 0, None]
+            + T1[:, None, :] * p["conv_w"][None, :, 1, None]
+            + p["conv_b"][None, :, None]
+        )
+        a_conv = _relu(z_conv)
+        pool_idx = np.argmax(a_conv, axis=2)
+        pooled = np.take_along_axis(a_conv, pool_idx[:, :, None], axis=2)[:, :, 0]
+        z_tfe = pooled @ p["tfe_w"].T + p["tfe_b"]
+        h_tfe = _relu(z_tfe)
+        cache.update(T0=T0, T1=T1, z_conv=z_conv, pool_idx=pool_idx,
+                     pooled=pooled, z_tfe=z_tfe)
+        parts.append(h_tfe)
+    if "sfe" in cfg.branches:
+        z_sfe = X["sfe"] @ p["sfe_w"].T + p["sfe_b"]
+        h_sfe = _relu(z_sfe)
+        if train_mode and cfg.sfe_dropout > 0:
+            mask = (rng.random(h_sfe.shape) >= cfg.sfe_dropout) / (1.0 - cfg.sfe_dropout)
+        else:
+            mask = np.ones_like(h_sfe)
+        cache.update(z_sfe=z_sfe, sfe_mask=mask)
+        parts.append(h_sfe * mask)
+    if "mfe" in cfg.branches:
+        z_mfe = X["mfe"] @ p["mfe_w"].T + p["mfe_b"]
+        h_mfe = _relu(z_mfe)
+        if train_mode and cfg.mfe_dropout > 0:
+            mask = (rng.random(h_mfe.shape) >= cfg.mfe_dropout) / (1.0 - cfg.mfe_dropout)
+        else:
+            mask = np.ones_like(h_mfe)
+        cache.update(z_mfe=z_mfe, mfe_mask=mask)
+        parts.append(h_mfe * mask)
+
+    fused_in = np.concatenate(parts, axis=1)
+    z_fus = fused_in @ p["fus_w"].T + p["fus_b"]
+    h_fus = _relu(z_fus)
+    logits = h_fus @ p["out_w"].T + p["out_b"]
+    probs = _softmax(logits)
+    cache.update(fused_in=fused_in, z_fus=z_fus, h_fus=h_fus)
+    return probs, cache
+
+
+def backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
+    """Gradients of the loss w.r.t. every parameter tensor."""
+    cfg = model.config
+    p = model.params
+    g: dict = {}
+    g["out_w"] = d_logits.T @ cache["h_fus"]
+    g["out_b"] = d_logits.sum(axis=0)
+    d_hfus = d_logits @ p["out_w"]
+    d_zfus = d_hfus * (cache["z_fus"] > 0)
+    g["fus_w"] = d_zfus.T @ cache["fused_in"]
+    g["fus_b"] = d_zfus.sum(axis=0)
+    d_fused = d_zfus @ p["fus_w"]
+
+    offset = 0
+    if "tfe" in cfg.branches:
+        width = cfg.tfe_fc
+        d_htfe = d_fused[:, offset:offset + width]
+        offset += width
+        d_ztfe = d_htfe * (cache["z_tfe"] > 0)
+        g["tfe_w"] = d_ztfe.T @ cache["pooled"]
+        g["tfe_b"] = d_ztfe.sum(axis=0)
+        d_pooled = d_ztfe @ p["tfe_w"]
+        d_aconv = np.zeros_like(cache["z_conv"])
+        np.put_along_axis(d_aconv, cache["pool_idx"][:, :, None],
+                          d_pooled[:, :, None], axis=2)
+        d_zconv = d_aconv * (cache["z_conv"] > 0)
+        g["conv_b"] = d_zconv.sum(axis=(0, 2))
+        g["conv_w"] = np.stack(
+            [
+                np.einsum("bcl,bl->c", d_zconv, cache["T0"]),
+                np.einsum("bcl,bl->c", d_zconv, cache["T1"]),
+            ],
+            axis=1,
+        )
+    if "sfe" in cfg.branches:
+        width = cfg.sfe_fc
+        d_hsfe = d_fused[:, offset:offset + width] * cache["sfe_mask"]
+        offset += width
+        d_zsfe = d_hsfe * (cache["z_sfe"] > 0)
+        g["sfe_w"] = d_zsfe.T @ cache["X"]["sfe"]
+        g["sfe_b"] = d_zsfe.sum(axis=0)
+    if "mfe" in cfg.branches:
+        width = cfg.mfe_fc
+        d_hmfe = d_fused[:, offset:offset + width] * cache["mfe_mask"]
+        d_zmfe = d_hmfe * (cache["z_mfe"] > 0)
+        g["mfe_w"] = d_zmfe.T @ cache["X"]["mfe"]
+        g["mfe_b"] = d_zmfe.sum(axis=0)
+    return g

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from collusioncore import nurse
 from collusioncore.features import FeatureVector
 from collusioncore.nurse import (
+    ALL_BRANCHES,
     NurseConfig,
     ablations,
     auc,
@@ -25,6 +28,7 @@ from collusioncore.nurse import (
     train,
 )
 
+import oracles
 from oracles import oracle_auc
 
 TINY = NurseConfig(embedding_dim=8, epochs=40, batch_size=8, seed=3)
@@ -167,6 +171,109 @@ def test_gradients_match_finite_differences():
             # central-difference noise level (~1e-11 for this loss/step)
             denom = max(abs(numeric), abs(analytic), 1e-6)
             assert abs(numeric - analytic) / denom <= 1e-4, f"{key}[{idx}]"
+
+
+# ------------------------------------------------------------------ kernel oracle
+
+BRANCH_SUBSETS = [branches for _, branches in nurse.ABLATION_SUBSETS]
+
+
+def kernel_case(branches, batch, dim, seed, integer_inputs=False, dead_channels=False):
+    """A model and a standardized batch; integer inputs force argmax ties and
+    dead channels have every conv pre-activation <= 0."""
+    rng = np.random.default_rng(seed)
+    model = init_model(NurseConfig(embedding_dim=dim, branches=branches, seed=seed))
+    X = {}
+    for branch, size in nurse._input_sizes(model.config).items():
+        X[branch] = (rng.integers(-2, 3, size=(batch, size)).astype(float) if integer_inputs
+                     else rng.standard_normal((batch, size)))
+    if "tfe" in branches:
+        model.params["conv_b"] = rng.standard_normal(model.config.conv_channels)
+        if dead_channels:
+            model.params["conv_b"][::2] = -1e3
+    return model, X
+
+
+def assert_kernels_match_oracle(model, X, seed):
+    d_logits = np.random.default_rng(seed).standard_normal((len(next(iter(X.values()))), 2))
+    for train_mode in (False, True):
+        probs, cache = nurse._forward_batch(model, X, train_mode, np.random.default_rng(seed))
+        want_probs, want_cache = oracles.forward_batch(model, X, train_mode,
+                                                       np.random.default_rng(seed))
+        assert repr(probs.tolist()) == repr(want_probs.tolist())
+        grads = nurse._backward_batch(model, cache, d_logits)
+        want = oracles.backward_batch(model, want_cache, d_logits)
+        assert {k: repr(g.tolist()) for k, g in grads.items()} == {
+            k: repr(g.tolist()) for k, g in want.items()}
+
+
+@pytest.mark.parametrize("branches", BRANCH_SUBSETS, ids="+".join)
+@pytest.mark.parametrize("batch,dim", [(1, 2), (1, 9), (7, 2), (13, 16), (32, 33)])
+def test_kernels_match_dense_oracle(branches, batch, dim):
+    for seed, (integer_inputs, dead) in enumerate(
+            [(False, False), (True, False), (False, True), (True, True)]):
+        model, X = kernel_case(branches, batch, dim, seed, integer_inputs, dead)
+        assert_kernels_match_oracle(model, X, seed)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), batch=st.integers(1, 6), dim=st.integers(2, 7),
+       branches=st.sampled_from(BRANCH_SUBSETS))
+def test_kernels_match_oracle_on_small_integers(data, batch, dim, branches):
+    model, X = kernel_case(branches, batch, dim, seed=0)
+    small = st.lists(st.integers(-2, 2), min_size=batch * dim, max_size=batch * dim)
+    if "tfe" in branches:
+        X["tfe"] = np.array(data.draw(small), dtype=float).reshape(batch, dim)
+        model.params["conv_w"] = np.array(
+            data.draw(st.lists(st.integers(-2, 2), min_size=64, max_size=64)),
+            dtype=float).reshape(32, 2)
+        model.params["conv_b"] = np.array(
+            data.draw(st.lists(st.integers(-3, 1), min_size=32, max_size=32)), dtype=float)
+    assert_kernels_match_oracle(model, X, seed=batch)
+
+
+def use_oracle_kernels(monkeypatch):
+    def forward_batch(model, X, train_mode=False, rng=None, conv=None):
+        return oracles.forward_batch(model, X, train_mode, rng)  # recomputes every conv
+
+    monkeypatch.setattr(nurse, "_forward_batch", forward_batch)
+    monkeypatch.setattr(nurse, "_backward_batch", oracles.backward_batch)
+
+
+@pytest.mark.parametrize("n_per_class,config", [
+    (3, replace(TINY, batch_size=8)),                           # n < batch size
+    (8, replace(TINY, batch_size=8)),                           # n a multiple of it
+    (11, replace(TINY, batch_size=8)),                          # n > batch size
+    (11, replace(TINY, batch_size=8, class_weight="balanced")),
+    (11, replace(TINY, batch_size=8, branches=("mfe", "sfe"))),
+    (5, replace(TINY, batch_size=4, embedding_dim=2, branches=("tfe",))),
+])
+def test_train_matches_oracle_kernels(monkeypatch, n_per_class, config):
+    feats = blob_features(n_per_class, dim=config.embedding_dim, seed=n_per_class)
+    config = replace(config, epochs=12)
+    got = train(feats, config)
+    use_oracle_kernels(monkeypatch)
+    want = train(feats, config)
+    assert {k: repr(v.tolist()) for k, v in got.params.items()} == {
+        k: repr(v.tolist()) for k, v in want.params.items()}
+
+
+@pytest.mark.parametrize("mode", ["balanced_1to1", "complete"])
+def test_evaluate_matches_oracle_kernels(monkeypatch, mode):
+    feats = blob_features(12, seed=3, separation=0.5)[:-5]  # 12 compromised, 7 core
+    config = replace(TINY, epochs=6, batch_size=5)
+    got = evaluate(feats, config, mode=mode, folds=3, seed=2)
+    use_oracle_kernels(monkeypatch)
+    assert repr(got) == repr(evaluate(feats, config, mode=mode, folds=3, seed=2))
+
+
+def test_first_batch_of_each_epoch_reuses_the_objective_conv(monkeypatch):
+    calls = []
+    conv_pool = nurse._conv_pool
+    monkeypatch.setattr(nurse, "_conv_pool", lambda *a: calls.append(len(a[0])) or conv_pool(*a))
+    feats = blob_features(6, seed=1)  # 12 users: batches of 8 and 4
+    train(feats, replace(TINY, epochs=5, batch_size=8))
+    assert calls == [12] + [4, 12] * 5  # the objective, then only the second batch
 
 
 # ------------------------------------------------------------------ training
