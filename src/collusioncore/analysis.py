@@ -86,6 +86,30 @@ def _bucket_counts(sizes) -> dict:
     return counts
 
 
+def _removal_counts(n: int, step_fraction: float) -> list[int]:
+    """Distinct positive counts min(n, round(i * step_fraction * n)), i = 1, 2, ...,
+    up to n.
+
+    The count never decreases in i, so each checkpoint bisects for the first
+    i that raises it: at most n searches, whatever ``step_fraction`` is.
+    """
+    def count(i):
+        return min(n, round(i * step_fraction * n))
+
+    counts, i, last = [], 0, 0
+    while last < n:
+        # count(lo) <= last throughout; start hi at an estimate of the next i
+        lo, hi = i, max(i + 1, int((last + 0.5) / (step_fraction * n)))
+        while count(hi) <= last:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if count(mid) > last else (mid, hi)
+        i, last = hi, count(hi)
+        counts.append(last)
+    return counts
+
+
 def removal_curve(graph: Ccn, order_key: str, step_fraction: float = 0.05) -> RemovalCurve:
     """Remove nodes by descending order key and record breakage checkpoints.
 
@@ -101,18 +125,8 @@ def removal_curve(graph: Ccn, order_key: str, step_fraction: float = 0.05) -> Re
     if n == 0:
         return RemovalCurve(order_key=order_key, n_nodes=0, points=())
 
-    checkpoints = []
-    i = 1
-    while True:
-        count = min(n, round(i * step_fraction * n))
-        if count > 0 and (not checkpoints or count > checkpoints[-1]):
-            checkpoints.append(count)
-        if count >= n:
-            break
-        i += 1
-
     points = []
-    for count in checkpoints:
+    for count in _removal_counts(n, step_fraction):
         removed = set(order[:count])
         alive = set(order[count:])
         sizes = _component_sizes(graph, alive)
@@ -168,10 +182,8 @@ def modularity(graph: Ccn, assignment: dict) -> float:
     for (a, b), w in graph.edges.items():
         if assignment[a] == assignment[b]:
             internal[assignment[a]] = internal.get(assignment[a], 0) + w
-    score = 0.0
-    for community in degree:
-        score += internal.get(community, 0) / m - (degree[community] / (2.0 * m)) ** 2
-    return score
+    # fsum rounds the exact sum once, so the (hash) order of the communities is moot
+    return math.fsum(internal.get(c, 0) / m - (degree[c] / (2.0 * m)) ** 2 for c in degree)
 
 
 def _one_level(adj, degrees, m, node_order, rng):

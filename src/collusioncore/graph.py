@@ -5,6 +5,7 @@ neither of them uploaded; the edge weight aggregates, per shared video, the
 smaller of the two users' comment counts.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,7 +195,7 @@ def graph_stats(graph: Ccn) -> GraphStats:
     wdegs = [graph.weighted_degree(v) for v in graph.nodes]
     density = (2.0 * m / (n * (n - 1))) if n >= 2 else None
 
-    clustering_total = 0.0
+    clustering = []
     neighbor_sets = {v: {u for u, _ in graph.adjacency[v]} for v in graph.nodes}
     for v in graph.nodes:
         nbrs = graph.adjacency[v]
@@ -207,8 +208,8 @@ def graph_stats(graph: Ccn) -> GraphStats:
             for j in range(i + 1, deg):
                 if nbrs[j][0] in set_i:
                     links += 1
-        clustering_total += 2.0 * links / (deg * (deg - 1))
-    avg_clustering = clustering_total / n
+        clustering.append(2.0 * links / (deg * (deg - 1)))
+    avg_clustering = math.fsum(clustering) / n  # one rounding: the node order is moot
 
     largest = components(graph)[0]
     sub = graph.induced(largest) if len(largest) < n else graph

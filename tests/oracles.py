@@ -101,6 +101,21 @@ def oracle_component_sizes(graph, alive):
     return sorted(counts.values(), reverse=True)
 
 
+def oracle_removal_counts(n, step_fraction):
+    """Removed-node counts at the breakage checkpoints, by the loop
+    ``removal_curve`` used first: one iteration per multiple of the step."""
+    checkpoints = []
+    i = 1
+    while True:
+        count = min(n, round(i * step_fraction * n))
+        if count > 0 and (not checkpoints or count > checkpoints[-1]):
+            checkpoints.append(count)
+        if count >= n:
+            break
+        i += 1
+    return checkpoints
+
+
 def oracle_stat5(values):
     values = [float(v) for v in values]
     if not values:

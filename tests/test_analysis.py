@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from collusioncore.analysis import (
 from collusioncore.korse import CorePartition, korse
 
 from conftest import clique, graph_from_edges, make_comment, make_dataset, make_user, make_video
-from oracles import oracle_component_sizes, oracle_pearson
+from oracles import (
+    oracle_component_sizes,
+    oracle_pearson,
+    oracle_removal_counts,
+    random_weighted_graph,
+)
 
 
 def make_partition(core, periphery):
@@ -73,6 +80,24 @@ def test_removal_components_match_union_find(synth_graph):
         sizes = oracle_component_sizes(g, alive)
         assert p.largest_component == (sizes[0] if sizes else 0)
         assert sum(sizes) == len(alive)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.013, 1e-3, 1e-5])
+def test_removal_checkpoints_match_one_step_per_multiple(step):
+    rng = np.random.default_rng(int(step * 1e6))
+    for _ in range(12):
+        g = random_weighted_graph(rng, max_nodes=50, min_nodes=1, edge_prob=0.1)
+        curve = removal_curve(g, "weighted_degree", step)
+        n = g.n_nodes
+        assert [p.fraction_removed for p in curve.points] == [
+            c / n for c in oracle_removal_counts(n, step)]
+
+
+def test_removal_time_does_not_grow_with_one_over_step(triangle):
+    start = time.perf_counter()
+    curve = removal_curve(triangle, "weighted_degree", 1e-7)
+    assert time.perf_counter() - start < 1.0
+    assert [p.fraction_removed for p in curve.points] == [1 / 3, 2 / 3, 1.0]
 
 
 def test_planted_periphery_outlives_core(synth_graph, synth_default):

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import collusioncore
 from collusioncore.cli import main
 from collusioncore.embeddings import HashEmbedder, text_key, write_embedding_file
 from collusioncore.features import feature_header
@@ -293,6 +298,23 @@ def test_rerun_is_byte_identical(synth_dir, tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(synth_dir, ccn_dir, korse_dir, tmp_path):
+    src = str(Path(collusioncore.__file__).parents[1])
+    commands = [
+        ["build-ccn", *dataset_args(synth_dir)],
+        ["communities", "--graph", str(ccn_dir / "ccn.tsv"),
+         "--partition", str(korse_dir / "partition.tsv")],
+    ]
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "collusioncore.cli", *argv,
+                            "--out", str(tmp_path / hash_seed / argv[0])], env=env, check=True)
+    for name in ("build-ccn/stats.txt", "communities/communities.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def write(path, content) -> str:
     if isinstance(content, str):
         content = content.encode("utf-8")
@@ -403,7 +425,7 @@ def fuzz_inputs(tmp_path_factory):
     }
     files = {kind: str(path) for kind, path in paths.items()}
     files["data"] = dataset_args(data)
-    files["valid"] = {kind: open(path, "rb").read() for kind, path in paths.items()}
+    files["valid"] = {kind: Path(path).read_bytes() for kind, path in paths.items()}
     files["dir"] = d
     return files
 
