@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from collusioncore import nurse
 from collusioncore.features import FeatureVector
 from collusioncore.nurse import (
-    ALL_BRANCHES,
     NurseConfig,
     ablations,
     auc,
