@@ -36,7 +36,6 @@ from .nurse import (
     ablations,
     auc,
     evaluate,
-    forward,
     loss,
     train,
 )

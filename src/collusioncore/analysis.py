@@ -8,11 +8,10 @@ core and compromised users.
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import Ccn, components
+from .graph import Ccn, components, density
 from .kcore import coreness
 from .korse import CorePartition
 from .records import Dataset
@@ -56,26 +55,6 @@ def _order_values(graph: Ccn, order_key: str) -> dict:
     raise ValueError(f"order_key must be one of {ORDER_KEYS}")
 
 
-def _component_sizes(graph: Ccn, alive: set) -> list[int]:
-    seen: set = set()
-    sizes = []
-    for start in alive:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        size = 0
-        while queue:
-            node = queue.popleft()
-            size += 1
-            for nbr, _ in graph.adjacency[node]:
-                if nbr in alive and nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        sizes.append(size)
-    return sizes
-
-
 def _bucket_counts(sizes) -> dict:
     counts = {label: 0 for _, _, label in SIZE_BUCKETS}
     for size in sizes:
@@ -115,10 +94,11 @@ def removal_curve(graph: Ccn, order_key: str, step_fraction: float = 0.05) -> Re
 
     At each multiple of ``step_fraction`` the remaining graph's component
     sizes and the unweighted density of the removed-so-far induced subgraph
-    are recorded. Ties in the order key break by ascending node id.
+    are recorded. Ties in the order key break by ascending node id. Steps
+    below 1e-300 are rejected: they would overflow the checkpoint search.
     """
-    if not (0 < step_fraction <= 0.05):
-        raise ValueError("step_fraction must be in (0, 0.05]")
+    if not (1e-300 <= step_fraction <= 0.05):
+        raise ValueError("step_fraction must be in [1e-300, 0.05]")
     values = _order_values(graph, order_key)
     order = sorted(graph.nodes, key=lambda n: (-values[n], n))
     n = len(order)
@@ -128,21 +108,16 @@ def removal_curve(graph: Ccn, order_key: str, step_fraction: float = 0.05) -> Re
     points = []
     for count in _removal_counts(n, step_fraction):
         removed = set(order[:count])
-        alive = set(order[count:])
-        sizes = _component_sizes(graph, alive)
+        sizes = [len(c) for c in components(graph, set(order[count:]))]
         removed_edges = sum(
             1 for (a, b) in graph.edges if a in removed and b in removed
         )
-        if count < 2:
-            density = 0.0
-        else:
-            density = 2.0 * removed_edges / (count * (count - 1))
         points.append(
             RemovalPoint(
                 fraction_removed=count / n,
                 largest_component=max(sizes, default=0),
                 component_buckets=_bucket_counts(sizes),
-                removed_density=density,
+                removed_density=density(count, removed_edges),
             )
         )
     return RemovalCurve(order_key=order_key, n_nodes=n, points=tuple(points))
@@ -274,10 +249,10 @@ def louvain(graph: Ccn, seed: int = 0) -> CommunitySet:
 
 def periphery_largest_component(graph: Ccn, partition: CorePartition) -> Ccn:
     """Largest connected component of the periphery-induced subgraph."""
-    sub = graph.induced(partition.periphery & graph.nodes)
-    if sub.n_nodes == 0:
+    periphery = partition.periphery & graph.nodes
+    if not periphery:
         raise ValueError("partition has an empty periphery")
-    return sub.induced(components(sub)[0])
+    return graph.induced(components(graph, periphery)[0])
 
 
 # ---------------------------------------------------------------------------

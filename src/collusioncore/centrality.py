@@ -64,11 +64,9 @@ def weighted_betweenness(graph: Ccn) -> dict:
 
 
 def wbc_baseline(graph: Ccn, k: int | None = None) -> list:
-    """Nodes ranked by descending betweenness (ties by id), optionally top-k."""
+    """(node, betweenness) pairs by descending betweenness (ties by id),
+    optionally only the top k."""
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
     scores = weighted_betweenness(graph)
-    ranked = sorted(scores, key=lambda n: (-scores[n], n))
-    if k is not None:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        ranked = ranked[:k]
-    return ranked
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]

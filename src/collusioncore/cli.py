@@ -35,7 +35,7 @@ from .analysis import (
     write_removal_curve,
     write_removal_curve_long,
 )
-from .centrality import weighted_betweenness
+from .centrality import wbc_baseline, weighted_betweenness
 from .embeddings import FileEmbedder, HashEmbedder
 from .features import extract_all, read_features, write_features
 from .graph import build_ccn, format_stats, graph_stats, read_edgelist, write_edgelist
@@ -83,7 +83,7 @@ class ValidationError(Exception):
 TUNABLE_DEFAULTS = {
     "seed": (7, lambda v: v >= 0, ">= 0"),
     "beta": (1.0, lambda v: v > 0, "> 0"),
-    "step": (0.05, lambda v: 0 < v <= 0.05, "in (0, 0.05]"),
+    "step": (0.05, lambda v: 1e-300 <= v <= 0.05, "in [1e-300, 0.05]"),
     "dim": (768, lambda v: v >= 1, ">= 1"),
     "pair_cap": (200, lambda v: v >= 0, ">= 0"),
     "epochs": (300, lambda v: v >= 1, ">= 1"),
@@ -255,12 +255,11 @@ def _do_kcore(graph, mode, out):
 
 def _do_korse(graph, beta, out):
     partition = korse(graph, WicciParams(beta=beta))
-    write_partition(partition, graph, out / "partition.tsv")
+    write_partition(partition, out / "partition.tsv")
     outputs = ["partition.tsv"]
     for b in sorted({0.5, 1.0, 2.0} | {beta}):
-        sweep = partition if b == beta else korse(graph, WicciParams(beta=b))
         name = f"sweep_beta_{b:g}.csv"
-        write_sweep(sweep, out / name)
+        write_sweep(partition, out / name, WicciParams(beta=b))
         outputs.append(name)
     return partition, outputs
 
@@ -499,14 +498,10 @@ def cmd_ablate(args):
 def cmd_baseline_wbc(args):
     graph = _read(read_edgelist, args.graph, "graph")
     out = _out_dir(args)
-    scores = weighted_betweenness(graph)
-    ranked = sorted(scores, key=lambda n: (-scores[n], n))
-    k = _setting(args, "threshold_k")
-    if k:
-        ranked = ranked[:k]
+    ranked = wbc_baseline(graph, _setting(args, "threshold_k") or None)  # --k 0: every node
     with (out / "wbc_ranking.tsv").open("w", encoding="utf-8") as handle:
-        for rank, node in enumerate(ranked, start=1):
-            handle.write(f"{rank}\t{node}\t{scores[node]!r}\n")
+        for rank, (node, score) in enumerate(ranked, start=1):
+            handle.write(f"{rank}\t{node}\t{score!r}\n")
     _write_manifest(out, args, ["wbc_ranking.tsv"], {})
     return EXIT_OK
 

@@ -128,11 +128,20 @@ def build_ccn(dataset: Dataset, collusive_only: bool = True) -> Ccn:
     return Ccn.build(nodes, weights)
 
 
-def components(graph: Ccn) -> list[set]:
-    """Connected components (ignoring weights), largest first, then by min id."""
+def density(n_nodes: int, n_edges: int) -> float:
+    """Unweighted density of a simple graph; 0.0 below two nodes."""
+    if n_nodes < 2:
+        return 0.0
+    return 2.0 * n_edges / (n_nodes * (n_nodes - 1))
+
+
+def components(graph: Ccn, nodes=None) -> list[set]:
+    """Connected components (ignoring weights) of the subgraph induced by
+    ``nodes`` (default every node), largest first, then by min id."""
+    keep = graph.nodes if nodes is None else nodes
     seen: set = set()
     out = []
-    for start in sorted(graph.nodes):
+    for start in sorted(keep):
         if start in seen:
             continue
         queue = deque([start])
@@ -141,7 +150,7 @@ def components(graph: Ccn) -> list[set]:
         while queue:
             node = queue.popleft()
             for nbr, _ in graph.adjacency[node]:
-                if nbr not in seen:
+                if nbr not in seen and nbr in keep:
                     seen.add(nbr)
                     comp.add(nbr)
                     queue.append(nbr)
@@ -193,7 +202,6 @@ def graph_stats(graph: Ccn) -> GraphStats:
         return GraphStats(0, 0, None, None, None, None, None, None, None, None, None)
     weights = list(graph.edges.values())
     wdegs = [graph.weighted_degree(v) for v in graph.nodes]
-    density = (2.0 * m / (n * (n - 1))) if n >= 2 else None
 
     clustering = []
     neighbor_sets = {v: {u for u, _ in graph.adjacency[v]} for v in graph.nodes}
@@ -211,9 +219,8 @@ def graph_stats(graph: Ccn) -> GraphStats:
         clustering.append(2.0 * links / (deg * (deg - 1)))
     avg_clustering = math.fsum(clustering) / n  # one rounding: the node order is moot
 
-    largest = components(graph)[0]
-    sub = graph.induced(largest) if len(largest) < n else graph
-    diameter = max(_bfs_eccentricity(sub, v) for v in largest)
+    # a BFS from a node of the largest component never leaves it
+    diameter = max(_bfs_eccentricity(graph, v) for v in components(graph)[0])
 
     return GraphStats(
         node_count=n,
@@ -224,7 +231,7 @@ def graph_stats(graph: Ccn) -> GraphStats:
         avg_weighted_degree=sum(wdegs) / n,
         max_weighted_degree=max(wdegs),
         min_weighted_degree=min(wdegs),
-        density=density,
+        density=density(n, m) if n >= 2 else None,
         avg_clustering=avg_clustering,
         diameter=diameter,
     )

@@ -1,4 +1,8 @@
-"""Weighted and unweighted k-core decomposition by iterative shaving."""
+"""Weighted and unweighted k-core decomposition by minimum-degree peeling.
+
+One peel gives every node's coreness, and every k-core is the set of nodes
+whose coreness reaches k (Batagelj & Zaversnik 2003).
+"""
 
 import heapq
 from dataclasses import dataclass
@@ -27,27 +31,11 @@ class CorenessMap:
 
 
 def k_core(graph: Ccn, k: int, mode: str = "weighted") -> set:
-    """Maximal node set whose induced subgraph has min (mode-)degree >= k.
-
-    Computed by repeatedly deleting under-degree nodes until a fixpoint;
-    the result does not depend on deletion order.
-    """
+    """Maximal node set whose induced subgraph has min (mode-)degree >= k:
+    the nodes of coreness >= k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    degrees = _degree_map(graph, mode)
-    alive = set(graph.nodes)
-    queue = [n for n in alive if degrees[n] < k]
-    while queue:
-        node = queue.pop()
-        if node not in alive:
-            continue
-        alive.discard(node)
-        for nbr, w in graph.adjacency[node]:
-            if nbr in alive:
-                degrees[nbr] -= w if mode == "weighted" else 1
-                if degrees[nbr] < k:
-                    queue.append(nbr)
-    return alive
+    return {n for n, c in coreness(graph, mode).values.items() if c >= k}
 
 
 def coreness(graph: Ccn, mode: str = "weighted") -> CorenessMap:
@@ -82,7 +70,7 @@ def degeneracy_core(graph: Ccn, mode: str = "weighted") -> set:
     cm = coreness(graph, mode)
     if cm.max_coreness == 0:
         return set()
-    return k_core(graph, cm.max_coreness, mode)
+    return {n for n, c in cm.values.items() if c == cm.max_coreness}
 
 
 def write_coreness(cm: CorenessMap, path) -> None:

@@ -11,7 +11,7 @@ i.e. the smaller core).
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import Ccn
+from .graph import Ccn, density
 from .kcore import coreness
 
 
@@ -25,6 +25,12 @@ class WicciParams:
             raise ValueError("beta must be > 0")
         if self.k_const <= 0:
             raise ValueError("k_const must be > 0")
+
+    def score(self, core_size: int, weight_fraction: float, density: float) -> float:
+        """WICCI of a candidate core; a core of fewer than two nodes scores 0."""
+        if core_size < 2:
+            return 0.0
+        return self.k_const * weight_fraction * density ** self.beta
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,6 @@ class CorePartition:
     sweep_trace: tuple
 
 
-def _density(n_nodes: int, n_edges: int) -> float:
-    if n_nodes < 2:
-        return 0.0
-    return 2.0 * n_edges / (n_nodes * (n_nodes - 1))
-
-
 def wicci(graph: Ccn, core_nodes, params: WicciParams = WicciParams()) -> float:
     """Score a candidate core subset of the graph.
 
@@ -64,16 +64,13 @@ def wicci(graph: Ccn, core_nodes, params: WicciParams = WicciParams()) -> float:
     total = graph.total_weight
     if total == 0:
         raise ValueError("wicci is undefined on an edgeless graph")
-    if len(core) < 2:
-        return 0.0
     core_weight = 0
     core_edges = 0
     for (a, b), w in graph.edges.items():
         if a in core and b in core:
             core_weight += w
             core_edges += 1
-    density = _density(len(core), core_edges)
-    return params.k_const * (core_weight / total) * density ** params.beta
+    return params.score(len(core), core_weight / total, density(len(core), core_edges))
 
 
 def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
@@ -106,12 +103,12 @@ def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
                     core_edges += 1
                     core_weight += w
             in_core.add(node)
-        density = _density(len(in_core), core_edges)
+        d = density(len(in_core), core_edges)
         fraction = core_weight / total
-        score = 0.0 if len(in_core) < 2 else params.k_const * fraction * density ** params.beta
-        point = SweepPoint(threshold, len(in_core), density, fraction, score)
+        point = SweepPoint(threshold, len(in_core), d, fraction,
+                           params.score(len(in_core), fraction, d))
         trace.append(point)
-        if best is None or score > best.wicci:  # strict: ties keep the higher threshold
+        if best is None or point.wicci > best.wicci:  # strict: ties keep the higher threshold
             best = point
 
     core = frozenset(n for n in graph.nodes if cm.values[n] >= best.threshold)
@@ -154,25 +151,24 @@ def sweep_curves(partition: CorePartition) -> list[tuple[float, float, float, fl
 # File formats
 # ---------------------------------------------------------------------------
 
-def write_partition(partition: CorePartition, graph: Ccn, path) -> None:
-    """Summary block (comment lines) followed by ``user_id<TAB>role`` rows."""
-    core_sub_density = _core_density(partition, graph)
+def write_partition(partition: CorePartition, path) -> None:
+    """Summary block (comment lines) followed by ``user_id<TAB>role`` rows.
+
+    ``core_density`` is that of the chosen sweep point, so the partition must
+    come from :func:`korse`, not from :func:`read_partition`.
+    """
+    chosen = [p for p in partition.sweep_trace if p.threshold == partition.core_threshold]
+    if not chosen:
+        raise ValueError("write_partition needs the sweep trace of a korse run")
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write(f"# core_threshold={partition.core_threshold}\n")
         handle.write(f"# normalized_threshold={partition.normalized_threshold!r}\n")
         handle.write(f"# peak_wicci={partition.peak_wicci!r}\n")
         handle.write(f"# core_size={len(partition.core)}\n")
-        handle.write(f"# core_density={core_sub_density!r}\n")
+        handle.write(f"# core_density={chosen[0].density!r}\n")
         for node in sorted(partition.core | partition.periphery):
             role = "core" if node in partition.core else "periphery"
             handle.write(f"{node}\t{role}\n")
-
-
-def _core_density(partition: CorePartition, graph: Ccn) -> float:
-    edges = sum(
-        1 for (a, b) in graph.edges if a in partition.core and b in partition.core
-    )
-    return _density(len(partition.core), edges)
 
 
 def read_partition(path) -> CorePartition:
@@ -205,12 +201,15 @@ def read_partition(path) -> CorePartition:
     )
 
 
-def write_sweep(partition: CorePartition, path) -> None:
-    """CSV of the deduplicated sweep, one row per distinct candidate."""
+def write_sweep(partition: CorePartition, path, params: WicciParams) -> None:
+    """CSV of the deduplicated sweep, one row per distinct candidate, scored
+    under ``params``; only the score depends on them, so one :func:`korse`
+    run writes, byte for byte, the sweep of every ``params``."""
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("norm_threshold,core_size,density,weight_fraction,wicci\n")
         for norm, point in _distinct_candidates(partition):
+            wicci_score = params.score(point.core_size, point.weight_fraction, point.density)
             handle.write(
                 f"{norm!r},{point.core_size},{point.density!r},"
-                f"{point.weight_fraction!r},{point.wicci!r}\n"
+                f"{point.weight_fraction!r},{wicci_score!r}\n"
             )

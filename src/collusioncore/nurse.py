@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureVector, MFE_SIZE, SFE_SIZE
+from .features import MFE_SIZE, SFE_SIZE
 
 BRANCH_ORDER = ("tfe", "sfe", "mfe")  # concatenation order of branch outputs
 ALL_BRANCHES = ("mfe", "sfe", "tfe")
@@ -53,10 +53,13 @@ class NurseConfig:
     class_weight: str = "none"  # "none" | "balanced"
 
     def __post_init__(self):
-        for name in ("embedding_dim", "conv_channels", "conv_filter", "tfe_fc",
-                     "sfe_fc", "mfe_fc", "fusion_fc", "classes", "epochs", "batch_size"):
+        for name in ("embedding_dim", "conv_channels", "tfe_fc", "sfe_fc", "mfe_fc",
+                     "fusion_fc", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("conv_filter", "classes"):  # the kernels are width-2 and 2-way
+            if getattr(self, name) != 2:
+                raise ValueError(f"{name} must be 2")
         for name in ("sfe_dropout", "mfe_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
@@ -283,13 +286,6 @@ def predict_proba(model: NurseModel, features) -> np.ndarray:
     X = _standardize(model, _raw_inputs(features, model.config))
     probs, _ = _forward_batch(model, X, train_mode=False)
     return probs
-
-
-def forward(model: NurseModel, fv: FeatureVector, train_mode: bool = False, rng=None):
-    """Probability pair (core, compromised) for a single user."""
-    X = _standardize(model, _raw_inputs([fv], model.config))
-    probs, _ = _forward_batch(model, X, train_mode=train_mode, rng=rng)
-    return float(probs[0, CORE]), float(probs[0, 1 - CORE])
 
 
 def loss(model: NurseModel, batch) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from collusioncore.analysis import (
+    _removal_counts,
     case_study_report,
     categorize_videos,
     disintegration_fraction,
@@ -52,8 +53,9 @@ def test_removal_clique_shrinks_by_one():
 
 
 def test_removal_curve_validates_step(triangle):
-    with pytest.raises(ValueError):
-        removal_curve(triangle, "unweighted_degree", 0.2)
+    for step in (0.2, 5e-324, 1e-310, 0.99e-300):
+        with pytest.raises(ValueError):
+            removal_curve(triangle, "unweighted_degree", step)
     with pytest.raises(ValueError):
         removal_curve(triangle, "not_a_key", 0.05)
 
@@ -91,6 +93,12 @@ def test_removal_checkpoints_match_one_step_per_multiple(step):
         n = g.n_nodes
         assert [p.fraction_removed for p in curve.points] == [
             c / n for c in oracle_removal_counts(n, step)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 1603])
+def test_smallest_step_keeps_the_checkpoint_search_in_float_range(n):
+    # one checkpoint per node; a smaller step overflowed the search
+    assert _removal_counts(n, 1e-300) == list(range(1, n + 1))
 
 
 def test_removal_time_does_not_grow_with_one_over_step(triangle):

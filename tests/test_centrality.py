@@ -121,8 +121,9 @@ def test_disconnected_components_handled():
 
 def test_wbc_baseline_ranking():
     g = graph_from_edges([("a", "b", 1), ("b", "c", 1)])
-    assert wbc_baseline(g) == ["b", "a", "c"]
-    assert wbc_baseline(g, k=1) == ["b"]
-    assert wbc_baseline(g, k=10) == ["b", "a", "c"]
+    assert wbc_baseline(g) == [("b", 1.0), ("a", 0.0), ("c", 0.0)]
+    assert wbc_baseline(g, k=1) == [("b", 1.0)]
+    assert wbc_baseline(g, k=10) == wbc_baseline(g)
+    assert wbc_baseline(g, k=0) == []
     with pytest.raises(ValueError):
         wbc_baseline(g, k=-1)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collusioncore
+from collusioncore import cli
 from collusioncore.cli import main
 from collusioncore.embeddings import HashEmbedder, text_key, write_embedding_file
 from collusioncore.features import feature_header
@@ -233,6 +235,37 @@ def test_baseline_wbc_cli(ccn_dir, tmp_path):
     assert len(lines) == 10
 
 
+def test_baseline_wbc_k0_ranks_every_node(ccn_dir, tmp_path):
+    graph = str(ccn_dir / "ccn.tsv")
+    assert main(["baseline-wbc", "--graph", graph, "--k", "0", "--out", str(tmp_path / "k0")]) == 0
+    assert main(["baseline-wbc", "--graph", graph, "--out", str(tmp_path / "all")]) == 0
+    ranking = (tmp_path / "k0" / "wbc_ranking.tsv").read_bytes()
+    assert ranking == (tmp_path / "all" / "wbc_ranking.tsv").read_bytes()
+    nodes = (ccn_dir / "ccn.tsv.nodes").read_text().splitlines()[1:]
+    assert sorted(line.split("\t")[1] for line in ranking.decode().splitlines()) == nodes
+
+
+def test_korse_command_peels_and_sweeps_once(ccn_dir, tmp_path, monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(importlib.import_module("collusioncore.korse"), "coreness")
+    count(cli, "korse")
+    out = tmp_path / "korse"
+    assert main(["korse", "--graph", str(ccn_dir / "ccn.tsv"), "--beta", "1.5",
+                 "--out", str(out)]) == 0
+    assert calls == {"coreness": 1, "korse": 1}
+    assert sorted(p.name for p in out.glob("sweep_beta_*.csv")) == [
+        "sweep_beta_0.5.csv", "sweep_beta_1.5.csv", "sweep_beta_1.csv", "sweep_beta_2.csv"]
+
+
 def test_config_file_supplies_defaults(synth_dir, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("seed=3\n")
@@ -342,6 +375,8 @@ def write_all_embeddings(data_dir, path, dim) -> str:
 REJECTED = {
     "pipeline-beta": (lambda p: ["pipeline", *p.data, "--beta", "-1"], True),
     "pipeline-step": (lambda p: ["pipeline", *p.data, "--step", "0.5"], True),
+    "breakage-subnormal-step": (
+        lambda p: ["breakage", "--graph", p.graph, "--step", "5e-324"], True),
     "pipeline-epochs": (lambda p: ["pipeline", *p.data, "--epochs", "0"], True),
     "pipeline-folds": (lambda p: ["pipeline", *p.data, "--folds", "1"], True),
     "nurse-train-batch-size": (

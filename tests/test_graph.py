@@ -1,5 +1,7 @@
 import random
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from collusioncore.graph import (
@@ -15,6 +17,7 @@ from collusioncore.graph import (
 )
 
 from conftest import graph_from_edges, make_comment, make_dataset, make_user, make_video
+from oracles import oracle_component_sizes, random_weighted_graph
 
 
 def fixture_two_videos():
@@ -225,3 +228,44 @@ def test_edgelist_roundtrip_keeps_isolated_nodes(tmp_path, synth_graph):
     assert first[0] == "# ccn v1"
     body = first[1:]
     assert body == sorted(body)
+
+
+def test_components_of_node_subsets_match_union_find():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        g = random_weighted_graph(rng, max_nodes=30, min_nodes=1,
+                                  edge_prob=float(rng.uniform(0.0, 0.4)))
+        nodes = sorted(g.nodes)
+        keep = {n for n in nodes if rng.random() < rng.uniform(0.2, 1.0)}
+        comps = components(g, keep)
+        assert [len(c) for c in comps] == oracle_component_sizes(g, keep)
+        assert set().union(*comps) == keep
+        assert [(-len(c), min(c)) for c in comps] == sorted((-len(c), min(c)) for c in comps)
+    assert components(g, set()) == []
+
+
+def test_graph_stats_diameter_is_that_of_the_largest_component():
+    """The longest shortest path sits in a smaller component; it must not count."""
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        big = int(rng.integers(6, 16))
+        path_len = int(rng.integers(4, big))  # fewer nodes than the largest component
+        edges = {}
+        hub = "b00"
+        for i in range(1, big):  # a star keeps the largest component connected
+            edges[(hub, f"b{i:02d}")] = int(rng.integers(1, 4))
+            for j in range(i + 1, big):
+                if rng.random() < 0.3:
+                    edges[(f"b{i:02d}", f"b{j:02d}")] = 1
+        for i in range(path_len - 1):
+            edges[(f"p{i:02d}", f"p{i + 1:02d}")] = 1
+        isolated = [f"z{i}" for i in range(int(rng.integers(0, 3)))]
+        g = graph_from_edges([(a, b, w) for (a, b), w in edges.items()], isolated=isolated)
+
+        G = nx.Graph()
+        G.add_nodes_from(g.nodes)
+        G.add_edges_from(g.edges)
+        largest = max(nx.connected_components(G), key=len)
+        expected = nx.diameter(G.subgraph(largest))
+        assert expected < path_len - 1, trial
+        assert graph_stats(g).diameter == expected

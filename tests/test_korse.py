@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collusioncore.graph import Ccn, graph_stats
+from collusioncore.graph import Ccn, density, graph_stats
 from collusioncore.kcore import k_core
 from collusioncore.korse import (
     WicciParams,
@@ -147,7 +147,7 @@ def test_partition_file_roundtrip(tmp_path, synth_graph):
     g, _ = synth_graph
     part = korse(g)
     path = tmp_path / "partition.tsv"
-    write_partition(part, g, path)
+    write_partition(part, path)
     again = read_partition(path)
     assert again.core == part.core
     assert again.periphery == part.periphery
@@ -168,7 +168,49 @@ def test_read_partition_rejects_user_listed_twice(tmp_path):
 def test_write_sweep_header(tmp_path, triangle):
     part = korse(triangle)
     path = tmp_path / "sweep.csv"
-    write_sweep(part, path)
+    write_sweep(part, path, WicciParams())
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "norm_threshold,core_size,density,weight_fraction,wicci"
     assert len(lines) >= 2
+
+
+def test_one_korse_run_writes_the_sweep_of_every_beta(tmp_path, synth_graph):
+    rng = np.random.default_rng(17)
+    graphs = [synth_graph[0]]
+    while len(graphs) < 121:
+        g = random_weighted_graph(rng, max_nodes=30, max_weight=6,
+                                  edge_prob=float(rng.uniform(0.05, 0.7)), min_nodes=2)
+        if g.n_edges:
+            graphs.append(g)
+    path = tmp_path / "sweep.csv"
+
+    def sweep_bytes(partition, params):
+        write_sweep(partition, path, params)
+        return path.read_bytes()
+
+    for g in graphs:
+        once = korse(g)
+        for beta in (0.5, 1.5, 2.0):
+            params = WicciParams(beta=beta)
+            run = korse(g, params)
+            text = sweep_bytes(once, params)
+            assert text == sweep_bytes(run, params)
+            # the scores written are those the sweep at beta chose by
+            written = [line.rsplit(",", 1)[1] for line in text.decode().splitlines()[1:]]
+            assert written == [repr(row[3]) for row in sweep_curves(run)]
+
+
+def test_partition_core_density_is_that_of_the_core_subgraph(tmp_path):
+    rng = np.random.default_rng(23)
+    path = tmp_path / "partition.tsv"
+    for _ in range(40):
+        g = random_weighted_graph(rng, max_nodes=25, edge_prob=float(rng.uniform(0.1, 0.6)))
+        if not g.n_edges:
+            continue
+        part = korse(g)
+        write_partition(part, path)
+        core = g.induced(part.core)
+        expected = density(core.n_nodes, core.n_edges)
+        assert f"# core_density={expected!r}" in path.read_text(encoding="utf-8").splitlines()
+    with pytest.raises(ValueError, match="sweep trace"):
+        write_partition(read_partition(path), tmp_path / "again.tsv")

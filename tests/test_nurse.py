@@ -15,7 +15,6 @@ from collusioncore.nurse import (
     class_split,
     evaluate,
     fold_metrics,
-    forward,
     init_model,
     load_model,
     loss,
@@ -60,25 +59,26 @@ def params_digest(model):
     return h.hexdigest()
 
 
-# ------------------------------------------------------------------ forward
+# ------------------------------------------------------------------ predict_proba
 
 def test_softmax_outputs_sum_to_one():
     model = init_model(TINY)
     rng = np.random.default_rng(0)
     for _ in range(20):
         fv = FeatureVector("u", rng.normal(size=26), rng.normal(size=25), rng.normal(size=8))
-        p_core, p_comp = forward(model, fv)
+        p_comp, p_core = predict_proba(model, [fv])[0]
         assert p_core + p_comp == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_input_gives_even_split():
     model = init_model(TINY)
     fv = FeatureVector("u", np.zeros(26), np.zeros(25), np.zeros(8))
-    assert forward(model, fv) == (0.5, 0.5)
+    assert predict_proba(model, [fv]).tolist() == [[0.5, 0.5]]
 
 
 def scalar_forward(model, fv):
-    """Independent loop-based recomputation of the forward pass."""
+    """Independent loop-based recomputation of the forward pass, as a
+    (core, compromised) pair."""
     cfg = model.config
     p = model.params
     t = (np.asarray(fv.tfe, float) - model.norm_mean["tfe"]) / model.norm_std["tfe"]
@@ -106,24 +106,31 @@ def scalar_forward(model, fv):
     return exp[1] / sum(exp), exp[0] / sum(exp)
 
 
-def test_forward_matches_scalar_recomputation():
+def test_predict_proba_matches_scalar_recomputation():
     cfg = NurseConfig(embedding_dim=4, conv_channels=2, tfe_fc=3, sfe_fc=3,
                       mfe_fc=2, fusion_fc=3, seed=12)
     model = init_model(cfg)
     rng = np.random.default_rng(5)
     for _ in range(5):
         fv = FeatureVector("u", rng.normal(size=26), rng.normal(size=25), rng.normal(size=4))
-        got = forward(model, fv)
+        p_comp, p_core = predict_proba(model, [fv])[0]
         expected = scalar_forward(model, fv)
-        assert got[0] == pytest.approx(expected[0], abs=1e-12)
-        assert got[1] == pytest.approx(expected[1], abs=1e-12)
+        assert p_core == pytest.approx(expected[0], abs=1e-12)
+        assert p_comp == pytest.approx(expected[1], abs=1e-12)
 
 
-def test_forward_rejects_wrong_dim():
+def test_predict_proba_rejects_wrong_dim():
     model = init_model(TINY)
     fv = FeatureVector("u", np.zeros(26), np.zeros(25), np.zeros(99))
     with pytest.raises(ValueError):
-        forward(model, fv)
+        predict_proba(model, [fv])
+
+
+@pytest.mark.parametrize("field", ["conv_filter", "classes"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_config_rejects_sizes_the_kernels_do_not_implement(field, size):
+    with pytest.raises(ValueError, match=f"{field} must be 2"):
+        NurseConfig(**{field: size})
 
 
 # ------------------------------------------------------------------ loss
