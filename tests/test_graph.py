@@ -236,7 +236,8 @@ def test_components_of_node_subsets_match_union_find():
         g = random_weighted_graph(rng, max_nodes=30, min_nodes=1,
                                   edge_prob=float(rng.uniform(0.0, 0.4)))
         nodes = sorted(g.nodes)
-        keep = {n for n in nodes if rng.random() < rng.uniform(0.2, 1.0)}
+        share = rng.uniform(0.2, 1.0)
+        keep = {n for n in nodes if rng.random() < share}
         comps = components(g, keep)
         assert [len(c) for c in comps] == oracle_component_sizes(g, keep)
         assert set().union(*comps) == keep
