@@ -251,7 +251,7 @@ def periphery_largest_component(graph: Ccn, partition: CorePartition) -> Ccn:
     """Largest connected component of the periphery-induced subgraph."""
     periphery = partition.periphery & graph.nodes
     if not periphery:
-        raise ValueError("partition has an empty periphery")
+        raise ValueError("the partition leaves no periphery user in the graph")
     return graph.induced(components(graph, periphery)[0])
 
 

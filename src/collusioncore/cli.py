@@ -42,7 +42,6 @@ from .graph import build_ccn, format_stats, graph_stats, read_edgelist, write_ed
 from .kcore import MODES, coreness, write_coreness
 from .korse import WicciParams, korse, read_partition, write_partition, write_sweep
 from .nurse import (
-    CORE,
     NurseConfig,
     ablations,
     auc,
@@ -52,9 +51,9 @@ from .nurse import (
     load_model,
     loss,
     min_class_size,
-    predict_proba,
     rank_users,
     save_model,
+    score_users,
     summarize_folds,
     train,
     write_eval_report,
@@ -281,9 +280,10 @@ def _do_breakage(graph, keys, step, out):
 
 def _periphery(graph, partition):
     """Largest periphery component, whose communities the analyses study."""
-    if not partition.periphery & graph.nodes:
-        raise InputError("the partition leaves no periphery user in the graph")
-    return periphery_largest_component(graph, partition)
+    try:
+        return periphery_largest_component(graph, partition)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _do_communities(graph, partition, seed, out):
@@ -461,8 +461,7 @@ def cmd_nurse_eval(args):
     feats = sorted(feats, key=lambda f: f.user_id)
     core, comp = class_split(feats, seed if args.mode == "balanced" else None)
     feats = sorted(core + comp, key=lambda f: f.user_id)
-    probs = predict_proba(model, feats)
-    scored = [(f.user_id, float(probs[i, CORE]), f.label) for i, f in enumerate(feats)]
+    scored = score_users(model, feats)
     out = _out_dir(args)
     write_eval_report(summarize_folds(_eval_mode(args), [fold_metrics(0, scored)]),
                       out / "eval.csv")

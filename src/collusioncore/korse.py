@@ -1,11 +1,11 @@
 """Core/periphery split via a coreness-threshold sweep scored by WICCI.
 
 WICCI (weighted internal core collusive index) scores a candidate core as
-``k_const * (core weight / total weight) * core_density ** beta``. The sweep
-walks integer thresholds from the maximum weighted coreness down to zero;
-the candidate at each threshold is every node whose coreness reaches it, and
-the partition with the highest score wins (ties go to the higher threshold,
-i.e. the smaller core).
+``(core weight / total weight) * core_density ** beta``. The sweep walks
+integer thresholds from the maximum weighted coreness down to zero; the
+candidate at each threshold is every node whose coreness reaches it, and the
+partition with the highest score wins (ties go to the higher threshold, i.e.
+the smaller core).
 """
 
 from dataclasses import dataclass
@@ -18,19 +18,16 @@ from .kcore import coreness
 @dataclass(frozen=True)
 class WicciParams:
     beta: float = 1.0
-    k_const: float = 1.0
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be > 0")
-        if self.k_const <= 0:
-            raise ValueError("k_const must be > 0")
 
     def score(self, core_size: int, weight_fraction: float, density: float) -> float:
         """WICCI of a candidate core; a core of fewer than two nodes scores 0."""
         if core_size < 2:
             return 0.0
-        return self.k_const * weight_fraction * density ** self.beta
+        return weight_fraction * density ** self.beta
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Three-branch fusion classifier over per-user feature blocks.
 
 The embedding block runs through a width-2 convolution (32 channels, no
-padding), ReLU, global max-pool per channel and a fully connected layer of
-64 units; the similarity and metadata blocks each pass through one fully
-connected layer (32 and 16 units) with dropout at train time. Active branch
-outputs are concatenated, fused through a 16-unit layer and classified by a
-2-way softmax. Forward, backward and the training loop are implemented
-directly in numpy; training is deterministic per seed. Feature z-scoring is
-fitted on the training set and stored inside the model.
+padding), ReLU and a global max-pool per channel. Each branch then takes
+one path: a fully connected layer (64, 32 and 16 units) on the pooled row,
+the similarity or the metadata block, ReLU, and dropout at train time on
+the latter two. Active branch outputs are concatenated, fused through a
+16-unit layer and classified by a 2-way softmax. Forward, backward and the
+training loop are implemented directly in numpy; training is deterministic
+per seed. Feature z-scoring is fitted on the training set and stored inside
+the model. Evaluation ranks users by core probability and reports
+precision, recall and F1 at every cutoff and at the break-even cutoff, and
+the AUC.
 
 The conv is the only dense (users, channels, positions) work: the forward
 pass keeps just the pooled value and the two inputs at the pooled position
@@ -99,12 +102,11 @@ def _param_shapes(config: NurseConfig) -> dict:
     """Shape of every parameter tensor, in initialization order."""
     layers = []  # (name, outputs, inputs): weight (outputs, inputs), bias (outputs,)
     if "tfe" in config.branches:
-        layers += [("conv", config.conv_channels, config.conv_filter),
-                   ("tfe", config.tfe_fc, config.conv_channels)]
-    if "sfe" in config.branches:
-        layers.append(("sfe", config.sfe_fc, SFE_SIZE))
-    if "mfe" in config.branches:
-        layers.append(("mfe", config.mfe_fc, MFE_SIZE))
+        layers.append(("conv", config.conv_channels, config.conv_filter))
+    # a branch's dense layer reads its input block, except tfe's: the conv pool
+    inputs = dict(_input_sizes(config), tfe=config.conv_channels)
+    layers += [(b, config.branch_widths[b], inputs[b])
+               for b in BRANCH_ORDER if b in config.branches]
     layers += [("fus", config.fusion_fc, config.fusion_input),
                ("out", config.classes, config.fusion_fc)]
     shapes = {}
@@ -137,17 +139,11 @@ def init_model(config: NurseConfig, rng=None) -> NurseModel:
 
 def _raw_inputs(features, config: NurseConfig) -> dict:
     X = {}
-    for branch in config.branches:
+    for branch, size in _input_sizes(config).items():
         X[branch] = np.stack([np.asarray(getattr(fv, branch), dtype=float) for fv in features])
-    if "tfe" in X and X["tfe"].shape[1] != config.embedding_dim:
-        raise ValueError(
-            f"embedding dimension mismatch: got {X['tfe'].shape[1]}, "
-            f"config says {config.embedding_dim}"
-        )
-    if "sfe" in X and X["sfe"].shape[1] != SFE_SIZE:
-        raise ValueError("sfe block must have 25 entries")
-    if "mfe" in X and X["mfe"].shape[1] != MFE_SIZE:
-        raise ValueError("mfe block must have 26 entries")
+        if X[branch].shape[1] != size:
+            raise ValueError(f"{branch} block must have {size} entries, "
+                             f"got {X[branch].shape[1]}")
     return X
 
 
@@ -184,32 +180,25 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
     p = model.params
     if train_mode and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout")
-    cache: dict = {"X": X, "train": train_mode}
+    cache: dict = {}
     parts = []
-    if "tfe" in cfg.branches:
-        if conv is None:
-            conv = _conv_pool(X["tfe"], p["conv_w"], p["conv_b"])
-        z_tfe = conv[0] @ p["tfe_w"].T + p["tfe_b"]
-        cache.update(conv=conv, z_tfe=z_tfe)
-        parts.append(_relu(z_tfe))
-    if "sfe" in cfg.branches:
-        z_sfe = X["sfe"] @ p["sfe_w"].T + p["sfe_b"]
-        h_sfe = _relu(z_sfe)
-        if train_mode and cfg.sfe_dropout > 0:
-            mask = (rng.random(h_sfe.shape) >= cfg.sfe_dropout) / (1.0 - cfg.sfe_dropout)
+    for branch in (b for b in BRANCH_ORDER if b in cfg.branches):
+        if branch == "tfe":
+            if conv is None:
+                conv = _conv_pool(X["tfe"], p["conv_w"], p["conv_b"])
+            cache["conv"] = conv
+            x = conv[0]
         else:
-            mask = np.ones_like(h_sfe)
-        cache.update(z_sfe=z_sfe, sfe_mask=mask)
-        parts.append(h_sfe * mask)
-    if "mfe" in cfg.branches:
-        z_mfe = X["mfe"] @ p["mfe_w"].T + p["mfe_b"]
-        h_mfe = _relu(z_mfe)
-        if train_mode and cfg.mfe_dropout > 0:
-            mask = (rng.random(h_mfe.shape) >= cfg.mfe_dropout) / (1.0 - cfg.mfe_dropout)
-        else:
-            mask = np.ones_like(h_mfe)
-        cache.update(z_mfe=z_mfe, mfe_mask=mask)
-        parts.append(h_mfe * mask)
+            x = X[branch]
+        z = x @ p[f"{branch}_w"].T + p[f"{branch}_b"]
+        h = _relu(z)
+        rate = getattr(cfg, f"{branch}_dropout", 0.0)  # tfe has no dropout
+        mask = None
+        if train_mode and rate > 0:
+            mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
+            h = h * mask
+        cache[branch] = (x, z, mask)
+        parts.append(h)
 
     fused_in = np.concatenate(parts, axis=1)
     z_fus = fused_in @ p["fus_w"].T + p["fus_b"]
@@ -234,33 +223,23 @@ def _backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
     d_fused = d_zfus @ p["fus_w"]
 
     offset = 0
-    if "tfe" in cfg.branches:
-        width = cfg.tfe_fc
-        d_htfe = d_fused[:, offset:offset + width]
-        offset += width
-        d_ztfe = d_htfe * (cache["z_tfe"] > 0)
-        pooled, t0, t1 = cache["conv"]
-        g["tfe_w"] = d_ztfe.T @ pooled
-        g["tfe_b"] = d_ztfe.sum(axis=0)
-        d_zconv = (d_ztfe @ p["tfe_w"]) * (pooled > 0)  # only the pooled position
-        g["conv_b"] = d_zconv.sum(axis=0)
-        g["conv_w"] = np.stack(
-            [np.einsum("bc,bc->c", d_zconv, t0), np.einsum("bc,bc->c", d_zconv, t1)],
-            axis=1,
-        )
-    if "sfe" in cfg.branches:
-        width = cfg.sfe_fc
-        d_hsfe = d_fused[:, offset:offset + width] * cache["sfe_mask"]
-        offset += width
-        d_zsfe = d_hsfe * (cache["z_sfe"] > 0)
-        g["sfe_w"] = d_zsfe.T @ cache["X"]["sfe"]
-        g["sfe_b"] = d_zsfe.sum(axis=0)
-    if "mfe" in cfg.branches:
-        width = cfg.mfe_fc
-        d_hmfe = d_fused[:, offset:offset + width] * cache["mfe_mask"]
-        d_zmfe = d_hmfe * (cache["z_mfe"] > 0)
-        g["mfe_w"] = d_zmfe.T @ cache["X"]["mfe"]
-        g["mfe_b"] = d_zmfe.sum(axis=0)
+    for branch in (b for b in BRANCH_ORDER if b in cfg.branches):
+        x, z, mask = cache[branch]
+        d_h = d_fused[:, offset:offset + z.shape[1]]
+        offset += z.shape[1]
+        if mask is not None:
+            d_h = d_h * mask
+        d_z = d_h * (z > 0)
+        g[f"{branch}_w"] = d_z.T @ x
+        g[f"{branch}_b"] = d_z.sum(axis=0)
+        if branch == "tfe":
+            pooled, t0, t1 = cache["conv"]
+            d_zconv = (d_z @ p["tfe_w"]) * (pooled > 0)  # only the pooled position
+            g["conv_b"] = d_zconv.sum(axis=0)
+            g["conv_w"] = np.stack(
+                [np.einsum("bc,bc->c", d_zconv, t0), np.einsum("bc,bc->c", d_zconv, t1)],
+                axis=1,
+            )
     return g
 
 
@@ -281,11 +260,26 @@ def _cross_entropy(probs, y, sample_weight=None):
     return float(ce.mean())
 
 
+def _d_logits(probs, y, sample_weight=None):
+    """Gradient of the mean (weighted) cross-entropy w.r.t. the logits."""
+    onehot = np.stack([1 - y, y], axis=1).astype(float)
+    d_logits = (probs - onehot) / len(y)
+    if sample_weight is not None:
+        d_logits = d_logits * sample_weight[:, None]
+    return d_logits
+
+
 def predict_proba(model: NurseModel, features) -> np.ndarray:
     """Per-user (compromised, core) probability rows, evaluation mode."""
     X = _standardize(model, _raw_inputs(features, model.config))
     probs, _ = _forward_batch(model, X, train_mode=False)
     return probs
+
+
+def score_users(model: NurseModel, features) -> list:
+    """(user_id, core probability, label) triples, in input order."""
+    probs = predict_proba(model, features)
+    return [(fv.user_id, float(probs[i, CORE]), fv.label) for i, fv in enumerate(features)]
 
 
 def loss(model: NurseModel, batch) -> float:
@@ -306,10 +300,7 @@ def loss_and_grads(model: NurseModel, batch):
     y = _labels_array(batch)
     X = _standardize(model, _raw_inputs(batch, model.config))
     probs, cache = _forward_batch(model, X, train_mode=False)
-    value = _cross_entropy(probs, y)
-    onehot = np.stack([1 - y, y], axis=1).astype(float)
-    d_logits = (probs - onehot) / len(batch)
-    return value, _backward_batch(model, cache, d_logits)
+    return _cross_entropy(probs, y), _backward_batch(model, cache, _d_logits(probs, y))
 
 
 def train(features, config: NurseConfig) -> NurseModel:
@@ -362,11 +353,7 @@ def train(features, config: NurseConfig) -> NurseModel:
             # objective pass, and the conv has no dropout: reuse its rows.
             conv = tuple(a[idx] for a in full["conv"]) if start == 0 and "conv" in full else None
             probs, cache = _forward_batch(model, batch_X, train_mode=True, rng=rng, conv=conv)
-            yb = y[idx]
-            onehot = np.stack([1 - yb, yb], axis=1).astype(float)
-            d_logits = (probs - onehot) / len(idx)
-            if weights is not None:
-                d_logits = d_logits * weights[idx][:, None]
+            d_logits = _d_logits(probs, y[idx], None if weights is None else weights[idx])
             grads = _backward_batch(model, cache, d_logits)
             for key, grad in grads.items():
                 velocity[key] = config.momentum * velocity[key] - config.learning_rate * grad
@@ -410,10 +397,10 @@ def auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _prf_at_k(ranked_labels, k: int, n_pos: int):
-    hits = int(sum(ranked_labels[:k]))
+def _prf(hits: int, k: int, n_pos: int):
+    """(precision, recall, F1) of a top-k cut holding ``hits`` of ``n_pos`` positives."""
     precision = hits / k
-    recall = hits / n_pos if n_pos else 0.0
+    recall = hits / n_pos
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
@@ -431,7 +418,6 @@ class FoldMetrics:
     break_even_precision: float
     break_even_recall: float
     break_even_f1: float
-    f1_at_half: float
 
 
 @dataclass(frozen=True)
@@ -442,10 +428,7 @@ class EvalReport:
     mean_break_even_precision: float
     mean_break_even_recall: float
     mean_break_even_f1: float
-    mean_f1_at_half: float
     curve_ks: tuple
-    mean_precision_at: tuple
-    mean_recall_at: tuple
     mean_f1_at: tuple
 
 
@@ -458,39 +441,26 @@ def fold_metrics(fold: int, scored) -> FoldMetrics:
     """Ranking metrics of one held-out set of (user_id, core score, label) triples."""
     ranked = rank_users(scored)
     labels = [1 if lab == "core" else 0 for _, _, lab in ranked]
-    scores = [s for _, s, _ in ranked]
-    n = len(ranked)
+    fold_auc = auc([s for _, s, _ in ranked], labels)  # checks both classes are present
     n_pos = sum(labels)
-    p_at, r_at, f_at = [], [], []
-    for k in range(1, n + 1):
-        p, r, f = _prf_at_k(labels, k, n_pos)
-        p_at.append(p)
-        r_at.append(r)
-        f_at.append(f)
-    be_k = n_pos
-    be_p, be_r, be_f = _prf_at_k(labels, be_k, n_pos) if be_k else (0.0, 0.0, 0.0)
-    preds = [1 if s >= 0.5 else 0 for s in scores]
-    tp = sum(1 for pr, lab in zip(preds, labels) if pr and lab)
-    fp = sum(1 for pr, lab in zip(preds, labels) if pr and not lab)
-    fn = sum(1 for pr, lab in zip(preds, labels) if not pr and lab)
-    prec_half = tp / (tp + fp) if tp + fp else 0.0
-    rec_half = tp / (tp + fn) if tp + fn else 0.0
-    f1_half = (
-        2 * prec_half * rec_half / (prec_half + rec_half) if prec_half + rec_half else 0.0
-    )
+    curve, hits = [], 0
+    for k, label in enumerate(labels, 1):
+        hits += label
+        curve.append(_prf(hits, k, n_pos))
+    p_at, r_at, f_at = zip(*curve)
+    be_p, be_r, be_f = curve[n_pos - 1]
     return FoldMetrics(
         fold=fold,
-        n=n,
+        n=len(ranked),
         n_core=n_pos,
-        auc=auc(scores, labels),
-        precision_at=tuple(p_at),
-        recall_at=tuple(r_at),
-        f1_at=tuple(f_at),
-        break_even_k=be_k,
+        auc=fold_auc,
+        precision_at=p_at,
+        recall_at=r_at,
+        f1_at=f_at,
+        break_even_k=n_pos,
         break_even_precision=be_p,
         break_even_recall=be_r,
         break_even_f1=be_f,
-        f1_at_half=f1_half,
     )
 
 
@@ -534,10 +504,7 @@ def summarize_folds(mode: str, per_fold) -> EvalReport:
         mean_break_even_precision=mean(fm.break_even_precision for fm in per_fold),
         mean_break_even_recall=mean(fm.break_even_recall for fm in per_fold),
         mean_break_even_f1=mean(fm.break_even_f1 for fm in per_fold),
-        mean_f1_at_half=mean(fm.f1_at_half for fm in per_fold),
         curve_ks=ks,
-        mean_precision_at=tuple(mean(fm.precision_at[k - 1] for fm in per_fold) for k in ks),
-        mean_recall_at=tuple(mean(fm.recall_at[k - 1] for fm in per_fold) for k in ks),
         mean_f1_at=tuple(mean(fm.f1_at[k - 1] for fm in per_fold) for k in ks),
     )
 
@@ -578,11 +545,7 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
         train_set = [fv for fv in pool if assignments[fv.user_id] != fold]
         test_set = [fv for fv in pool if assignments[fv.user_id] == fold]
         model = train(train_set, replace(fold_config, seed=config.seed + 7919 * (fold + 1)))
-        probs = predict_proba(model, test_set)
-        scored = [
-            (fv.user_id, float(probs[i, CORE]), fv.label) for i, fv in enumerate(test_set)
-        ]
-        per_fold.append(fold_metrics(fold, scored))
+        per_fold.append(fold_metrics(fold, score_users(model, test_set)))
     return summarize_folds(mode, per_fold)
 
 

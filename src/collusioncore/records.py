@@ -214,7 +214,7 @@ def _iter_rows(path: Path):
             yield lineno, row
 
 
-def _read_records(path: Path, parse, id_field: str, label: str) -> list:
+def _read_records(path: Path, parse, id_field: str) -> list:
     if not path.exists():
         raise IngestError(f"{path}: file does not exist")
     records = []
@@ -241,9 +241,9 @@ def ingest(comments_path, videos_path, users_path) -> Dataset:
     ids within a file, or missing required fields. Referential integrity
     is *not* checked here; see :func:`validate`.
     """
-    users = _read_records(Path(users_path), _parse_user, "user_id", "user")
-    videos = _read_records(Path(videos_path), _parse_video, "video_id", "video")
-    comments = _read_records(Path(comments_path), _parse_comment, "comment_id", "comment")
+    users = _read_records(Path(users_path), _parse_user, "user_id")
+    videos = _read_records(Path(videos_path), _parse_video, "video_id")
+    comments = _read_records(Path(comments_path), _parse_comment, "comment_id")
     return Dataset(users=tuple(users), videos=tuple(videos), comments=tuple(comments))
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from collusioncore.graph import Ccn
-from collusioncore.nurse import NurseModel
+from collusioncore.nurse import FoldMetrics, NurseModel, auc, rank_users
 
 
 def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_nodes=4):
@@ -145,6 +145,44 @@ def oracle_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def _prf_at_k(ranked_labels, k: int, n_pos: int):
+    hits = int(sum(ranked_labels[:k]))
+    precision = hits / k
+    recall = hits / n_pos if n_pos else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def oracle_fold_metrics(fold: int, scored) -> FoldMetrics:
+    """Fold metrics with a fresh prefix sum per cutoff (O(n^2))."""
+    ranked = rank_users(scored)
+    labels = [1 if lab == "core" else 0 for _, _, lab in ranked]
+    scores = [s for _, s, _ in ranked]
+    n = len(ranked)
+    n_pos = sum(labels)
+    p_at, r_at, f_at = [], [], []
+    for k in range(1, n + 1):
+        p, r, f = _prf_at_k(labels, k, n_pos)
+        p_at.append(p)
+        r_at.append(r)
+        f_at.append(f)
+    be_k = n_pos
+    be_p, be_r, be_f = _prf_at_k(labels, be_k, n_pos) if be_k else (0.0, 0.0, 0.0)
+    return FoldMetrics(
+        fold=fold,
+        n=n,
+        n_core=n_pos,
+        auc=auc(scores, labels),
+        precision_at=tuple(p_at),
+        recall_at=tuple(r_at),
+        f1_at=tuple(f_at),
+        break_even_k=be_k,
+        break_even_precision=be_p,
+        break_even_recall=be_r,
+        break_even_f1=be_f,
+    )
 
 
 def fraction_betweenness(graph):

@@ -463,6 +463,17 @@ def test_summary_of_one_fold_is_that_fold():
     assert report.mean_f1_at == fm.f1_at
 
 
+def test_fold_metrics_matches_prefix_sum_oracle():
+    rng = np.random.default_rng(5)
+    for n in range(2, 41):
+        for n_pos in sorted({1, n - 1, int(rng.integers(1, n))}):
+            labels = ["core"] * n_pos + ["compromised"] * (n - n_pos)
+            scores = (rng.integers(0, 4, size=n) / 4).tolist()  # four values: many ties
+            ids = [f"u{i:02d}" for i in rng.permutation(n)]
+            scored = list(zip(ids, scores, labels))
+            assert repr(fold_metrics(n, scored)) == repr(oracles.oracle_fold_metrics(n, scored))
+
+
 def test_evaluate_permutation_invariant():
     feats = blob_features(10, seed=24)
     cfg = replace(TINY, epochs=10)
