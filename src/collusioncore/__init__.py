@@ -24,9 +24,9 @@ from .analysis import (
     removal_curve,
 )
 from .centrality import wbc_baseline, weighted_betweenness
-from .embeddings import FileEmbedder, HashEmbedder, cosine, write_embedding_file
+from .embeddings import FileEmbedder, HashEmbedder, write_embedding_file
 from .features import FeatureVector, StatFive, extract_all, mfe, sfe, stat5, tfe
-from .graph import Ccn, GraphStats, build_ccn, edge_weight, graph_stats, iucc
+from .graph import Ccn, GraphStats, build_ccn, graph_stats
 from .kcore import CorenessMap, coreness, degeneracy_core, k_core
 from .korse import CorePartition, WicciParams, korse, sweep_curves, wicci
 from .nurse import (
@@ -45,7 +45,6 @@ from .records import (
     IngestError,
     UserRecord,
     VideoRecord,
-    comment_count,
     ingest,
     validate,
 )

@@ -16,6 +16,7 @@ manifest.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -86,8 +87,8 @@ TUNABLE_DEFAULTS = {
     "dim": (768, lambda v: v >= 1, ">= 1"),
     "pair_cap": (200, lambda v: v >= 0, ">= 0"),
     "epochs": (300, lambda v: v >= 1, ">= 1"),
-    "learning_rate": (0.01, None, None),
-    "momentum": (0.9, None, None),
+    "learning_rate": (0.01, math.isfinite, "finite"),
+    "momentum": (0.9, math.isfinite, "finite"),
     "batch_size": (32, lambda v: v >= 1, ">= 1"),
     "folds": (10, lambda v: v >= 2, ">= 2"),
     "threshold_k": (0, lambda v: v >= 0, ">= 0"),
@@ -117,7 +118,10 @@ def _read_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key '{key}' listed twice")
+        values[key] = value.strip()
     return values
 
 
@@ -142,7 +146,7 @@ def _resolve_settings(args) -> dict:
                 ) from None
         if value is None:
             value = default
-        elif ok is not None and not ok(value):
+        elif not ok(value):
             raise InputError(f"{name} must be {bound}, got {value!r}")
         settings[name] = value
     return settings
@@ -621,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
             "exit codes: 0 ok, 2 usage, 3 missing/malformed input or a setting out\n"
             "of bounds, 4 data validation failure, 5 internal error\n\n"
             "settings (--config key; its flag is the key with dashes, threshold_k is --k;\n"
-            "an unknown config key is an error):\n"
-            + "".join(f"  {name:<24}default {default!r}, {bound or 'any value'}\n"
+            "an unknown or repeated config key is an error):\n"
+            + "".join(f"  {name:<24}default {default!r}, {bound}\n"
                       for name, (default, _, bound) in TUNABLE_DEFAULTS.items())
             + "\nfile formats:\n"
             "  comments/videos/users   one JSON object per line (.jsonl) or CSV\n"

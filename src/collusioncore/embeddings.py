@@ -17,19 +17,6 @@ def text_key(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
-
-
 class HashEmbedder:
     """Deterministic bag-of-tokens stub embedder.
 
@@ -107,6 +94,8 @@ class FileEmbedder:
                     raise ValueError(f"{path}:{lineno}: expected {dim} values")
                 if not np.all(np.isfinite(vec)):
                     raise ValueError(f"{path}:{lineno}: non-finite entry")
+                if key in table:
+                    raise ValueError(f"{path}:{lineno}: hash '{key}' listed twice")
                 table[key] = vec
         if not table:
             raise ValueError(f"{path}: no embedding vectors")

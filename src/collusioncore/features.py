@@ -8,12 +8,11 @@ Extraction emits raw values; standardization happens inside the classifier.
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import cosine
 from .records import Dataset
 
 MFE_SIZE = 26
@@ -88,12 +87,12 @@ def _recent(comments, cap: int):
     return ordered[:cap]
 
 
-def _pairwise_cosines(embeddings) -> list[float]:
-    return [cosine(a, b) for a, b in combinations(embeddings, 2)]
-
-
-def _cross_cosines(left, right) -> list[float]:
-    return [cosine(a, b) for a in left for b in right]
+def _cosines(pairs) -> list[float]:
+    """Cosine of each ((a, norm a), (b, norm b)) pair; 0.0 when either norm is 0."""
+    return [
+        0.0 if na == 0.0 or nb == 0.0 else float(np.dot(a, b) / (na * nb))
+        for (a, na), (b, nb) in pairs
+    ]
 
 
 def _video_text(video) -> str:
@@ -109,29 +108,26 @@ def sfe(dataset: Dataset, user_id: str, provider, pair_cap: int = DEFAULT_PAIR_C
     SV x OV. A block whose set has fewer than two members (or an empty side
     of a cross product) is all zeros.
     """
-    own_videos = {v.video_id for v in dataset.videos_by_uploader.get(user_id, ())}
+    uploads = dataset.videos_by_uploader.get(user_id, ())
+    own_videos = {v.video_id for v in uploads}
     comments = dataset.comments_by_user.get(user_id, ())
-    sc = _recent([c for c in comments if c.video_id in own_videos], pair_cap)
-    oc = _recent([c for c in comments if c.video_id not in own_videos], pair_cap)
+    own_comments = [c for c in comments if c.video_id in own_videos]
+    other_comments = [c for c in comments if c.video_id not in own_videos]
+    ov_ids = sorted({c.video_id for c in other_comments})[:pair_cap]
 
-    sc_emb = [provider.embed_text(c.text) for c in sc]
-    oc_emb = [provider.embed_text(c.text) for c in oc]
+    def embedded(texts):
+        return [(v, float(np.linalg.norm(v))) for v in map(provider.embed_text, texts)]
 
-    sv = sorted(dataset.videos_by_uploader.get(user_id, ()), key=lambda v: v.video_id)[:pair_cap]
-    ov_ids = sorted({c.video_id for c in comments if c.video_id not in own_videos})[:pair_cap]
-    sv_emb = [provider.embed_text(_video_text(v)) for v in sv]
-    ov_emb = [
-        provider.embed_text(_video_text(dataset.videos_by_id[vid]))
-        for vid in ov_ids
-        if vid in dataset.videos_by_id
-    ]
+    sc = embedded(c.text for c in _recent(own_comments, pair_cap))
+    oc = embedded(c.text for c in _recent(other_comments, pair_cap))
+    sv = embedded(_video_text(v) for v in sorted(uploads, key=lambda v: v.video_id)[:pair_cap])
+    ov = embedded(_video_text(dataset.videos_by_id[vid]) for vid in ov_ids
+                  if vid in dataset.videos_by_id)
 
     out: list[float] = []
-    out.extend(stat5(_pairwise_cosines(sc_emb)).as_list())
-    out.extend(stat5(_pairwise_cosines(oc_emb)).as_list())
-    out.extend(stat5(_cross_cosines(sc_emb, oc_emb)).as_list())
-    out.extend(stat5(_pairwise_cosines(sv_emb)).as_list())
-    out.extend(stat5(_cross_cosines(sv_emb, ov_emb)).as_list())
+    for pairs in (combinations(sc, 2), combinations(oc, 2), product(sc, oc),
+                  combinations(sv, 2), product(sv, ov)):
+        out.extend(stat5(_cosines(pairs)).as_list())
     return np.array(out)
 
 
@@ -149,7 +145,8 @@ def tfe(dataset: Dataset, user_id: str, provider) -> np.ndarray:
 def extract_all(
     dataset: Dataset,
     partition=None,
-    provider=None,
+    *,
+    provider,
     pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> list[FeatureVector]:
     """One FeatureVector per user, in ascending user-id order.
@@ -157,8 +154,6 @@ def extract_all(
     With a core/periphery partition, only partitioned users are extracted
     and labels ("core" / "compromised") are attached.
     """
-    if provider is None:
-        raise ValueError("an embedding provider is required")
     if partition is None:
         user_ids = sorted(u.user_id for u in dataset.users)
         labels = {}
@@ -200,11 +195,8 @@ def write_features(features, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(feature_header(dim))
         for fv in features:
-            row = [fv.user_id, fv.label or ""]
-            row.extend(repr(float(x)) for x in fv.mfe)
-            row.extend(repr(float(x)) for x in fv.sfe)
-            row.extend(repr(float(x)) for x in fv.tfe)
-            writer.writerow(row)
+            values = np.concatenate([fv.mfe, fv.sfe, fv.tfe]).tolist()
+            writer.writerow([fv.user_id, fv.label or "", *map(repr, values)])
 
 
 def read_features(path) -> list[FeatureVector]:

@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
-from .records import Dataset, comment_count
+from .records import Dataset
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,6 @@ class Ccn:
             (a, b): w for (a, b), w in self.edges.items() if a in keep and b in keep
         }
         return Ccn.build(keep, weights)
-
-
-def iucc(dataset: Dataset, user_a: str, user_b: str, video_id: str) -> int:
-    """Per-video co-commenting intensity: the smaller of the two users' counts."""
-    if user_a == user_b:
-        raise ValueError("iucc requires two distinct users")
-    return min(comment_count(dataset, user_a, video_id), comment_count(dataset, user_b, video_id))
-
-
-def edge_weight(dataset: Dataset, user_a: str, user_b: str) -> int:
-    """Aggregate iucc over every video uploaded by neither user."""
-    if user_a == user_b:
-        raise ValueError("edge_weight requires two distinct users")
-    total = 0
-    for video in dataset.videos:
-        if video.uploader_user_id in (user_a, user_b):
-            continue
-        total += iucc(dataset, user_a, user_b, video.video_id)
-    return total
 
 
 def build_ccn(dataset: Dataset, collusive_only: bool = True) -> Ccn:
@@ -282,6 +263,8 @@ def read_edgelist(path) -> Ccn:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
             a, b, w = parts
+            if (a, b) in weights or (b, a) in weights:
+                raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) listed twice")
             weights[(a, b)] = int(w)
             nodes.add(a)
             nodes.add(b)

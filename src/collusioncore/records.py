@@ -273,11 +273,6 @@ def validate(dataset: Dataset) -> list[str]:
     return violations
 
 
-def comment_count(dataset: Dataset, user_id: str, video_id: str) -> int:
-    """Number of comments by ``user_id`` on ``video_id`` (0 for unknown ids)."""
-    return dataset.pair_counts.get((user_id, video_id), 0)
-
-
 # ---------------------------------------------------------------------------
 # Serialization (line-delimited JSON, mirrors the ingest format)
 # ---------------------------------------------------------------------------

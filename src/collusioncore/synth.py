@@ -363,6 +363,8 @@ def read_labels(path) -> dict:
             parts = line.split("\t")
             if len(parts) != 2 or parts[1] not in ("core", "compromised"):
                 raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|compromised'")
+            if parts[0] in labels:
+                raise ValueError(f"{path}:{lineno}: user '{parts[0]}' listed twice")
             labels[parts[0]] = parts[1]
     return labels
 

@@ -1,18 +1,22 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the library's own algorithms: subset enumeration
-for cores, union-find for components, direct formulas for statistics, and
-rational path lengths for betweenness. The NURSE kernels are the dense
+for cores, union-find for components, direct formulas for statistics, the
+paper's per-pair edge weight definition, one full cosine per vector pair for
+the similarity block, and rational path lengths for betweenness. The NURSE kernels are the dense
 conv-gradient versions the library used before its pooled-position rewrite.
 """
 
 import heapq
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
+from collusioncore.features import DEFAULT_PAIR_CAP, _recent, _video_text, stat5
 from collusioncore.graph import Ccn
 from collusioncore.nurse import FoldMetrics, NurseModel, auc, rank_users
+from collusioncore.records import Dataset
 
 
 def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_nodes=4):
@@ -24,6 +28,30 @@ def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_n
             if rng.random() < edge_prob:
                 weights[(nodes[i], nodes[j])] = int(rng.integers(1, max_weight + 1))
     return Ccn.build(nodes, weights)
+
+
+def comment_count(dataset: Dataset, user_id: str, video_id: str) -> int:
+    """Number of comments by ``user_id`` on ``video_id`` (0 for unknown ids)."""
+    return dataset.pair_counts.get((user_id, video_id), 0)
+
+
+def iucc(dataset: Dataset, user_a: str, user_b: str, video_id: str) -> int:
+    """Per-video co-commenting intensity: the smaller of the two users' counts."""
+    if user_a == user_b:
+        raise ValueError("iucc requires two distinct users")
+    return min(comment_count(dataset, user_a, video_id), comment_count(dataset, user_b, video_id))
+
+
+def edge_weight(dataset: Dataset, user_a: str, user_b: str) -> int:
+    """Aggregate iucc over every video uploaded by neither user."""
+    if user_a == user_b:
+        raise ValueError("edge_weight requires two distinct users")
+    total = 0
+    for video in dataset.videos:
+        if video.uploader_user_id in (user_a, user_b):
+            continue
+        total += iucc(dataset, user_a, user_b, video.video_id)
+    return total
 
 
 def _weight_matrix(graph, mode):
@@ -123,6 +151,43 @@ def oracle_stat5(values):
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     return (max(values), min(values), sum(values), mean, var)
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity; 0.0 when either vector has zero norm."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def oracle_sfe(dataset, user_id, provider, pair_cap=DEFAULT_PAIR_CAP):
+    """The similarity block with one :func:`cosine` call per pair, each of
+    which converts both vectors and takes both norms afresh."""
+    own_videos = {v.video_id for v in dataset.videos_by_uploader.get(user_id, ())}
+    comments = dataset.comments_by_user.get(user_id, ())
+    sc = _recent([c for c in comments if c.video_id in own_videos], pair_cap)
+    oc = _recent([c for c in comments if c.video_id not in own_videos], pair_cap)
+    sc_emb = [provider.embed_text(c.text) for c in sc]
+    oc_emb = [provider.embed_text(c.text) for c in oc]
+    sv = sorted(dataset.videos_by_uploader.get(user_id, ()), key=lambda v: v.video_id)[:pair_cap]
+    ov_ids = sorted({c.video_id for c in comments if c.video_id not in own_videos})[:pair_cap]
+    sv_emb = [provider.embed_text(_video_text(v)) for v in sv]
+    ov_emb = [provider.embed_text(_video_text(dataset.videos_by_id[vid]))
+              for vid in ov_ids if vid in dataset.videos_by_id]
+    out = []
+    for values in ([cosine(a, b) for a, b in combinations(sc_emb, 2)],
+                   [cosine(a, b) for a, b in combinations(oc_emb, 2)],
+                   [cosine(a, b) for a in sc_emb for b in oc_emb],
+                   [cosine(a, b) for a, b in combinations(sv_emb, 2)],
+                   [cosine(a, b) for a in sv_emb for b in ov_emb]):
+        out.extend(stat5(values).as_list())
+    return np.array(out)
 
 
 def oracle_pearson(xs, ys):

@@ -405,6 +405,50 @@ REJECTED = {
         lambda p: ["pipeline", *p.data, "--dim", "8", "--folds", "500"], False),
     "ablate-impossible-stratification": (
         lambda p: ["ablate", "--features", p.features, "--folds", "500"], False),
+    "nurse-train-learning-rate-nan": (
+        lambda p: ["nurse-train", "--features", p.features, "--learning-rate", "nan"], True),
+    "nurse-train-learning-rate-inf": (
+        lambda p: ["nurse-train", "--features", p.features, "--learning-rate", "inf"], True),
+    "nurse-train-momentum-nan": (
+        lambda p: ["nurse-train", "--features", p.features, "--momentum", "nan"], True),
+    "config-learning-rate-inf": (
+        lambda p: ["--config", write(p.tmp / "run.cfg", "learning_rate=inf\n"),
+                   "nurse-train", "--features", p.features], True),
+    "config-momentum-nan": (
+        lambda p: ["--config", write(p.tmp / "run.cfg", "momentum=nan\n"),
+                   "nurse-train", "--features", p.features], True),
+    "config-repeated-key": (
+        lambda p: ["--config", write(p.tmp / "run.cfg", "epochs=2\nepochs=3\n"),
+                   "nurse-train", "--features", p.features], True),
+    "pipeline-repeated-label": (
+        lambda p: ["pipeline", *p.data, "--labels",
+                   write(p.tmp / "labels.tsv", "u1\tcore\nu1\tcompromised\n")], True),
+    "korse-repeated-edge": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\na\tb\t7\n")],
+        True),
+    "korse-reversed-repeated-edge": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\nb\ta\t7\n")],
+        True),
+    "features-repeated-embedding": (
+        lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
+                   write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
+                                            f"{text_key('a')}\t0.1,0.2\n")], True),
+}
+
+# what the error message of a rejected case must contain
+REJECTED_MESSAGE = {
+    "config-unknown-key": "bogus",
+    "features-embedding-missing": "text hash",
+    "nurse-train-learning-rate-nan": "learning_rate must be finite, got nan",
+    "nurse-train-learning-rate-inf": "learning_rate must be finite, got inf",
+    "nurse-train-momentum-nan": "momentum must be finite, got nan",
+    "config-learning-rate-inf": "learning_rate must be finite, got inf",
+    "config-momentum-nan": "momentum must be finite, got nan",
+    "config-repeated-key": "run.cfg:2: key 'epochs' listed twice",
+    "pipeline-repeated-label": "labels.tsv:2: user 'u1' listed twice",
+    "korse-repeated-edge": "ccn.tsv:3: edge (a, b) listed twice",
+    "korse-reversed-repeated-edge": "ccn.tsv:3: edge (b, a) listed twice",
+    "features-repeated-embedding": f"emb.txt:3: hash '{text_key('a')}' listed twice",
 }
 
 
@@ -419,10 +463,7 @@ def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, tmp_path
     assert err.startswith("error: ") and "internal" not in err
     if before_out:
         assert not out.exists()
-    if case == "config-unknown-key":
-        assert "bogus" in err
-    if case == "features-embedding-missing":
-        assert "text hash" in err
+    assert REJECTED_MESSAGE.get(case, "") in err
 
 
 def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):

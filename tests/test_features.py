@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from collusioncore.embeddings import HashEmbedder, cosine
+from collusioncore.embeddings import HashEmbedder
 from collusioncore.features import (
     MFE_SIZE,
     SFE_SIZE,
@@ -19,7 +19,7 @@ from collusioncore.features import (
 from collusioncore.korse import CorePartition
 
 from conftest import make_comment, make_dataset, make_user, make_video
-from oracles import oracle_stat5
+from oracles import cosine, oracle_sfe, oracle_stat5
 
 
 def test_stat5_examples():
@@ -105,6 +105,34 @@ def test_sfe_sc_block_matches_bruteforce(provider):
     expected = [max(cosines), min(cosines), sum(cosines),
                 np.mean(cosines), np.var(cosines)]
     assert np.allclose(out[:5], expected)
+
+
+def reprs(values):
+    return [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("pair_cap", [200, 3])
+def test_sfe_matches_per_pair_cosine_oracle(provider, synth_default, pair_cap):
+    dataset, _ = synth_default
+    for uid in sorted(u.user_id for u in dataset.users):
+        got = sfe(dataset, uid, provider, pair_cap)
+        assert reprs(got) == reprs(oracle_sfe(dataset, uid, provider, pair_cap)), uid
+
+
+def test_sfe_with_an_empty_comment_matches_oracle(provider):
+    d = make_dataset(
+        users=[make_user("u"), make_user("w")],
+        videos=[make_video("v1", "u"), make_video("v2", "w", title="other")],
+        comments=[
+            make_comment("u", "v1", text="", ts=3),
+            make_comment("u", "v1", text="alpha beta", ts=2),
+            make_comment("u", "v2", text="  ", ts=1),
+            make_comment("u", "v2", text="beta gamma", ts=4),
+        ],
+    )
+    got = sfe(d, "u", provider)
+    assert got[10] > 0.0 and got[11] == 0.0  # SC x OC: every pair with a zero vector reads 0.0
+    assert reprs(got) == reprs(oracle_sfe(d, "u", provider))
 
 
 def test_sfe_entries_bounded(provider, synth_default):

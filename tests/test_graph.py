@@ -8,16 +8,14 @@ from collusioncore.graph import (
     Ccn,
     build_ccn,
     components,
-    edge_weight,
     format_stats,
     graph_stats,
-    iucc,
     read_edgelist,
     write_edgelist,
 )
 
 from conftest import graph_from_edges, make_comment, make_dataset, make_user, make_video
-from oracles import oracle_component_sizes, random_weighted_graph
+from oracles import edge_weight, iucc, oracle_component_sizes, random_weighted_graph
 
 
 def fixture_two_videos():

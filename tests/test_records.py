@@ -4,13 +4,13 @@ import pytest
 
 from collusioncore.records import (
     IngestError,
-    comment_count,
     ingest,
     validate,
     write_dataset,
 )
 
 from conftest import make_comment, make_dataset, make_user, make_video
+from oracles import comment_count
 
 
 def write_jsonl(path, rows):
