@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .centrality import wbc_baseline, weighted_betweenness
 from .embeddings import FileEmbedder, HashEmbedder, write_embedding_file
-from .features import FeatureVector, StatFive, extract_all, mfe, sfe, stat5, tfe
+from .features import FeatureVector, StatFive, extract_all, mfe, stat5
 from .graph import Ccn, GraphStats, build_ccn, graph_stats
 from .kcore import CorenessMap, coreness, degeneracy_core, k_core
 from .korse import CorePartition, WicciParams, korse, sweep_curves, wicci

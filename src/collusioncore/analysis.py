@@ -389,8 +389,8 @@ def case_study_report(dataset: Dataset, partition: CorePartition) -> CaseStudyRe
 
     made: dict = {}
     engagements: dict = {}
-    for (user, video), count in dataset.pair_counts.items():
-        if video in collusive_videos:
+    for video in collusive_videos:
+        for user, count in dataset.video_commenters.get(video, {}).items():
             made[user] = made.get(user, 0) + count
             engagements[user] = engagements.get(user, 0) + 1
 

@@ -34,7 +34,6 @@ class HashEmbedder:
         self.seed = seed
         self.empty_text_count = 0
         self._token_cache: dict[str, np.ndarray] = {}
-        self._text_cache: dict[str, np.ndarray] = {}
 
     def _token_vector(self, token: str) -> np.ndarray:
         cached = self._token_cache.get(token)
@@ -54,15 +53,11 @@ class HashEmbedder:
         if not tokens:
             self.empty_text_count += 1
             return np.zeros(self.dim)
-        cached = self._text_cache.get(text)
-        if cached is not None:
-            return cached.copy()
         vec = np.zeros(self.dim)
         for token in tokens:
             vec += self._token_vector(token)
         vec /= len(tokens)
-        self._text_cache[text] = vec
-        return vec.copy()
+        return vec
 
 
 class FileEmbedder:

@@ -69,7 +69,7 @@ def mfe(dataset: Dataset, user_id: str) -> np.ndarray:
     A user with no uploads gets all zeros.
     """
     videos = dataset.videos_by_uploader.get(user_id, ())
-    self_counts = [dataset.pair_counts.get((user_id, v.video_id), 0) for v in videos]
+    self_counts = [dataset.video_commenters.get(v.video_id, {}).get(user_id, 0) for v in videos]
     out: list[float] = []
     out.extend(stat5(self_counts).as_list())
     out.append(float(len(videos)))
@@ -99,47 +99,53 @@ def _video_text(video) -> str:
     return " ".join((video.title, video.description, video.genre))
 
 
-def sfe(dataset: Dataset, user_id: str, provider, pair_cap: int = DEFAULT_PAIR_CAP) -> np.ndarray:
-    """25 similarity features from embedding cosines.
+def _embedded(provider, text: str) -> tuple:
+    """(vector, norm) of one text."""
+    v = provider.embed_text(text)
+    return v, float(np.linalg.norm(v))
 
-    Comment sets: SC (on own videos) and OC (on others' videos). Video-text
-    sets: SV (own uploads) and OV (others' videos the user commented on).
-    Layout: stat5 within SC, within OC, across SC x OC, within SV, across
-    SV x OV. A block whose set has fewer than two members (or an empty side
-    of a cross product) is all zeros.
+
+def _sfe_tfe(dataset: Dataset, user_id: str, provider, pair_cap: int, videos: dict) -> tuple:
+    """(SFE, TFE) of one user from one embedding per comment.
+
+    SFE holds 25 similarity features from embedding cosines. Comment sets:
+    SC (on own videos) and OC (on others' videos). Video-text sets: SV (own
+    uploads) and OV (others' videos the user commented on). Layout: stat5
+    within SC, within OC, across SC x OC, within SV, across SV x OV. A block
+    whose set has fewer than two members (or an empty side of a cross
+    product) is all zeros. TFE is the mean embedding of every comment the
+    user posted; zeros if none.
+
+    ``videos`` memoises (vector, norm) by video id across users.
     """
     uploads = dataset.videos_by_uploader.get(user_id, ())
     own_videos = {v.video_id for v in uploads}
     comments = dataset.comments_by_user.get(user_id, ())
+    embedded = {c: _embedded(provider, c.text) for c in comments}
+    tfe = np.zeros(provider.dim)
+    for c in comments:
+        tfe += embedded[c][0]
+    if comments:
+        tfe /= len(comments)
+
+    def video(v):
+        if v.video_id not in videos:
+            videos[v.video_id] = _embedded(provider, _video_text(v))
+        return videos[v.video_id]
+
     own_comments = [c for c in comments if c.video_id in own_videos]
     other_comments = [c for c in comments if c.video_id not in own_videos]
     ov_ids = sorted({c.video_id for c in other_comments})[:pair_cap]
+    sc = [embedded[c] for c in _recent(own_comments, pair_cap)]
+    oc = [embedded[c] for c in _recent(other_comments, pair_cap)]
+    sv = [video(v) for v in sorted(uploads, key=lambda v: v.video_id)[:pair_cap]]
+    ov = [video(dataset.videos_by_id[vid]) for vid in ov_ids if vid in dataset.videos_by_id]
 
-    def embedded(texts):
-        return [(v, float(np.linalg.norm(v))) for v in map(provider.embed_text, texts)]
-
-    sc = embedded(c.text for c in _recent(own_comments, pair_cap))
-    oc = embedded(c.text for c in _recent(other_comments, pair_cap))
-    sv = embedded(_video_text(v) for v in sorted(uploads, key=lambda v: v.video_id)[:pair_cap])
-    ov = embedded(_video_text(dataset.videos_by_id[vid]) for vid in ov_ids
-                  if vid in dataset.videos_by_id)
-
-    out: list[float] = []
+    sfe: list[float] = []
     for pairs in (combinations(sc, 2), combinations(oc, 2), product(sc, oc),
                   combinations(sv, 2), product(sv, ov)):
-        out.extend(stat5(_cosines(pairs)).as_list())
-    return np.array(out)
-
-
-def tfe(dataset: Dataset, user_id: str, provider) -> np.ndarray:
-    """Mean embedding of every comment the user posted; zeros if none."""
-    comments = dataset.comments_by_user.get(user_id, ())
-    if not comments:
-        return np.zeros(provider.dim)
-    acc = np.zeros(provider.dim)
-    for c in comments:
-        acc += provider.embed_text(c.text)
-    return acc / len(comments)
+        sfe.extend(stat5(_cosines(pairs)).as_list())
+    return np.array(sfe), tfe
 
 
 def extract_all(
@@ -152,7 +158,8 @@ def extract_all(
     """One FeatureVector per user, in ascending user-id order.
 
     With a core/periphery partition, only partitioned users are extracted
-    and labels ("core" / "compromised") are attached.
+    and labels ("core" / "compromised") are attached. Each comment of an
+    extracted user is embedded once, and each video text once per call.
     """
     if partition is None:
         user_ids = sorted(u.user_id for u in dataset.users)
@@ -160,17 +167,12 @@ def extract_all(
     else:
         user_ids = sorted(partition.core | partition.periphery)
         labels = {u: ("core" if u in partition.core else "compromised") for u in user_ids}
+    videos: dict = {}
     out = []
     for user_id in user_ids:
-        out.append(
-            FeatureVector(
-                user_id=user_id,
-                mfe=mfe(dataset, user_id),
-                sfe=sfe(dataset, user_id, provider, pair_cap),
-                tfe=tfe(dataset, user_id, provider),
-                label=labels.get(user_id),
-            )
-        )
+        sfe, tfe = _sfe_tfe(dataset, user_id, provider, pair_cap, videos)
+        out.append(FeatureVector(user_id=user_id, mfe=mfe(dataset, user_id), sfe=sfe, tfe=tfe,
+                                 label=labels.get(user_id)))
     return out
 
 
@@ -220,6 +222,8 @@ def read_features(path) -> list[FeatureVector]:
                 raise ValueError(f"{path}:{reader.line_num}: duplicate user '{row[0]}'")
             seen.add(row[0])
             values = [float(x) for x in row[2:]]
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}:{reader.line_num}: non-finite value")
             out.append(
                 FeatureVector(
                     user_id=row[0],

@@ -414,7 +414,6 @@ class FoldMetrics:
     precision_at: tuple
     recall_at: tuple
     f1_at: tuple
-    break_even_k: int
     break_even_precision: float
     break_even_recall: float
     break_even_f1: float
@@ -428,7 +427,6 @@ class EvalReport:
     mean_break_even_precision: float
     mean_break_even_recall: float
     mean_break_even_f1: float
-    curve_ks: tuple
     mean_f1_at: tuple
 
 
@@ -457,7 +455,6 @@ def fold_metrics(fold: int, scored) -> FoldMetrics:
         precision_at=p_at,
         recall_at=r_at,
         f1_at=f_at,
-        break_even_k=n_pos,
         break_even_precision=be_p,
         break_even_recall=be_r,
         break_even_f1=be_f,
@@ -492,7 +489,6 @@ def class_split(features, rng=None) -> tuple:
 def summarize_folds(mode: str, per_fold) -> EvalReport:
     """Report of per-fold metrics: fold means, curves cut to the smallest fold."""
     min_n = min(fm.n for fm in per_fold)
-    ks = tuple(range(1, min_n + 1))
 
     def mean(values):
         return float(np.mean(list(values)))
@@ -504,8 +500,7 @@ def summarize_folds(mode: str, per_fold) -> EvalReport:
         mean_break_even_precision=mean(fm.break_even_precision for fm in per_fold),
         mean_break_even_recall=mean(fm.break_even_recall for fm in per_fold),
         mean_break_even_f1=mean(fm.break_even_f1 for fm in per_fold),
-        curve_ks=ks,
-        mean_f1_at=tuple(mean(fm.f1_at[k - 1] for fm in per_fold) for k in ks),
+        mean_f1_at=tuple(mean(fm.f1_at[i] for fm in per_fold) for i in range(min_n)),
     )
 
 
@@ -646,11 +641,11 @@ def write_method_curves(reports: dict, f1_path, auc_path) -> None:
         handle.write("method,k,f1\n")
         for method in sorted(reports):
             report = reports[method]
-            for i, k in enumerate(report.curve_ks):
-                handle.write(f"{method},{k},{report.mean_f1_at[i]!r}\n")
+            for k, f1 in enumerate(report.mean_f1_at, 1):
+                handle.write(f"{method},{k},{f1!r}\n")
     with Path(auc_path).open("w", encoding="utf-8") as handle:
         handle.write("method,k,auc\n")
         for method in sorted(reports):
             report = reports[method]
-            for k in report.curve_ks:
+            for k in range(1, len(report.mean_f1_at) + 1):
                 handle.write(f"{method},{k},{report.mean_auc!r}\n")

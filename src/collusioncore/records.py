@@ -8,7 +8,6 @@ share between readers.
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -73,14 +72,6 @@ class Dataset:
     @cached_property
     def videos_by_id(self) -> dict[str, VideoRecord]:
         return {v.video_id: v for v in self.videos}
-
-    @cached_property
-    def pair_counts(self) -> Counter:
-        """(user_id, video_id) -> number of comments."""
-        counts: Counter = Counter()
-        for c in self.comments:
-            counts[(c.user_id, c.video_id)] += 1
-        return counts
 
     @cached_property
     def video_commenters(self) -> dict[str, dict[str, int]]:

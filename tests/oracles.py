@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: subset enumeration
 for cores, union-find for components, direct formulas for statistics, the
 paper's per-pair edge weight definition, one full cosine per vector pair for
-the similarity block, and rational path lengths for betweenness. The NURSE kernels are the dense
-conv-gradient versions the library used before its pooled-position rewrite.
+the similarity block, a separate embedding pass for the mean comment
+embedding, and rational path lengths for betweenness. The NURSE kernels are
+the dense conv-gradient versions the library used before its pooled-position
+rewrite.
 """
 
 import heapq
@@ -32,7 +34,7 @@ def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_n
 
 def comment_count(dataset: Dataset, user_id: str, video_id: str) -> int:
     """Number of comments by ``user_id`` on ``video_id`` (0 for unknown ids)."""
-    return dataset.pair_counts.get((user_id, video_id), 0)
+    return sum(1 for c in dataset.comments if (c.user_id, c.video_id) == (user_id, video_id))
 
 
 def iucc(dataset: Dataset, user_a: str, user_b: str, video_id: str) -> int:
@@ -190,6 +192,19 @@ def oracle_sfe(dataset, user_id, provider, pair_cap=DEFAULT_PAIR_CAP):
     return np.array(out)
 
 
+def oracle_tfe(dataset, user_id, provider):
+    """Mean embedding of every comment the user posted; zeros if none.
+
+    Embeds the comments afresh, apart from the similarity block."""
+    comments = dataset.comments_by_user.get(user_id, ())
+    if not comments:
+        return np.zeros(provider.dim)
+    acc = np.zeros(provider.dim)
+    for c in comments:
+        acc += provider.embed_text(c.text)
+    return acc / len(comments)
+
+
 def oracle_pearson(xs, ys):
     n = len(xs)
     mx = sum(xs) / n
@@ -233,8 +248,7 @@ def oracle_fold_metrics(fold: int, scored) -> FoldMetrics:
         p_at.append(p)
         r_at.append(r)
         f_at.append(f)
-    be_k = n_pos
-    be_p, be_r, be_f = _prf_at_k(labels, be_k, n_pos) if be_k else (0.0, 0.0, 0.0)
+    be_p, be_r, be_f = _prf_at_k(labels, n_pos, n_pos) if n_pos else (0.0, 0.0, 0.0)
     return FoldMetrics(
         fold=fold,
         n=n,
@@ -243,7 +257,6 @@ def oracle_fold_metrics(fold: int, scored) -> FoldMetrics:
         precision_at=tuple(p_at),
         recall_at=tuple(r_at),
         f1_at=tuple(f_at),
-        break_even_k=be_k,
         break_even_precision=be_p,
         break_even_recall=be_r,
         break_even_f1=be_f,

@@ -169,6 +169,14 @@ def features_dir(synth_dir, korse_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def model_dir(features_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    assert main(["nurse-train", "--features", str(features_dir / "features.csv"),
+                 "--epochs", "1", "--out", str(out)]) == 0
+    return out
+
+
 def test_nurse_train_eval_roundtrip(features_dir, tmp_path):
     model_dir = tmp_path / "model"
     assert main(["nurse-train", "--features", str(features_dir / "features.csv"),
@@ -361,6 +369,15 @@ def npz_bytes(tmp_path, **arrays) -> bytes:
     return path.read_bytes()
 
 
+def with_value(features, tmp, line, cell, value) -> str:
+    """A copy of a features file with ``value`` in one cell of line ``line``."""
+    lines = Path(features).read_text(encoding="utf-8").splitlines(keepends=True)
+    row = lines[line - 1].rstrip("\n").split(",")
+    row[cell] = value
+    lines[line - 1] = ",".join(row) + "\n"
+    return write(tmp / "bad.csv", "".join(lines))
+
+
 def write_all_embeddings(data_dir, path, dim) -> str:
     """Embeddings of every comment text and video text of a dataset."""
     dataset = ingest(data_dir / "comments.jsonl", data_dir / "videos.jsonl",
@@ -429,6 +446,16 @@ REJECTED = {
     "korse-reversed-repeated-edge": (
         lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\nb\ta\t7\n")],
         True),
+    "nurse-train-features-nan": (
+        lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 2, 2, "nan")],
+        True),
+    "nurse-eval-features-inf": (
+        lambda p: ["nurse-eval", "--model", p.model,
+                   "--features", with_value(p.features, p.tmp, 4, -1, "inf")], True),
+    "ablate-features-nan": (
+        lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 3, 30, "nan")], True),
+    "ablate-features-inf": (
+        lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 2, -1, "-inf")], True),
     "features-repeated-embedding": (
         lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
@@ -449,14 +476,20 @@ REJECTED_MESSAGE = {
     "korse-repeated-edge": "ccn.tsv:3: edge (a, b) listed twice",
     "korse-reversed-repeated-edge": "ccn.tsv:3: edge (b, a) listed twice",
     "features-repeated-embedding": f"emb.txt:3: hash '{text_key('a')}' listed twice",
+    "nurse-train-features-nan": "bad.csv:2: non-finite value",
+    "nurse-eval-features-inf": "bad.csv:4: non-finite value",
+    "ablate-features-nan": "bad.csv:3: non-finite value",
+    "ablate-features-inf": "bad.csv:2: non-finite value",
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
-def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, tmp_path, capsys):
+def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, model_dir, tmp_path,
+                               capsys):
     argv, before_out = REJECTED[case]
     paths = type("Paths", (), dict(data=dataset_args(synth_dir), graph=str(ccn_dir / "ccn.tsv"),
-                                  features=str(features_dir / "features.csv"), tmp=tmp_path))
+                                  features=str(features_dir / "features.csv"),
+                                  model=str(model_dir / "model.npz"), tmp=tmp_path))
     out = tmp_path / "out"
     assert main(argv(paths) + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -474,6 +507,16 @@ def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
     assert manifest["inputs"][emb] == digest
+
+
+def test_file_provider_matches_the_stub_it_was_written_from(synth_dir, tmp_path):
+    emb = write_all_embeddings(synth_dir, tmp_path / "emb.txt", dim=4)
+    for name, provider in (("file", ["--provider", "file", "--embeddings", emb]),
+                           ("stub", ["--dim", "4", "--seed", "0"])):
+        assert main(["features"] + dataset_args(synth_dir) + provider +
+                    ["--out", str(tmp_path / name)]) == 0
+    written = [(tmp_path / name / "features.csv").read_bytes() for name in ("file", "stub")]
+    assert written[0] == written[1]
 
 
 @pytest.fixture(scope="module")

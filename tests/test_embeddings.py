@@ -44,6 +44,15 @@ def test_stub_token_order_irrelevant():
     assert np.allclose(e.embed_text("one two three"), e.embed_text("three one two"))
 
 
+def test_stub_returns_a_fresh_array_each_call():
+    e = HashEmbedder(dim=16, seed=0)
+    for text in ("alpha beta", "alpha"):
+        first = e.embed_text(text)
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(e.embed_text(text), expected)
+
+
 def test_stub_empty_text_zero_vector_with_flag():
     e = HashEmbedder(dim=32, seed=0)
     out = e.embed_text("   ")

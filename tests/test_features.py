@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -5,21 +6,22 @@ import pytest
 
 from collusioncore.embeddings import HashEmbedder
 from collusioncore.features import (
+    DEFAULT_PAIR_CAP,
     MFE_SIZE,
     SFE_SIZE,
+    _video_text,
     extract_all,
     feature_header,
     mfe,
     read_features,
-    sfe,
     stat5,
-    tfe,
     write_features,
 )
-from collusioncore.korse import CorePartition
+from collusioncore.graph import build_ccn
+from collusioncore.korse import CorePartition, korse
 
 from conftest import make_comment, make_dataset, make_user, make_video
-from oracles import cosine, oracle_sfe, oracle_stat5
+from oracles import cosine, oracle_sfe, oracle_stat5, oracle_tfe
 
 
 def test_stat5_examples():
@@ -69,13 +71,19 @@ def provider():
     return HashEmbedder(dim=64, seed=9)
 
 
+def features_of(dataset, user_id, provider, pair_cap=DEFAULT_PAIR_CAP):
+    """The FeatureVector of one user, from extract_all over every user."""
+    by_id = {fv.user_id: fv for fv in extract_all(dataset, provider=provider, pair_cap=pair_cap)}
+    return by_id[user_id]
+
+
 def test_sfe_degenerate_sets_zero(provider):
     d = make_dataset(
         users=[make_user("u"), make_user("w")],
         videos=[make_video("v", "w")],
         comments=[make_comment("u", "v", text="only one comment")],
     )
-    out = sfe(d, "u", provider)
+    out = features_of(d, "u", provider).sfe
     assert np.array_equal(out[:15], np.zeros(15))  # SC, OC, SCxOC all degenerate
 
 
@@ -88,7 +96,7 @@ def test_sfe_duplicate_other_comments_max_one(provider):
             make_comment("u", "v", text="same words here"),
         ],
     )
-    out = sfe(d, "u", provider)
+    out = features_of(d, "u", provider).sfe
     assert out[5] == pytest.approx(1.0)  # max cosine within OC
 
 
@@ -99,7 +107,7 @@ def test_sfe_sc_block_matches_bruteforce(provider):
         videos=[make_video("v", "u")],
         comments=[make_comment("u", "v", text=t) for t in texts],
     )
-    out = sfe(d, "u", provider)
+    out = features_of(d, "u", provider).sfe
     emb = [provider.embed_text(t) for t in texts]
     cosines = [cosine(a, b) for a, b in combinations(emb, 2)]
     expected = [max(cosines), min(cosines), sum(cosines),
@@ -114,9 +122,40 @@ def reprs(values):
 @pytest.mark.parametrize("pair_cap", [200, 3])
 def test_sfe_matches_per_pair_cosine_oracle(provider, synth_default, pair_cap):
     dataset, _ = synth_default
-    for uid in sorted(u.user_id for u in dataset.users):
-        got = sfe(dataset, uid, provider, pair_cap)
-        assert reprs(got) == reprs(oracle_sfe(dataset, uid, provider, pair_cap)), uid
+    for fv in extract_all(dataset, provider=provider, pair_cap=pair_cap):
+        uid = fv.user_id
+        assert reprs(fv.sfe) == reprs(oracle_sfe(dataset, uid, provider, pair_cap)), uid
+        assert reprs(fv.tfe) == reprs(oracle_tfe(dataset, uid, provider)), uid
+
+
+class CountingEmbedder(HashEmbedder):
+    """A stub embedder that records every text it is asked to embed."""
+
+    def __init__(self, dim, seed):
+        super().__init__(dim=dim, seed=seed)
+        self.texts = Counter()
+
+    def embed_text(self, text):
+        self.texts[text] += 1
+        return super().embed_text(text)
+
+
+@pytest.mark.parametrize("partitioned", [False, True], ids=["all-users", "partition"])
+def test_extract_all_embeds_each_comment_and_video_once(synth_default, partitioned):
+    dataset, _ = synth_default
+    partition = korse(build_ccn(dataset)) if partitioned else None
+    counting = CountingEmbedder(dim=8, seed=0)
+    feats = extract_all(dataset, partition, provider=counting)
+    expected = Counter()
+    videos = set()
+    for fv in feats:
+        comments = dataset.comments_by_user.get(fv.user_id, ())
+        expected.update(c.text for c in comments)
+        own = sorted(v.video_id for v in dataset.videos_by_uploader.get(fv.user_id, ()))
+        others = sorted({c.video_id for c in comments if c.video_id not in own})
+        videos.update(own[:DEFAULT_PAIR_CAP] + others[:DEFAULT_PAIR_CAP])
+    expected.update(_video_text(dataset.videos_by_id[vid]) for vid in videos)
+    assert counting.texts == expected
 
 
 def test_sfe_with_an_empty_comment_matches_oracle(provider):
@@ -130,15 +169,16 @@ def test_sfe_with_an_empty_comment_matches_oracle(provider):
             make_comment("u", "v2", text="beta gamma", ts=4),
         ],
     )
-    got = sfe(d, "u", provider)
-    assert got[10] > 0.0 and got[11] == 0.0  # SC x OC: every pair with a zero vector reads 0.0
-    assert reprs(got) == reprs(oracle_sfe(d, "u", provider))
+    fv = features_of(d, "u", provider)
+    assert fv.sfe[10] > 0.0 and fv.sfe[11] == 0.0  # SC x OC: a pair with a zero vector reads 0.0
+    assert reprs(fv.sfe) == reprs(oracle_sfe(d, "u", provider))
+    assert reprs(fv.tfe) == reprs(oracle_tfe(d, "u", provider))
 
 
 def test_sfe_entries_bounded(provider, synth_default):
     dataset, _ = synth_default
-    for uid in list(sorted(u.user_id for u in dataset.users))[:5]:
-        out = sfe(dataset, uid, provider)
+    for fv in extract_all(dataset, provider=provider)[:5]:
+        out = fv.sfe
         for block in range(5):
             base = block * 5
             assert -1 - 1e-9 <= out[base] <= 1 + 1e-9      # max
@@ -156,14 +196,14 @@ def test_tfe_mean_of_comment_embeddings(provider):
         ],
     )
     expected = (provider.embed_text("first text") + provider.embed_text("second text")) / 2
-    assert np.allclose(tfe(d, "u", provider), expected)
-    assert np.array_equal(tfe(d, "w", provider), np.zeros(64))
+    assert np.allclose(features_of(d, "u", provider).tfe, expected)
+    assert np.array_equal(features_of(d, "w", provider).tfe, np.zeros(64))
     d1 = make_dataset(
         users=[make_user("u"), make_user("w")],
         videos=[make_video("v", "w")],
         comments=[make_comment("u", "v", text="first text")],
     )
-    assert np.array_equal(tfe(d1, "u", provider), provider.embed_text("first text"))
+    assert np.array_equal(features_of(d1, "u", provider).tfe, provider.embed_text("first text"))
 
 
 def test_locality_under_unrelated_records(provider):
@@ -182,8 +222,9 @@ def test_locality_under_unrelated_records(provider):
                                         make_comment("w", "v1", text="reply")],
     )
     assert np.array_equal(mfe(base, "u"), mfe(grown, "u"))
-    assert np.array_equal(sfe(base, "u", provider), sfe(grown, "u", provider))
-    assert np.array_equal(tfe(base, "u", provider), tfe(grown, "u", provider))
+    before, after = features_of(base, "u", provider), features_of(grown, "u", provider)
+    assert np.array_equal(before.sfe, after.sfe)
+    assert np.array_equal(before.tfe, after.tfe)
 
 
 def test_extract_all_order_and_labels(provider):
@@ -220,9 +261,6 @@ def test_extraction_deterministic(provider):
 
 def test_extract_all_planted_label_counts(provider, synth_default):
     dataset, labels = synth_default
-    from collusioncore.graph import build_ccn
-    from collusioncore.korse import korse
-
     part = korse(build_ccn(dataset))
     feats = extract_all(dataset, partition=part, provider=provider)
     got_core = sum(1 for f in feats if f.label == "core")

@@ -388,7 +388,6 @@ def test_evaluate_balanced_on_separable_data():
     assert report.mean_auc > 0.9
     assert report.mean_break_even_f1 > 0.8
     for fold in report.folds:
-        assert fold.break_even_k == fold.n_core
         p, r, f = fold.break_even_precision, fold.break_even_recall, fold.break_even_f1
         if p + r:
             assert f == pytest.approx(2 * p * r / (p + r), abs=1e-9)

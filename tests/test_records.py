@@ -139,7 +139,7 @@ def test_comment_count_direct_and_zero_cases():
 
 def test_comment_count_sums_to_total(synth_default):
     dataset, _ = synth_default
-    assert sum(dataset.pair_counts.values()) == len(dataset.comments)
+    assert sum(sum(c.values()) for c in dataset.video_commenters.values()) == len(dataset.comments)
 
 
 def test_roundtrip_serialize_ingest(tmp_path, synth_default):
