@@ -84,7 +84,7 @@ TUNABLE_DEFAULTS = {
     "seed": (7, lambda v: v >= 0, ">= 0"),
     "beta": (1.0, lambda v: v > 0, "> 0"),
     "step": (0.05, lambda v: 1e-300 <= v <= 0.05, "in [1e-300, 0.05]"),
-    "dim": (768, lambda v: v >= 1, ">= 1"),
+    "dim": (768, lambda v: v >= 2, ">= 2"),
     "pair_cap": (200, lambda v: v >= 0, ">= 0"),
     "epochs": (300, lambda v: v >= 1, ">= 1"),
     "learning_rate": (0.01, math.isfinite, "finite"),
@@ -213,14 +213,17 @@ def _labeled(feats, per_class: int) -> list:
 
 
 def _nurse_config(args, dim, seed) -> NurseConfig:
-    return NurseConfig(
-        embedding_dim=dim,
-        learning_rate=_setting(args, "learning_rate"),
-        momentum=_setting(args, "momentum"),
-        epochs=_setting(args, "epochs"),
-        batch_size=_setting(args, "batch_size"),
-        seed=seed,
-    )
+    try:
+        return NurseConfig(
+            embedding_dim=dim,
+            learning_rate=_setting(args, "learning_rate"),
+            momentum=_setting(args, "momentum"),
+            epochs=_setting(args, "epochs"),
+            batch_size=_setting(args, "batch_size"),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise InputError(f"features: {exc}") from None  # too few embedding values
 
 
 def _eval_mode(args) -> str:
@@ -233,7 +236,7 @@ def _cross_validate(run, args, feats, seed):
     folds = _setting(args, "folds")
     feats = _labeled(feats, min_class_size(folds))
     config = _nurse_config(args, dim=len(feats[0].tfe), seed=seed)
-    return run(feats, config, mode=_eval_mode(args), folds=folds, seed=seed)
+    return run(feats, config, mode=_eval_mode(args), folds=folds)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,8 @@ def _do_korse(graph, beta, out):
     write_partition(partition, out / "partition.tsv")
     outputs = ["partition.tsv"]
     for b in sorted({0.5, 1.0, 2.0} | {beta}):
-        name = f"sweep_beta_{b:g}.csv"
+        short = f"{b:g}"  # 1.0 is "1"; the repr where %g would round b
+        name = f"sweep_beta_{short if float(short) == b else repr(b)}.csv"
         write_sweep(partition, out / name, WicciParams(beta=b))
         outputs.append(name)
     return partition, outputs
@@ -511,14 +515,14 @@ def cmd_baseline_wbc(args):
 
 def cmd_synth(args):
     seed = _setting(args, "seed")
-    config = SynthConfig(
-        n_core=args.n_core,
-        n_compromised=args.n_compromised,
-        n_videos=args.n_videos,
-        peripheral_community_count=args.communities,
-        seed=seed,
-    )
     try:
+        config = SynthConfig(
+            n_core=args.n_core,
+            n_compromised=args.n_compromised,
+            n_videos=args.n_videos,
+            peripheral_community_count=args.communities,
+            seed=seed,
+        )
         dataset, labels = generate(config)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -637,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
             "  partition.tsv           '# key=value' summary lines, then\n"
             "                          user<TAB>core|periphery\n"
             "  sweep_beta_<b>.csv      norm_threshold,core_size,density,\n"
-            "                          weight_fraction,wicci\n"
+            "                          weight_fraction,wicci; b for 0.5, 1, 2 and\n"
+            "                          --beta, as %g unless that rounds it\n"
             "  features.csv            user_id,label,mfe_0..25,sfe_0..24,tfe_0..d-1\n"
             "  labels.tsv              user<TAB>core|compromised\n"
             "  embeddings file         'dim=<d>' header, then hash<TAB>csv floats\n"

@@ -30,54 +30,38 @@ import numpy as np
 from .features import MFE_SIZE, SFE_SIZE
 
 BRANCH_ORDER = ("tfe", "sfe", "mfe")  # concatenation order of branch outputs
-ALL_BRANCHES = ("mfe", "sfe", "tfe")
 CORE = 1  # class index of the core label in softmax outputs
 PROB_FLOOR = 1e-12
+
+# The paper's fixed architecture (NurseConfig holds the training settings):
+# conv channels, one dense layer per branch, train-time dropout on the
+# similarity and metadata branches, the fusion layer.
+CONV_CHANNELS = 32
+BRANCH_WIDTHS = {"tfe": 64, "sfe": 32, "mfe": 16}
+FUSION_WIDTH = 16
+DROPOUT = {"sfe": 0.3, "mfe": 0.25}
 
 
 @dataclass(frozen=True)
 class NurseConfig:
     embedding_dim: int = 768
-    conv_channels: int = 32
-    conv_filter: int = 2
-    tfe_fc: int = 64
-    sfe_fc: int = 32
-    sfe_dropout: float = 0.3
-    mfe_fc: int = 16
-    mfe_dropout: float = 0.25
-    fusion_fc: int = 16
-    classes: int = 2
     learning_rate: float = 0.01
     momentum: float = 0.9
     epochs: int = 300
     batch_size: int = 32
     seed: int = 0
-    branches: tuple = ALL_BRANCHES
+    branches: tuple = BRANCH_ORDER
     class_weight: str = "none"  # "none" | "balanced"
 
     def __post_init__(self):
-        for name in ("embedding_dim", "conv_channels", "tfe_fc", "sfe_fc", "mfe_fc",
-                     "fusion_fc", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("conv_filter", "classes"):  # the kernels are width-2 and 2-way
-            if getattr(self, name) != 2:
-                raise ValueError(f"{name} must be 2")
-        for name in ("sfe_dropout", "mfe_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.branches or any(b not in ALL_BRANCHES for b in self.branches):
-            raise ValueError(f"branches must be a non-empty subset of {ALL_BRANCHES}")
+        # the conv is width 2, so it needs 2 embedding values
+        for name, low in (("embedding_dim", 2), ("epochs", 1), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not self.branches or any(b not in BRANCH_ORDER for b in self.branches):
+            raise ValueError(f"branches must be a non-empty subset of {BRANCH_ORDER}")
         if self.class_weight not in ("none", "balanced"):
             raise ValueError("class_weight must be 'none' or 'balanced'")
-
-    @property
-    def branch_widths(self) -> dict:
-        return {"tfe": self.tfe_fc, "sfe": self.sfe_fc, "mfe": self.mfe_fc}
-
-    @property
-    def fusion_input(self) -> int:
-        return sum(self.branch_widths[b] for b in BRANCH_ORDER if b in self.branches)
 
 
 @dataclass
@@ -101,14 +85,14 @@ def _softmax(logits):
 def _param_shapes(config: NurseConfig) -> dict:
     """Shape of every parameter tensor, in initialization order."""
     layers = []  # (name, outputs, inputs): weight (outputs, inputs), bias (outputs,)
-    if "tfe" in config.branches:
-        layers.append(("conv", config.conv_channels, config.conv_filter))
+    active = [b for b in BRANCH_ORDER if b in config.branches]
+    if "tfe" in active:
+        layers.append(("conv", CONV_CHANNELS, 2))  # width-2 filters
     # a branch's dense layer reads its input block, except tfe's: the conv pool
-    inputs = dict(_input_sizes(config), tfe=config.conv_channels)
-    layers += [(b, config.branch_widths[b], inputs[b])
-               for b in BRANCH_ORDER if b in config.branches]
-    layers += [("fus", config.fusion_fc, config.fusion_input),
-               ("out", config.classes, config.fusion_fc)]
+    inputs = dict(_input_sizes(config), tfe=CONV_CHANNELS)
+    layers += [(b, BRANCH_WIDTHS[b], inputs[b]) for b in active]
+    layers += [("fus", FUSION_WIDTH, sum(BRANCH_WIDTHS[b] for b in active)),
+               ("out", 2, FUSION_WIDTH)]  # 2-way softmax
     shapes = {}
     for name, n_out, n_in in layers:
         shapes[f"{name}_w"] = (n_out, n_in)
@@ -192,7 +176,7 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
             x = X[branch]
         z = x @ p[f"{branch}_w"].T + p[f"{branch}_b"]
         h = _relu(z)
-        rate = getattr(cfg, f"{branch}_dropout", 0.0)  # tfe has no dropout
+        rate = DROPOUT.get(branch, 0.0)  # tfe has no dropout
         mask = None
         if train_mode and rate > 0:
             mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
@@ -505,13 +489,14 @@ def summarize_folds(mode: str, per_fold) -> EvalReport:
 
 
 def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
-             folds: int = 10, seed: int = 0) -> EvalReport:
+             folds: int = 10) -> EvalReport:
     """Stratified cross-validated ranking evaluation.
 
-    ``balanced_1to1`` undersamples the majority class to parity (seeded)
-    before folding; ``complete`` keeps every user and trains fold models
-    with class-balanced loss. Per fold, a fresh model is trained on the
-    other folds (training seed = config.seed + 7919 * (fold + 1)) and the
+    ``balanced_1to1`` undersamples the majority class to parity before
+    folding; ``complete`` keeps every user and trains fold models with
+    class-balanced loss. The sampling and the fold assignment draw from
+    ``config.seed``. Per fold, a fresh model is trained on the other folds
+    (training seed = config.seed + 7919 * (fold + 1)) and the
     held-out users are ranked by core probability. The break-even cutoff
     per fold equals its number of true core users.
     """
@@ -521,7 +506,7 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
         raise ValueError("folds must be >= 2")
     features = sorted(features, key=lambda fv: fv.user_id)
     _labels_array(features)  # validates labels
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     core, comp = class_split(features, rng if mode == "balanced_1to1" else None)
     if min(len(core), len(comp)) < min_class_size(folds):
         raise ValueError(
@@ -551,12 +536,12 @@ ABLATION_SUBSETS = (
     ("mfe+sfe", ("mfe", "sfe")),
     ("mfe+tfe", ("mfe", "tfe")),
     ("sfe+tfe", ("sfe", "tfe")),
-    ("all", ALL_BRANCHES),
+    ("all", BRANCH_ORDER),
 )
 
 
 def ablations(features, config: NurseConfig, mode: str = "balanced_1to1",
-              folds: int = 10, seed: int = 0) -> dict:
+              folds: int = 10) -> dict:
     """Cross-validated reports per branch subset, keyed by subset name.
 
     Absent branches are removed from the architecture entirely, shrinking
@@ -565,7 +550,7 @@ def ablations(features, config: NurseConfig, mode: str = "balanced_1to1",
     out = {}
     for name, branches in ABLATION_SUBSETS:
         out[name] = evaluate(features, replace(config, branches=branches),
-                             mode=mode, folds=folds, seed=seed)
+                             mode=mode, folds=folds)
     return out
 
 
@@ -573,7 +558,7 @@ def ablations(features, config: NurseConfig, mode: str = "balanced_1to1",
 # Model and report files
 # ---------------------------------------------------------------------------
 
-MODEL_FORMAT = 1
+MODEL_FORMAT = 2
 
 
 def save_model(model: NurseModel, path) -> None:

@@ -17,7 +17,9 @@ import numpy as np
 
 from collusioncore.features import DEFAULT_PAIR_CAP, _recent, _video_text, stat5
 from collusioncore.graph import Ccn
-from collusioncore.nurse import FoldMetrics, NurseModel, auc, rank_users
+from collusioncore.nurse import (
+    BRANCH_WIDTHS, DROPOUT, FoldMetrics, NurseModel, auc, rank_users,
+)
 from collusioncore.records import Dataset
 
 
@@ -346,8 +348,8 @@ def forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None
     if "sfe" in cfg.branches:
         z_sfe = X["sfe"] @ p["sfe_w"].T + p["sfe_b"]
         h_sfe = _relu(z_sfe)
-        if train_mode and cfg.sfe_dropout > 0:
-            mask = (rng.random(h_sfe.shape) >= cfg.sfe_dropout) / (1.0 - cfg.sfe_dropout)
+        if train_mode:
+            mask = (rng.random(h_sfe.shape) >= DROPOUT["sfe"]) / (1.0 - DROPOUT["sfe"])
         else:
             mask = np.ones_like(h_sfe)
         cache.update(z_sfe=z_sfe, sfe_mask=mask)
@@ -355,8 +357,8 @@ def forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None
     if "mfe" in cfg.branches:
         z_mfe = X["mfe"] @ p["mfe_w"].T + p["mfe_b"]
         h_mfe = _relu(z_mfe)
-        if train_mode and cfg.mfe_dropout > 0:
-            mask = (rng.random(h_mfe.shape) >= cfg.mfe_dropout) / (1.0 - cfg.mfe_dropout)
+        if train_mode:
+            mask = (rng.random(h_mfe.shape) >= DROPOUT["mfe"]) / (1.0 - DROPOUT["mfe"])
         else:
             mask = np.ones_like(h_mfe)
         cache.update(z_mfe=z_mfe, mfe_mask=mask)
@@ -386,7 +388,7 @@ def backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
 
     offset = 0
     if "tfe" in cfg.branches:
-        width = cfg.tfe_fc
+        width = BRANCH_WIDTHS["tfe"]
         d_htfe = d_fused[:, offset:offset + width]
         offset += width
         d_ztfe = d_htfe * (cache["z_tfe"] > 0)
@@ -406,14 +408,14 @@ def backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
             axis=1,
         )
     if "sfe" in cfg.branches:
-        width = cfg.sfe_fc
+        width = BRANCH_WIDTHS["sfe"]
         d_hsfe = d_fused[:, offset:offset + width] * cache["sfe_mask"]
         offset += width
         d_zsfe = d_hsfe * (cache["z_sfe"] > 0)
         g["sfe_w"] = d_zsfe.T @ cache["X"]["sfe"]
         g["sfe_b"] = d_zsfe.sum(axis=0)
     if "mfe" in cfg.branches:
-        width = cfg.mfe_fc
+        width = BRANCH_WIDTHS["mfe"]
         d_hmfe = d_fused[:, offset:offset + width] * cache["mfe_mask"]
         d_zmfe = d_hmfe * (cache["z_mfe"] > 0)
         g["mfe_w"] = d_zmfe.T @ cache["X"]["mfe"]

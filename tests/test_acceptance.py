@@ -247,7 +247,7 @@ def test_criterion_09_desk_scale_learning(planted):
     balanced = sorted(core + [comp[i] for i in keep], key=lambda f: f.user_id)
 
     config = NurseConfig(embedding_dim=64, seed=0)
-    result = evaluate(balanced, config, mode="balanced_1to1", folds=10, seed=0)
+    result = evaluate(balanced, config, mode="balanced_1to1", folds=10)
     assert result.mean_auc >= 0.90
     assert result.mean_break_even_f1 >= 0.85
 

@@ -274,6 +274,18 @@ def test_korse_command_peels_and_sweeps_once(ccn_dir, tmp_path, monkeypatch):
         "sweep_beta_0.5.csv", "sweep_beta_1.5.csv", "sweep_beta_1.csv", "sweep_beta_2.csv"]
 
 
+def test_korse_sweep_files_name_each_beta_once(ccn_dir, korse_dir, tmp_path):
+    out = tmp_path / "korse"
+    assert main(["korse", "--graph", str(ccn_dir / "ccn.tsv"), "--beta", "1.0000001",
+                 "--out", str(out)]) == 0
+    sweeps = sorted(p.name for p in out.glob("sweep_beta_*.csv"))
+    assert sweeps == ["sweep_beta_0.5.csv", "sweep_beta_1.0000001.csv", "sweep_beta_1.csv",
+                      "sweep_beta_2.csv"]
+    assert (out / "sweep_beta_1.csv").read_bytes() == (korse_dir / "sweep_beta_1.csv").read_bytes()
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(name for name in listed if name.startswith("sweep_beta_")) == sweeps
+
+
 def test_config_file_supplies_defaults(synth_dir, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("seed=3\n")
@@ -378,6 +390,24 @@ def with_value(features, tmp, line, cell, value) -> str:
     return write(tmp / "bad.csv", "".join(lines))
 
 
+def one_embedding_column(features, tmp) -> str:
+    """A copy of a features file cut to its first embedding column."""
+    width = len(feature_header(1))
+    lines = Path(features).read_text(encoding="utf-8").splitlines()
+    return write(tmp / "narrow.csv", "".join(",".join(line.split(",")[:width]) + "\n"
+                                             for line in lines))
+
+
+def format_1_model(model, tmp) -> str:
+    """A copy of a saved model whose meta says format 1."""
+    with np.load(model) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["format"] = 1
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    return write(tmp / "model.npz", npz_bytes(tmp, **arrays))
+
+
 def write_all_embeddings(data_dir, path, dim) -> str:
     """Embeddings of every comment text and video text of a dataset."""
     dataset = ingest(data_dir / "comments.jsonl", data_dir / "videos.jsonl",
@@ -400,6 +430,19 @@ REJECTED = {
         lambda p: ["nurse-train", "--features", p.features, "--batch-size", "0"], True),
     "ablate-folds": (lambda p: ["ablate", "--features", p.features, "--folds", "0"], True),
     "features-dim": (lambda p: ["features", *p.data, "--dim", "0"], True),
+    "features-dim-1": (lambda p: ["features", *p.data, "--dim", "1"], True),
+    "pipeline-dim-1": (lambda p: ["pipeline", *p.data, "--dim", "1"], True),
+    "nurse-train-one-embedding-column": (
+        lambda p: ["nurse-train", "--features", one_embedding_column(p.features, p.tmp)], True),
+    "ablate-one-embedding-column": (
+        lambda p: ["ablate", "--features", one_embedding_column(p.features, p.tmp)], True),
+    "nurse-eval-format-1-model": (
+        lambda p: ["nurse-eval", "--model", format_1_model(p.model, p.tmp),
+                   "--features", p.features], True),
+    "synth-no-videos": (lambda p: ["synth", "--n-videos", "0"], True),
+    "synth-no-communities": (lambda p: ["synth", "--communities", "0"], True),
+    "synth-negative-core": (lambda p: ["synth", "--n-core", "-1"], True),
+    "synth-one-user": (lambda p: ["synth", "--n-core", "1", "--n-compromised", "0"], True),
     "features-pair-cap": (lambda p: ["features", *p.data, "--pair-cap", "-5"], True),
     "baseline-wbc-k": (lambda p: ["baseline-wbc", "--graph", p.graph, "--k", "-1"], True),
     "nurse-eval-garbage-model": (
@@ -480,6 +523,15 @@ REJECTED_MESSAGE = {
     "nurse-eval-features-inf": "bad.csv:4: non-finite value",
     "ablate-features-nan": "bad.csv:3: non-finite value",
     "ablate-features-inf": "bad.csv:2: non-finite value",
+    "features-dim-1": "dim must be >= 2, got 1",
+    "pipeline-dim-1": "dim must be >= 2, got 1",
+    "nurse-train-one-embedding-column": "embedding_dim must be >= 2",
+    "ablate-one-embedding-column": "embedding_dim must be >= 2",
+    "nurse-eval-format-1-model": "unsupported model format 1",
+    "synth-no-videos": "zero videos",
+    "synth-no-communities": "peripheral community",
+    "synth-negative-core": "counts must be >= 0",
+    "synth-one-user": "at least 2 users",
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -9,6 +10,10 @@ from hypothesis import given, settings, strategies as st
 from collusioncore import nurse
 from collusioncore.features import FeatureVector
 from collusioncore.nurse import (
+    BRANCH_WIDTHS,
+    CONV_CHANNELS,
+    DROPOUT,
+    FUSION_WIDTH,
     NurseConfig,
     ablations,
     auc,
@@ -79,37 +84,34 @@ def test_zero_input_gives_even_split():
 def scalar_forward(model, fv):
     """Independent loop-based recomputation of the forward pass, as a
     (core, compromised) pair."""
-    cfg = model.config
     p = model.params
     t = (np.asarray(fv.tfe, float) - model.norm_mean["tfe"]) / model.norm_std["tfe"]
     s = (np.asarray(fv.sfe, float) - model.norm_mean["sfe"]) / model.norm_std["sfe"]
     m = (np.asarray(fv.mfe, float) - model.norm_mean["mfe"]) / model.norm_std["mfe"]
     pooled = []
-    for c in range(cfg.conv_channels):
+    for c in range(CONV_CHANNELS):
         acts = []
         for i in range(len(t) - 1):
             z = p["conv_w"][c, 0] * t[i] + p["conv_w"][c, 1] * t[i + 1] + p["conv_b"][c]
             acts.append(max(z, 0.0))
         pooled.append(max(acts))
-    h_t = [max(sum(p["tfe_w"][o, c] * pooled[c] for c in range(cfg.conv_channels)) + p["tfe_b"][o], 0.0)
-           for o in range(cfg.tfe_fc)]
+    h_t = [max(sum(p["tfe_w"][o, c] * pooled[c] for c in range(CONV_CHANNELS)) + p["tfe_b"][o], 0.0)
+           for o in range(BRANCH_WIDTHS["tfe"])]
     h_s = [max(sum(p["sfe_w"][o, i] * s[i] for i in range(25)) + p["sfe_b"][o], 0.0)
-           for o in range(cfg.sfe_fc)]
+           for o in range(BRANCH_WIDTHS["sfe"])]
     h_m = [max(sum(p["mfe_w"][o, i] * m[i] for i in range(26)) + p["mfe_b"][o], 0.0)
-           for o in range(cfg.mfe_fc)]
+           for o in range(BRANCH_WIDTHS["mfe"])]
     fused = h_t + h_s + h_m
     h_f = [max(sum(p["fus_w"][o, i] * fused[i] for i in range(len(fused))) + p["fus_b"][o], 0.0)
-           for o in range(cfg.fusion_fc)]
-    logits = [sum(p["out_w"][o, i] * h_f[i] for i in range(cfg.fusion_fc)) + p["out_b"][o]
+           for o in range(FUSION_WIDTH)]
+    logits = [sum(p["out_w"][o, i] * h_f[i] for i in range(FUSION_WIDTH)) + p["out_b"][o]
               for o in range(2)]
     exp = [math.exp(z - max(logits)) for z in logits]
     return exp[1] / sum(exp), exp[0] / sum(exp)
 
 
 def test_predict_proba_matches_scalar_recomputation():
-    cfg = NurseConfig(embedding_dim=4, conv_channels=2, tfe_fc=3, sfe_fc=3,
-                      mfe_fc=2, fusion_fc=3, seed=12)
-    model = init_model(cfg)
+    model = init_model(NurseConfig(embedding_dim=4, seed=12))
     rng = np.random.default_rng(5)
     for _ in range(5):
         fv = FeatureVector("u", rng.normal(size=26), rng.normal(size=25), rng.normal(size=4))
@@ -126,11 +128,20 @@ def test_predict_proba_rejects_wrong_dim():
         predict_proba(model, [fv])
 
 
-@pytest.mark.parametrize("field", ["conv_filter", "classes"])
-@pytest.mark.parametrize("size", [1, 3])
-def test_config_rejects_sizes_the_kernels_do_not_implement(field, size):
-    with pytest.raises(ValueError, match=f"{field} must be 2"):
-        NurseConfig(**{field: size})
+def test_architecture_is_the_papers():
+    assert CONV_CHANNELS == 32
+    assert BRANCH_WIDTHS == {"tfe": 64, "sfe": 32, "mfe": 16}
+    assert FUSION_WIDTH == 16
+    assert DROPOUT == {"sfe": 0.3, "mfe": 0.25}
+    shapes = nurse._param_shapes(NurseConfig(embedding_dim=8))
+    assert shapes["conv_w"] == (32, 2) and shapes["fus_w"] == (16, 64 + 32 + 16)
+    assert shapes["out_w"] == (2, 16)
+
+
+def test_config_rejects_an_embedding_narrower_than_the_conv():
+    NurseConfig(embedding_dim=2)
+    with pytest.raises(ValueError, match="embedding_dim must be >= 2"):
+        NurseConfig(embedding_dim=1)
 
 
 # ------------------------------------------------------------------ loss
@@ -155,9 +166,7 @@ def test_loss_matches_direct_formula():
 
 
 def test_gradients_match_finite_differences():
-    cfg = NurseConfig(embedding_dim=8, conv_channels=4, tfe_fc=5, sfe_fc=4,
-                      mfe_fc=3, fusion_fc=4, seed=1)
-    model = init_model(cfg)
+    model = init_model(NurseConfig(embedding_dim=8, seed=1))
     batch = blob_features(2, dim=8, seed=9)
     _, grads = loss_and_grads(model, batch)
     step = 1e-5
@@ -194,7 +203,7 @@ def kernel_case(branches, batch, dim, seed, integer_inputs=False, dead_channels=
         X[branch] = (rng.integers(-2, 3, size=(batch, size)).astype(float) if integer_inputs
                      else rng.standard_normal((batch, size)))
     if "tfe" in branches:
-        model.params["conv_b"] = rng.standard_normal(model.config.conv_channels)
+        model.params["conv_b"] = rng.standard_normal(CONV_CHANNELS)
         if dead_channels:
             model.params["conv_b"][::2] = -1e3
     return model, X
@@ -231,10 +240,12 @@ def test_kernels_match_oracle_on_small_integers(data, batch, dim, branches):
     if "tfe" in branches:
         X["tfe"] = np.array(data.draw(small), dtype=float).reshape(batch, dim)
         model.params["conv_w"] = np.array(
-            data.draw(st.lists(st.integers(-2, 2), min_size=64, max_size=64)),
-            dtype=float).reshape(32, 2)
+            data.draw(st.lists(st.integers(-2, 2), min_size=2 * CONV_CHANNELS,
+                               max_size=2 * CONV_CHANNELS)),
+            dtype=float).reshape(CONV_CHANNELS, 2)
         model.params["conv_b"] = np.array(
-            data.draw(st.lists(st.integers(-3, 1), min_size=32, max_size=32)), dtype=float)
+            data.draw(st.lists(st.integers(-3, 1), min_size=CONV_CHANNELS,
+                               max_size=CONV_CHANNELS)), dtype=float)
     assert_kernels_match_oracle(model, X, seed=batch)
 
 
@@ -268,9 +279,9 @@ def test_train_matches_oracle_kernels(monkeypatch, n_per_class, config):
 def test_evaluate_matches_oracle_kernels(monkeypatch, mode):
     feats = blob_features(12, seed=3, separation=0.5)[:-5]  # 12 compromised, 7 core
     config = replace(TINY, epochs=6, batch_size=5)
-    got = evaluate(feats, config, mode=mode, folds=3, seed=2)
+    got = evaluate(feats, config, mode=mode, folds=3)
     use_oracle_kernels(monkeypatch)
-    assert repr(got) == repr(evaluate(feats, config, mode=mode, folds=3, seed=2))
+    assert repr(got) == repr(evaluate(feats, config, mode=mode, folds=3))
 
 
 def test_first_batch_of_each_epoch_reuses_the_objective_conv(monkeypatch):
@@ -384,7 +395,7 @@ EVAL_CFG = replace(TINY, epochs=60, seed=1)
 
 def test_evaluate_balanced_on_separable_data():
     feats = blob_features(25, seed=20)
-    report = evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=5, seed=2)
+    report = evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=5)
     assert report.mean_auc > 0.9
     assert report.mean_break_even_f1 > 0.8
     for fold in report.folds:
@@ -398,7 +409,7 @@ def test_evaluate_balanced_undersamples():
         FeatureVector(f"extra{i}", np.zeros(26), np.zeros(25), np.zeros(8), label="compromised")
         for i in range(20)
     ]
-    report = evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=4, seed=0)
+    report = evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=4)
     total = sum(f.n for f in report.folds)
     cores = sum(f.n_core for f in report.folds)
     assert total == 2 * cores  # exactly 1:1 after sampling
@@ -409,14 +420,14 @@ def test_evaluate_complete_keeps_everyone():
         FeatureVector(f"extra{i}", np.ones(26), np.ones(25), np.ones(8), label="compromised")
         for i in range(12)
     ]
-    report = evaluate(feats, EVAL_CFG, mode="complete", folds=4, seed=0)
+    report = evaluate(feats, EVAL_CFG, mode="complete", folds=4)
     assert sum(f.n for f in report.folds) == len(feats)
 
 
 def test_evaluate_impossible_stratification():
     feats = blob_features(3, seed=23)
     with pytest.raises(ValueError, match="stratification"):
-        evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=10, seed=0)
+        evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=10)
 
 
 def test_min_class_size_matches_fold_arithmetic():
@@ -430,9 +441,9 @@ def test_evaluate_runs_at_min_class_size_and_rejects_one_less():
     cfg = replace(TINY, epochs=2)
     for folds in (2, 3):
         n = min_class_size(folds)
-        evaluate(blob_features(n, seed=27), cfg, folds=folds, seed=0)
+        evaluate(blob_features(n, seed=27), cfg, folds=folds)
         with pytest.raises(ValueError, match="stratification"):
-            evaluate(blob_features(n - 1, seed=27), cfg, folds=folds, seed=0)
+            evaluate(blob_features(n - 1, seed=27), cfg, folds=folds)
 
 
 def test_evaluate_rejects_fewer_than_two_folds():
@@ -476,10 +487,10 @@ def test_fold_metrics_matches_prefix_sum_oracle():
 def test_evaluate_permutation_invariant():
     feats = blob_features(10, seed=24)
     cfg = replace(TINY, epochs=10)
-    a = evaluate(feats, cfg, folds=3, seed=5)
+    a = evaluate(feats, cfg, folds=3)
     rng = np.random.default_rng(0)
     shuffled = [feats[i] for i in rng.permutation(len(feats))]
-    b = evaluate(shuffled, cfg, folds=3, seed=5)
+    b = evaluate(shuffled, cfg, folds=3)
     assert a.mean_auc == b.mean_auc
     assert [f.auc for f in a.folds] == [f.auc for f in b.folds]
 
@@ -487,9 +498,9 @@ def test_evaluate_permutation_invariant():
 def test_ablation_all_equals_full_model():
     feats = blob_features(8, seed=25)
     cfg = replace(TINY, epochs=8)
-    reports = ablations(feats, cfg, folds=3, seed=4)
+    reports = ablations(feats, cfg, folds=3)
     assert set(reports) == {"mfe", "sfe", "tfe", "mfe+sfe", "mfe+tfe", "sfe+tfe", "all"}
-    full = evaluate(feats, cfg, folds=3, seed=4)
+    full = evaluate(feats, cfg, folds=3)
     assert reports["all"].mean_auc == full.mean_auc
     assert reports["all"].mean_break_even_f1 == full.mean_break_even_f1
 
@@ -508,7 +519,7 @@ def test_ablation_noise_branch_scores_lower():
                 label=label,
             ))
     cfg = replace(TINY, epochs=30)
-    reports = ablations(feats, cfg, folds=4, seed=1)
+    reports = ablations(feats, cfg, folds=4)
     assert reports["all"].mean_auc > reports["mfe"].mean_auc
 
 
@@ -524,6 +535,17 @@ def test_model_roundtrip_identical_predictions(tmp_path):
     p1 = predict_proba(model, feats)
     p2 = predict_proba(again, feats)
     assert np.array_equal(p1, p2)
+
+
+def test_saved_meta_is_format_2_with_the_training_settings(tmp_path):
+    path = tmp_path / "model.npz"
+    save_model(init_model(TINY), path)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    assert meta["format"] == 2
+    assert meta["config"] == {
+        "embedding_dim": 8, "learning_rate": 0.01, "momentum": 0.9, "epochs": 40,
+        "batch_size": 8, "seed": 3, "branches": ["tfe", "sfe", "mfe"], "class_weight": "none"}
 
 
 def test_load_model_rejects_other_files(tmp_path):
