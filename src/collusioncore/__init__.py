@@ -14,7 +14,6 @@ from .analysis import (
     InterplayRow,
     RemovalCurve,
     case_study_report,
-    categorize_videos,
     disintegration_fraction,
     interplay_table,
     louvain,
@@ -25,10 +24,10 @@ from .analysis import (
 )
 from .centrality import wbc_baseline, weighted_betweenness
 from .embeddings import FileEmbedder, HashEmbedder, write_embedding_file
-from .features import FeatureVector, StatFive, extract_all, mfe, stat5
+from .features import FeatureVector, extract_all, mfe, stat5
 from .graph import Ccn, GraphStats, build_ccn, graph_stats
-from .kcore import CorenessMap, coreness, degeneracy_core, k_core
-from .korse import CorePartition, WicciParams, korse, sweep_curves, wicci
+from .kcore import coreness
+from .korse import CorePartition, korse
 from .nurse import (
     EvalReport,
     NurseConfig,

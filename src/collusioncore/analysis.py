@@ -1,9 +1,8 @@
 """Structural analyses of the co-commenting graph and its core/periphery.
 
 Covers node-removal breakage curves, seeded weighted Louvain communities,
-video categorization by commenter roles, community/core interaction tables,
-Pearson correlation, and the descriptive timeline statistics contrasting
-core and compromised users.
+community/core interaction tables, Pearson correlation, and the descriptive
+timeline statistics contrasting core and compromised users.
 """
 
 import math
@@ -49,9 +48,9 @@ def _order_values(graph: Ccn, order_key: str) -> dict:
     if order_key == "unweighted_degree":
         return {n: graph.degree(n) for n in graph.nodes}
     if order_key == "weighted_coreness":
-        return dict(coreness(graph, "weighted").values)
+        return coreness(graph, "weighted")
     if order_key == "unweighted_coreness":
-        return dict(coreness(graph, "unweighted").values)
+        return coreness(graph, "unweighted")
     raise ValueError(f"order_key must be one of {ORDER_KEYS}")
 
 
@@ -256,33 +255,8 @@ def periphery_largest_component(graph: Ccn, partition: CorePartition) -> Ccn:
 
 
 # ---------------------------------------------------------------------------
-# Videos, interplay, correlation
+# Interplay, correlation
 # ---------------------------------------------------------------------------
-
-VIDEO_CATEGORIES = ("core_core", "core_periphery", "periphery_periphery", "uncommented")
-
-
-def categorize_videos(dataset: Dataset, partition: CorePartition) -> dict:
-    """Label each video by the roles of its partitioned commenters.
-
-    Commenters outside the partition are not collusive and are ignored;
-    a video with no partitioned commenters is labeled ``uncommented``.
-    """
-    out = {}
-    for video in dataset.videos:
-        commenters = set(dataset.video_commenters.get(video.video_id, ()))
-        has_core = any(u in partition.core for u in commenters)
-        has_periphery = any(u in partition.periphery for u in commenters)
-        if has_core and has_periphery:
-            out[video.video_id] = "core_periphery"
-        elif has_core:
-            out[video.video_id] = "core_core"
-        elif has_periphery:
-            out[video.video_id] = "periphery_periphery"
-        else:
-            out[video.video_id] = "uncommented"
-    return out
-
 
 @dataclass(frozen=True)
 class InterplayRow:

@@ -41,7 +41,7 @@ from .embeddings import FileEmbedder, HashEmbedder
 from .features import extract_all, read_features, write_features
 from .graph import build_ccn, format_stats, graph_stats, read_edgelist, write_edgelist
 from .kcore import MODES, coreness, write_coreness
-from .korse import WicciParams, korse, read_partition, write_partition, write_sweep
+from .korse import korse, read_partition, write_partition, write_sweep
 from .nurse import (
     NurseConfig,
     ablations,
@@ -226,17 +226,13 @@ def _nurse_config(args, dim, seed) -> NurseConfig:
         raise InputError(f"features: {exc}") from None  # too few embedding values
 
 
-def _eval_mode(args) -> str:
-    return "balanced_1to1" if args.mode == "balanced" else "complete"
-
-
 def _cross_validate(run, args, feats, seed):
     """``run`` (evaluate or ablations) on the labelled ``feats``, once they
     are known to fill every fold."""
     folds = _setting(args, "folds")
     feats = _labeled(feats, min_class_size(folds))
     config = _nurse_config(args, dim=len(feats[0].tfe), seed=seed)
-    return run(feats, config, mode=_eval_mode(args), folds=folds)
+    return run(feats, config, mode=args.mode, folds=folds)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +256,13 @@ def _do_kcore(graph, mode, out):
 
 
 def _do_korse(graph, beta, out):
-    partition = korse(graph, WicciParams(beta=beta))
+    partition = korse(graph, beta)
     write_partition(partition, out / "partition.tsv")
     outputs = ["partition.tsv"]
     for b in sorted({0.5, 1.0, 2.0} | {beta}):
         short = f"{b:g}"  # 1.0 is "1"; the repr where %g would round b
         name = f"sweep_beta_{short if float(short) == b else repr(b)}.csv"
-        write_sweep(partition, out / name, WicciParams(beta=b))
+        write_sweep(partition, out / name, b)
         outputs.append(name)
     return partition, outputs
 
@@ -471,8 +467,7 @@ def cmd_nurse_eval(args):
     feats = sorted(core + comp, key=lambda f: f.user_id)
     scored = score_users(model, feats)
     out = _out_dir(args)
-    write_eval_report(summarize_folds(_eval_mode(args), [fold_metrics(0, scored)]),
-                      out / "eval.csv")
+    write_eval_report(summarize_folds([fold_metrics(0, scored)]), out / "eval.csv")
     with (out / "ranking.tsv").open("w", encoding="utf-8") as handle:
         for user, score, label in rank_users(scored):
             handle.write(f"{user}\t{score!r}\t{label}\n")

@@ -28,8 +28,8 @@ class HashEmbedder:
     """
 
     def __init__(self, dim: int = 768, seed: int = 0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if dim < 2:
+            raise ValueError("dim must be >= 2")
         self.dim = dim
         self.seed = seed
         self.empty_text_count = 0
@@ -77,8 +77,8 @@ class FileEmbedder:
             if not header.startswith("dim="):
                 raise ValueError(f"{path}: expected 'dim=<d>' header")
             dim = int(header[4:])
-            if dim < 1:
-                raise ValueError(f"{path}: dim must be >= 1")
+            if dim < 2:
+                raise ValueError(f"{path}: dim must be >= 2")
             for lineno, line in enumerate(handle, start=2):
                 line = line.rstrip("\n")
                 if not line:

@@ -23,33 +23,20 @@ SFE_SIZE = 25
 DEFAULT_PAIR_CAP = 200
 
 
-@dataclass(frozen=True)
-class StatFive:
-    """max / min / total / average / population variance of a value list."""
-
-    max: float
-    min: float
-    total: float
-    average: float
-    variance: float
-
-    def as_list(self) -> list[float]:
-        return [self.max, self.min, self.total, self.average, self.variance]
-
-
-def stat5(values) -> StatFive:
-    """Five summary statistics; an empty input yields all zeros.
+def stat5(values) -> list[float]:
+    """[max, min, total, average, variance] of a value list; an empty input
+    yields all zeros.
 
     Variance is the population variance (divide by the count), which is 0
     for singleton lists.
     """
     values = [float(v) for v in values]
     if not values:
-        return StatFive(0.0, 0.0, 0.0, 0.0, 0.0)
+        return [0.0] * 5
     total = sum(values)
     mean = total / len(values)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return StatFive(max(values), min(values), total, mean, variance)
+    return [max(values), min(values), total, mean, variance]
 
 
 @dataclass(frozen=True)
@@ -71,10 +58,10 @@ def mfe(dataset: Dataset, user_id: str) -> np.ndarray:
     videos = dataset.videos_by_uploader.get(user_id, ())
     self_counts = [dataset.video_commenters.get(v.video_id, {}).get(user_id, 0) for v in videos]
     out: list[float] = []
-    out.extend(stat5(self_counts).as_list())
+    out.extend(stat5(self_counts))
     out.append(float(len(videos)))
     for attr in ("duration_sec", "likes", "dislikes", "views"):
-        out.extend(stat5([getattr(v, attr) for v in videos]).as_list())
+        out.extend(stat5([getattr(v, attr) for v in videos]))
     return np.array(out)
 
 
@@ -144,7 +131,7 @@ def _sfe_tfe(dataset: Dataset, user_id: str, provider, pair_cap: int, videos: di
     sfe: list[float] = []
     for pairs in (combinations(sc, 2), combinations(oc, 2), product(sc, oc),
                   combinations(sv, 2), product(sv, ov)):
-        sfe.extend(stat5(_cosines(pairs)).as_list())
+        sfe.extend(stat5(_cosines(pairs)))
     return np.array(sfe), tfe
 
 

@@ -5,7 +5,6 @@ whose coreness reaches k (Batagelj & Zaversnik 2003).
 """
 
 import heapq
-from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import Ccn
@@ -21,25 +20,9 @@ def _degree_map(graph: Ccn, mode: str) -> dict:
     return {n: len(graph.adjacency[n]) for n in graph.nodes}
 
 
-@dataclass(frozen=True)
-class CorenessMap:
-    """Per-node coreness values for one degree mode."""
-
-    values: dict
-    mode: str
-    max_coreness: int
-
-
-def k_core(graph: Ccn, k: int, mode: str = "weighted") -> set:
-    """Maximal node set whose induced subgraph has min (mode-)degree >= k:
-    the nodes of coreness >= k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return {n for n, c in coreness(graph, mode).values.items() if c >= k}
-
-
-def coreness(graph: Ccn, mode: str = "weighted") -> CorenessMap:
-    """Peel minimum-degree nodes and record the max threshold each survives.
+def coreness(graph: Ccn, mode: str = "weighted") -> dict:
+    """``{node: coreness}``: peel minimum-degree nodes and record the max
+    threshold each survives.
 
     Ties on the minimum degree are broken by lexicographic node id, which
     fixes the peel order but not the resulting values (those are
@@ -62,20 +45,12 @@ def coreness(graph: Ccn, mode: str = "weighted") -> CorenessMap:
             if nbr in alive:
                 degrees[nbr] -= w if mode == "weighted" else 1
                 heapq.heappush(heap, (degrees[nbr], nbr))
-    return CorenessMap(values=values, mode=mode, max_coreness=max(values.values(), default=0))
+    return values
 
 
-def degeneracy_core(graph: Ccn, mode: str = "weighted") -> set:
-    """The k-core at the maximum coreness; empty when the graph has no edges."""
-    cm = coreness(graph, mode)
-    if cm.max_coreness == 0:
-        return set()
-    return {n for n, c in cm.values.items() if c == cm.max_coreness}
-
-
-def write_coreness(cm: CorenessMap, path) -> None:
+def write_coreness(values: dict, path) -> None:
     """Export ``user_id<TAB>coreness`` sorted by descending value, then id."""
-    rows = sorted(cm.values.items(), key=lambda kv: (-kv[1], kv[0]))
+    rows = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     with Path(path).open("w", encoding="utf-8") as handle:
         for node, value in rows:
             handle.write(f"{node}\t{value}\n")

@@ -15,19 +15,11 @@ from .graph import Ccn, density
 from .kcore import coreness
 
 
-@dataclass(frozen=True)
-class WicciParams:
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-
-    def score(self, core_size: int, weight_fraction: float, density: float) -> float:
-        """WICCI of a candidate core; a core of fewer than two nodes scores 0."""
-        if core_size < 2:
-            return 0.0
-        return weight_fraction * density ** self.beta
+def _wicci(core_size: int, weight_fraction: float, density: float, beta: float) -> float:
+    """WICCI of a candidate core; a core of fewer than two nodes scores 0."""
+    if core_size < 2:
+        return 0.0
+    return weight_fraction * density ** beta
 
 
 @dataclass(frozen=True)
@@ -49,28 +41,7 @@ class CorePartition:
     sweep_trace: tuple
 
 
-def wicci(graph: Ccn, core_nodes, params: WicciParams = WicciParams()) -> float:
-    """Score a candidate core subset of the graph.
-
-    A core of fewer than two nodes scores 0; an edgeless graph is an error
-    because the weight fraction is undefined.
-    """
-    core = set(core_nodes)
-    if not core <= graph.nodes:
-        raise ValueError("core_nodes must be a subset of the graph nodes")
-    total = graph.total_weight
-    if total == 0:
-        raise ValueError("wicci is undefined on an edgeless graph")
-    core_weight = 0
-    core_edges = 0
-    for (a, b), w in graph.edges.items():
-        if a in core and b in core:
-            core_weight += w
-            core_edges += 1
-    return params.score(len(core), core_weight / total, density(len(core), core_edges))
-
-
-def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
+def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
     """Sweep coreness thresholds and return the best-scoring partition.
 
     Candidates are nested (threshold t includes every node of coreness >= t),
@@ -78,11 +49,13 @@ def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
     downward. The recorded trace has one row per integer threshold from the
     maximum coreness down to 0.
     """
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
     if graph.n_edges == 0:
         raise ValueError("korse requires a graph with at least one edge")
-    cm = coreness(graph, "weighted")
-    max_c = cm.max_coreness
-    order = sorted(graph.nodes, key=lambda n: (-cm.values[n], n))
+    values = coreness(graph, "weighted")
+    max_c = max(values.values())
+    order = sorted(graph.nodes, key=lambda n: (-values[n], n))
     total = graph.total_weight
 
     trace = []
@@ -92,7 +65,7 @@ def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
     idx = 0
     best: SweepPoint | None = None
     for threshold in range(max_c, -1, -1):
-        while idx < len(order) and cm.values[order[idx]] >= threshold:
+        while idx < len(order) and values[order[idx]] >= threshold:
             node = order[idx]
             idx += 1
             for nbr, w in graph.adjacency[node]:
@@ -103,12 +76,12 @@ def korse(graph: Ccn, params: WicciParams = WicciParams()) -> CorePartition:
         d = density(len(in_core), core_edges)
         fraction = core_weight / total
         point = SweepPoint(threshold, len(in_core), d, fraction,
-                           params.score(len(in_core), fraction, d))
+                           _wicci(len(in_core), fraction, d, beta))
         trace.append(point)
         if best is None or point.wicci > best.wicci:  # strict: ties keep the higher threshold
             best = point
 
-    core = frozenset(n for n in graph.nodes if cm.values[n] >= best.threshold)
+    core = frozenset(n for n in graph.nodes if values[n] >= best.threshold)
     periphery = frozenset(graph.nodes - core)
     return CorePartition(
         core=core,
@@ -133,15 +106,6 @@ def _distinct_candidates(partition: CorePartition):
             continue
         last_size = point.core_size
         yield (point.threshold / max_threshold if max_threshold else 0.0), point
-
-
-def sweep_curves(partition: CorePartition) -> list[tuple[float, float, float, float]]:
-    """Plot-ready (normalized threshold, density, weight fraction, wicci) rows,
-    one per distinct candidate."""
-    return [
-        (norm, point.density, point.weight_fraction, point.wicci)
-        for norm, point in _distinct_candidates(partition)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +162,16 @@ def read_partition(path) -> CorePartition:
     )
 
 
-def write_sweep(partition: CorePartition, path, params: WicciParams) -> None:
+def write_sweep(partition: CorePartition, path, beta: float) -> None:
     """CSV of the deduplicated sweep, one row per distinct candidate, scored
-    under ``params``; only the score depends on them, so one :func:`korse`
-    run writes, byte for byte, the sweep of every ``params``."""
+    at ``beta``; only the score depends on it, so one :func:`korse` run
+    writes, byte for byte, the sweep of every ``beta``."""
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("norm_threshold,core_size,density,weight_fraction,wicci\n")
         for norm, point in _distinct_candidates(partition):
-            wicci_score = params.score(point.core_size, point.weight_fraction, point.density)
+            wicci_score = _wicci(point.core_size, point.weight_fraction, point.density, beta)
             handle.write(
                 f"{norm!r},{point.core_size},{point.density!r},"
                 f"{point.weight_fraction!r},{wicci_score!r}\n"

@@ -275,18 +275,6 @@ def loss(model: NurseModel, batch) -> float:
     return _cross_entropy(probs, y)
 
 
-def loss_and_grads(model: NurseModel, batch):
-    """(loss, analytic parameter gradients) in evaluation mode.
-
-    The backward pass pairs with the unweighted mean cross-entropy used by
-    :func:`loss`, which makes it directly comparable to finite differences.
-    """
-    y = _labels_array(batch)
-    X = _standardize(model, _raw_inputs(batch, model.config))
-    probs, cache = _forward_batch(model, X, train_mode=False)
-    return _cross_entropy(probs, y), _backward_batch(model, cache, _d_logits(probs, y))
-
-
 def train(features, config: NurseConfig) -> NurseModel:
     """Mini-batch momentum SGD, returning the best-loss checkpoint.
 
@@ -405,7 +393,6 @@ class FoldMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
-    mode: str
     folds: tuple
     mean_auc: float
     mean_break_even_precision: float
@@ -470,7 +457,7 @@ def class_split(features, rng=None) -> tuple:
     return core, comp
 
 
-def summarize_folds(mode: str, per_fold) -> EvalReport:
+def summarize_folds(per_fold) -> EvalReport:
     """Report of per-fold metrics: fold means, curves cut to the smallest fold."""
     min_n = min(fm.n for fm in per_fold)
 
@@ -478,7 +465,6 @@ def summarize_folds(mode: str, per_fold) -> EvalReport:
         return float(np.mean(list(values)))
 
     return EvalReport(
-        mode=mode,
         folds=tuple(per_fold),
         mean_auc=mean(fm.auc for fm in per_fold),
         mean_break_even_precision=mean(fm.break_even_precision for fm in per_fold),
@@ -488,26 +474,26 @@ def summarize_folds(mode: str, per_fold) -> EvalReport:
     )
 
 
-def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
+def evaluate(features, config: NurseConfig, mode: str = "balanced",
              folds: int = 10) -> EvalReport:
     """Stratified cross-validated ranking evaluation.
 
-    ``balanced_1to1`` undersamples the majority class to parity before
-    folding; ``complete`` keeps every user and trains fold models with
-    class-balanced loss. The sampling and the fold assignment draw from
-    ``config.seed``. Per fold, a fresh model is trained on the other folds
+    ``balanced`` undersamples the majority class to parity before folding;
+    ``complete`` keeps every user and trains fold models with class-balanced
+    loss. The sampling and the fold assignment draw from ``config.seed``.
+    Per fold, a fresh model is trained on the other folds
     (training seed = config.seed + 7919 * (fold + 1)) and the
     held-out users are ranked by core probability. The break-even cutoff
     per fold equals its number of true core users.
     """
-    if mode not in ("balanced_1to1", "complete"):
-        raise ValueError("mode must be 'balanced_1to1' or 'complete'")
+    if mode not in ("balanced", "complete"):
+        raise ValueError("mode must be 'balanced' or 'complete'")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     features = sorted(features, key=lambda fv: fv.user_id)
     _labels_array(features)  # validates labels
     rng = np.random.default_rng(config.seed)
-    core, comp = class_split(features, rng if mode == "balanced_1to1" else None)
+    core, comp = class_split(features, rng if mode == "balanced" else None)
     if min(len(core), len(comp)) < min_class_size(folds):
         raise ValueError(
             f"impossible stratification: need >= {min_class_size(folds)} users per class "
@@ -519,14 +505,14 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced_1to1",
             assignments[group[index].user_id] = position % folds
     pool = sorted(core + comp, key=lambda fv: fv.user_id)
 
-    fold_config = config if mode == "balanced_1to1" else replace(config, class_weight="balanced")
+    fold_config = config if mode == "balanced" else replace(config, class_weight="balanced")
     per_fold = []
     for fold in range(folds):
         train_set = [fv for fv in pool if assignments[fv.user_id] != fold]
         test_set = [fv for fv in pool if assignments[fv.user_id] == fold]
         model = train(train_set, replace(fold_config, seed=config.seed + 7919 * (fold + 1)))
         per_fold.append(fold_metrics(fold, score_users(model, test_set)))
-    return summarize_folds(mode, per_fold)
+    return summarize_folds(per_fold)
 
 
 ABLATION_SUBSETS = (
@@ -540,7 +526,7 @@ ABLATION_SUBSETS = (
 )
 
 
-def ablations(features, config: NurseConfig, mode: str = "balanced_1to1",
+def ablations(features, config: NurseConfig, mode: str = "balanced",
               folds: int = 10) -> dict:
     """Cross-validated reports per branch subset, keyed by subset name.
 

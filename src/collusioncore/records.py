@@ -109,6 +109,10 @@ def _require_str(row: dict, field: str, origin: str, nonempty: bool = False) -> 
         raise IngestError(f"{origin}: field '{field}' must be a string")
     if nonempty and value == "":
         raise IngestError(f"{origin}: field '{field}' must be non-empty")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+        raise IngestError(f"{origin}: field '{field}' is not valid Unicode") from None
     return value
 
 

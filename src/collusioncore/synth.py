@@ -5,8 +5,8 @@ commenting; compromised users cluster into communities that co-comment on
 their own members' videos, plus a light presence on the market pool. The
 behavioral contrasts (total contribution, per-video aggression, self
 comments, upload counts, video durations) are calibrated so the planted
-classes reproduce the configured ratios in expectation. Planted labels are
-returned separately and never stored inside the dataset.
+classes reproduce the ratio constants below in expectation. Planted labels
+are returned separately and never stored inside the dataset.
 """
 
 import math
@@ -17,9 +17,19 @@ import numpy as np
 
 from .records import CommentRecord, Dataset, UserRecord, VideoRecord
 
-# Behavioral contrast of planted core channels: fewer and shorter uploads.
+# Behavioral contrast of planted core channels: fewer and shorter uploads,
+# and, per user relative to compromised users, more comments in total, more
+# comments per video engaged and fewer self comments.
 CORE_UPLOAD_FACTOR = 0.633
 CORE_DURATION_FACTOR = 0.628
+CORE_CONTRIBUTION_MULTIPLIER = 2.665
+PER_VIDEO_AGGRESSION_MULTIPLIER = 1.997
+SELF_COMMENT_MULTIPLIER_COMPROMISED = 1.778
+
+# Expected share of its own community's videos that a compromised user
+# engages, and of all community videos that a core user engages.
+INTRA_COMMUNITY_CO_COMMENT_RATE = 0.12
+CORE_PERIPHERY_CO_COMMENT_RATE = 0.005
 
 MARKET_VIDEO_FRACTION = 0.04
 BASE_COMMENTS_PER_ENGAGEMENT = 1.3
@@ -80,12 +90,7 @@ class SynthConfig:
     n_core: int = 20
     n_compromised: int = 200
     n_videos: int = 400
-    core_contribution_multiplier: float = 2.665
-    per_video_aggression_multiplier: float = 1.997
-    self_comment_multiplier_compromised: float = 1.778
     peripheral_community_count: int = 8
-    intra_community_co_comment_rate: float = 0.12
-    core_periphery_co_comment_rate: float = 0.005
     seed: int = 7
 
     def __post_init__(self):
@@ -93,19 +98,9 @@ class SynthConfig:
             raise ValueError("counts must be >= 0")
         if self.n_core + self.n_compromised < 2:
             raise ValueError("need at least 2 users in total")
-        for name in ("core_contribution_multiplier", "per_video_aggression_multiplier",
-                     "self_comment_multiplier_compromised"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("intra_community_co_comment_rate", "core_periphery_co_comment_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
         if self.n_compromised > 0 and self.peripheral_community_count < 1:
             raise ValueError("need at least one peripheral community")
-        if self.n_videos == 0 and (
-            self.intra_community_co_comment_rate > 0
-            or self.core_periphery_co_comment_rate > 0
-        ) and self.n_core + self.n_compromised > 0:
+        if self.n_videos == 0:
             raise ValueError("zero videos with nonzero comment rates is infeasible")
 
 
@@ -239,9 +234,9 @@ def generate(config: SynthConfig):
 
     # --- calibration ------------------------------------------------------
     a_comp = BASE_COMMENTS_PER_ENGAGEMENT
-    a_core = a_comp * config.per_video_aggression_multiplier
+    a_core = a_comp * PER_VIDEO_AGGRESSION_MULTIPLIER
     s_core = SELF_COMMENT_RATE_CORE
-    s_comp = s_core * config.self_comment_multiplier_compromised
+    s_comp = s_core * SELF_COMMENT_MULTIPLIER_COMPROMISED
 
     if communities:
         pool_eff = float(
@@ -252,7 +247,7 @@ def generate(config: SynthConfig):
         )
         mean_pool = n_community_videos / len(communities)
         e_comp = (
-            config.intra_community_co_comment_rate * pool_eff * a_comp
+            INTRA_COMMUNITY_CO_COMMENT_RATE * pool_eff * a_comp
             + COMP_CROSS_COMMUNITY_RATE * (n_community_videos - mean_pool) * a_comp
             + s_comp * (n_market + n_community_videos) / len(comp_users)
         )
@@ -260,11 +255,11 @@ def generate(config: SynthConfig):
         e_comp = 0.0
     core_upload_mean = n_core_videos / config.n_core if config.n_core else 0.0
     e_core_fixed = (
-        config.core_periphery_co_comment_rate * len(all_community_videos) * a_core
+        CORE_PERIPHERY_CO_COMMENT_RATE * len(all_community_videos) * a_core
         + s_core * core_upload_mean
     )
     if config.n_core and n_market and e_comp > 0:
-        target = config.core_contribution_multiplier * e_comp
+        target = CORE_CONTRIBUTION_MULTIPLIER * e_comp
         p_core_engage = (target - e_core_fixed) / (n_market * a_core)
         p_core_engage = float(min(0.98, max(0.02, p_core_engage)))
     else:
@@ -320,7 +315,7 @@ def generate(config: SynthConfig):
         for vid in _engage(rng, market_candidates, lam, spread=False):
             add_engagement(user, vid, a_core)
         cross_candidates = [v for v in all_community_videos if v not in own]
-        lam = config.core_periphery_co_comment_rate * len(cross_candidates)
+        lam = CORE_PERIPHERY_CO_COMMENT_RATE * len(cross_candidates)
         for vid in _engage(rng, cross_candidates, lam):
             add_engagement(user, vid, a_core)
 
@@ -331,7 +326,7 @@ def generate(config: SynthConfig):
             own = set(videos_by_uploader.get(user, ()))
             act = _lognormal_unit_mean(rng, INTRA_ACTIVITY_SIGMA)
             candidates = [v for v in community_videos[ci] if v not in own]
-            lam = config.intra_community_co_comment_rate * len(candidates) * act
+            lam = INTRA_COMMUNITY_CO_COMMENT_RATE * len(candidates) * act
             for vid in _engage(rng, candidates, lam):
                 add_engagement(user, vid, a_comp)
             act_cross = _lognormal_unit_mean(rng, CROSS_ACTIVITY_SIGMA)

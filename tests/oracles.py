@@ -1,12 +1,12 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the library's own algorithms: subset enumeration
-for cores, union-find for components, direct formulas for statistics, the
-paper's per-pair edge weight definition, one full cosine per vector pair for
-the similarity block, a separate embedding pass for the mean comment
-embedding, and rational path lengths for betweenness. The NURSE kernels are
-the dense conv-gradient versions the library used before its pooled-position
-rewrite.
+for cores, a scan of every edge for WICCI, union-find for components, direct
+formulas for statistics, the paper's per-pair edge weight definition, one
+full cosine per vector pair for the similarity block, a separate embedding
+pass for the mean comment embedding, and rational path lengths for
+betweenness. The NURSE kernels are the dense conv-gradient versions the
+library used before its pooled-position rewrite.
 """
 
 import heapq
@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from collusioncore.features import DEFAULT_PAIR_CAP, _recent, _video_text, stat5
+from collusioncore import nurse
 from collusioncore.graph import Ccn
 from collusioncore.nurse import (
     BRANCH_WIDTHS, DROPOUT, FoldMetrics, NurseModel, auc, rank_users,
@@ -100,6 +101,18 @@ def oracle_coreness(graph, mode):
     finite = np.where(np.isinf(min_degree), -1.0, min_degree)
     best = np.where(member > 0, finite[:, None], -1.0).max(axis=0)
     return {nodes[i]: int(max(best[i], 0)) for i in range(len(nodes))}
+
+
+def oracle_wicci(graph, core_nodes, beta=1.0):
+    """WICCI of a candidate core from a scan of every edge: core weight over
+    total weight, times the core's density to the power ``beta``; a core of
+    fewer than two nodes scores 0."""
+    core = set(core_nodes)
+    if len(core) < 2:
+        return 0.0
+    inside = [w for (a, b), w in graph.edges.items() if a in core and b in core]
+    pairs = len(core) * (len(core) - 1) / 2
+    return sum(inside) / graph.total_weight * (len(inside) / pairs) ** beta
 
 
 class UnionFind:
@@ -190,7 +203,7 @@ def oracle_sfe(dataset, user_id, provider, pair_cap=DEFAULT_PAIR_CAP):
                    [cosine(a, b) for a in sc_emb for b in oc_emb],
                    [cosine(a, b) for a, b in combinations(sv_emb, 2)],
                    [cosine(a, b) for a in sv_emb for b in ov_emb]):
-        out.extend(stat5(values).as_list())
+        out.extend(stat5(values))
     return np.array(out)
 
 
@@ -305,6 +318,21 @@ def fraction_betweenness(graph):
                 bc[node] += delta[node]
     # undirected: every pair was counted from both endpoints
     return {n: v / 2.0 for n, v in bc.items()}
+
+
+def loss_and_grads(model: NurseModel, batch):
+    """(loss, analytic parameter gradients) in evaluation mode, from the
+    library's private passes.
+
+    The backward pass pairs with the unweighted mean cross-entropy of
+    :func:`collusioncore.nurse.loss`, so finite differences of that loss
+    check these gradients.
+    """
+    y = nurse._labels_array(batch)
+    X = nurse._standardize(model, nurse._raw_inputs(batch, model.config))
+    probs, cache = nurse._forward_batch(model, X, train_mode=False)
+    grads = nurse._backward_batch(model, cache, nurse._d_logits(probs, y))
+    return nurse._cross_entropy(probs, y), grads
 
 
 # The NURSE kernels as they were before the conv gradient was restricted to

@@ -6,7 +6,6 @@ import pytest
 from collusioncore.analysis import (
     _removal_counts,
     case_study_report,
-    categorize_videos,
     disintegration_fraction,
     interplay_table,
     louvain,
@@ -178,42 +177,6 @@ def test_louvain_modularity_recomputable(synth_graph):
 def test_modularity_requires_total_partition(triangle):
     with pytest.raises(ValueError):
         modularity(triangle, {"a": 0})
-
-
-# ---------------------------------------------------------------- videos
-
-def test_categorize_videos_cases():
-    users = [make_user(u) for u in ("c1", "c2", "p1", "x")]
-    videos = [make_video(v, "x") for v in ("v_core", "v_mixed", "v_per", "v_none")]
-    comments = [
-        make_comment("c1", "v_core"), make_comment("c2", "v_core"),
-        make_comment("c1", "v_mixed"), make_comment("p1", "v_mixed"),
-        make_comment("p1", "v_per"),
-        make_comment("x", "v_per"),  # not in the partition: ignored
-    ]
-    d = make_dataset(users, videos, comments)
-    part = make_partition({"c1", "c2"}, {"p1"})
-    got = categorize_videos(d, part)
-    assert got == {
-        "v_core": "core_core",
-        "v_mixed": "core_periphery",
-        "v_per": "periphery_periphery",
-        "v_none": "uncommented",
-    }
-    # counts by category plus uncommented equals total videos
-    assert len(got) == len(videos)
-
-
-def test_categorize_videos_on_synth(synth_default, synth_graph):
-    dataset, _ = synth_default
-    g, _ = synth_graph
-    part = korse(g)
-    got = categorize_videos(dataset, part)
-    assert len(got) == len(dataset.videos)
-    assert set(got.values()) <= {"core_core", "core_periphery", "periphery_periphery", "uncommented"}
-    counts = {c: sum(1 for v in got.values() if v == c) for c in set(got.values())}
-    assert counts.get("core_core", 0) > 0
-    assert counts.get("periphery_periphery", 0) > 0
 
 
 # ---------------------------------------------------------------- interplay

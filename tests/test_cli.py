@@ -408,14 +408,34 @@ def format_1_model(model, tmp) -> str:
     return write(tmp / "model.npz", npz_bytes(tmp, **arrays))
 
 
-def write_all_embeddings(data_dir, path, dim) -> str:
-    """Embeddings of every comment text and video text of a dataset."""
+def dataset_texts(data_dir) -> list:
+    """Every comment text and video text of a dataset."""
     dataset = ingest(data_dir / "comments.jsonl", data_dir / "videos.jsonl",
                      data_dir / "users.jsonl")
     texts = [c.text for c in dataset.comments]
-    texts += [" ".join((v.title, v.description, v.genre)) for v in dataset.videos]
-    write_embedding_file(path, texts, HashEmbedder(dim=dim, seed=0))
+    return texts + [" ".join((v.title, v.description, v.genre)) for v in dataset.videos]
+
+
+def write_all_embeddings(data_dir, path, dim) -> str:
+    """Embeddings of every comment text and video text of a dataset."""
+    write_embedding_file(path, dataset_texts(data_dir), HashEmbedder(dim=dim, seed=0))
     return str(path)
+
+
+def one_value_embeddings(data_dir, tmp) -> str:
+    """An embeddings file of every text of a dataset, one value per text."""
+    keys = sorted({text_key(t) for t in dataset_texts(data_dir) if t.strip()})
+    return write(tmp / "emb.txt", "dim=1\n" + "".join(f"{key}\t0.5\n" for key in keys))
+
+
+def surrogate_text(data, tmp) -> list:
+    """Dataset arguments whose first comment's text holds a lone surrogate,
+    written as a JSON escape."""
+    comments = Path(data[1]).read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(comments[0])
+    row["text"] = "nice \ud800 video"
+    comments[0] = json.dumps(row) + "\n"
+    return ["--comments", write(tmp / "comments.jsonl", "".join(comments)), *data[2:]]
 
 
 # id: (argv before --out over the fixture paths, fails before --out is created)
@@ -503,6 +523,13 @@ REJECTED = {
         lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
                                             f"{text_key('a')}\t0.1,0.2\n")], True),
+    "features-embeddings-dim-1": (
+        lambda p: ["features", *p.data, "--provider", "file",
+                   "--embeddings", one_value_embeddings(p.dir, p.tmp)], True),
+    "pipeline-embeddings-dim-1": (
+        lambda p: ["pipeline", *p.data, "--provider", "file",
+                   "--embeddings", one_value_embeddings(p.dir, p.tmp)], True),
+    "features-surrogate-text": (lambda p: ["features", *surrogate_text(p.data, p.tmp)], True),
 }
 
 # what the error message of a rejected case must contain
@@ -532,6 +559,9 @@ REJECTED_MESSAGE = {
     "synth-no-communities": "peripheral community",
     "synth-negative-core": "counts must be >= 0",
     "synth-one-user": "at least 2 users",
+    "features-embeddings-dim-1": "dim must be >= 2",
+    "pipeline-embeddings-dim-1": "dim must be >= 2",
+    "features-surrogate-text": "comments.jsonl:1: field 'text' is not valid Unicode",
 }
 
 
@@ -539,7 +569,8 @@ REJECTED_MESSAGE = {
 def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, model_dir, tmp_path,
                                capsys):
     argv, before_out = REJECTED[case]
-    paths = type("Paths", (), dict(data=dataset_args(synth_dir), graph=str(ccn_dir / "ccn.tsv"),
+    paths = type("Paths", (), dict(dir=synth_dir, data=dataset_args(synth_dir),
+                                  graph=str(ccn_dir / "ccn.tsv"),
                                   features=str(features_dir / "features.csv"),
                                   model=str(model_dir / "model.npz"), tmp=tmp_path))
     out = tmp_path / "out"
@@ -586,6 +617,9 @@ def fuzz_inputs(tmp_path_factory):
     assert main(["nurse-train", "--features", str(d / "features" / "features.csv"),
                  "--epochs", "1", "--out", str(d / "model")]) == 0
     paths = {
+        "comments": data / "comments.jsonl",
+        "videos": data / "videos.jsonl",
+        "users": data / "users.jsonl",
         "graph": d / "ccn" / "ccn.tsv",
         "partition": d / "korse" / "partition.tsv",
         "features": d / "features" / "features.csv",
@@ -599,6 +633,12 @@ def fuzz_inputs(tmp_path_factory):
     files["valid"] = {kind: Path(path).read_bytes() for kind, path in paths.items()}
     files["dir"] = d
     return files
+
+
+def records_with(valid, kind, path) -> list:
+    """Dataset arguments over the valid record files, with ``path`` as ``kind``."""
+    return [arg for name in ("comments", "videos", "users")
+            for arg in (f"--{name}", path if name == kind else valid[name])]
 
 
 # (kind of file fuzzed, argv before --out given the valid files and the fuzzed path)
@@ -619,6 +659,12 @@ FUZZ_TARGETS = [
     ("embeddings", lambda v, f: ["features", *v["data"], "--provider", "file",
                                  "--embeddings", f]),
     ("config", lambda v, f: ["--config", f, "kcore", "--graph", v["graph"]]),
+    ("comments", lambda v, f: ["features", *records_with(v, "comments", f), "--dim", "4"]),
+    ("videos", lambda v, f: ["features", *records_with(v, "videos", f), "--dim", "4"]),
+    ("users", lambda v, f: ["features", *records_with(v, "users", f), "--dim", "4"]),
+    ("comments", lambda v, f: ["build-ccn", *records_with(v, "comments", f)]),
+    ("videos", lambda v, f: ["build-ccn", *records_with(v, "videos", f)]),
+    ("users", lambda v, f: ["build-ccn", *records_with(v, "users", f)]),
 ]
 
 

@@ -53,6 +53,11 @@ def test_stub_returns_a_fresh_array_each_call():
         assert np.array_equal(e.embed_text(text), expected)
 
 
+def test_stub_rejects_a_one_value_embedding():
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        HashEmbedder(dim=1)
+
+
 def test_stub_empty_text_zero_vector_with_flag():
     e = HashEmbedder(dim=32, seed=0)
     out = e.embed_text("   ")
@@ -111,8 +116,8 @@ def test_file_empty_text_zero_vector(tmp_path):
     assert loaded.empty_text_count == 1
 
 
-@pytest.mark.parametrize("text", ["dim=0\n", "dim=4\n", "dim=-1\nk\t\n"],
-                         ids=["zero-dim", "no-vectors", "negative-dim"])
+@pytest.mark.parametrize("text", ["dim=0\n", "dim=4\n", "dim=-1\nk\t\n", "dim=1\nk\t0.5\n"],
+                         ids=["zero-dim", "no-vectors", "negative-dim", "one-dim"])
 def test_file_load_rejects_unusable_files(tmp_path, text):
     path = tmp_path / "emb.tsv"
     path.write_text(text)

@@ -2,46 +2,53 @@ import numpy as np
 import pytest
 
 from collusioncore.graph import Ccn, density, graph_stats
-from collusioncore.kcore import k_core
+from collusioncore.kcore import coreness
 from collusioncore.korse import (
-    WicciParams,
+    _distinct_candidates,
+    _wicci,
     korse,
     read_partition,
-    sweep_curves,
-    wicci,
     write_partition,
     write_sweep,
 )
 
 from conftest import clique, graph_from_edges
-from oracles import random_weighted_graph
+from oracles import oracle_wicci, random_weighted_graph
+
+
+def sweep_rows(partition, path, beta=1.0):
+    """The rows :func:`write_sweep` writes, as (norm, size, density, fraction, wicci)."""
+    write_sweep(partition, path, beta)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [(float(n), int(size), float(d), float(f), float(w))
+            for n, size, d, f, w in (line.split(",") for line in lines)]
 
 
 def test_wicci_whole_graph_equals_density(triangle):
+    # the sweep's last candidate, at threshold 0, is the whole graph
     g = graph_from_edges([("a", "b", 2), ("b", "c", 1), ("c", "d", 5)])
-    assert wicci(g, g.nodes) == pytest.approx(graph_stats(g).density, abs=1e-15)
-    assert wicci(triangle, triangle.nodes) == 1.0
+    assert korse(g).sweep_trace[-1].wicci == pytest.approx(graph_stats(g).density, abs=1e-15)
+    assert korse(triangle).sweep_trace[-1].wicci == 1.0
 
 
-def test_wicci_degenerate_core_is_zero(triangle):
-    assert wicci(triangle, {"a"}) == 0.0
-    assert wicci(triangle, set()) == 0.0
+def test_wicci_degenerate_core_is_zero():
+    for size in (0, 1):
+        assert _wicci(size, 1.0, 1.0, 1.0) == 0.0
 
 
 def test_wicci_triangle_plus_pendant():
     g = graph_from_edges([("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("c", "d", 1)])
-    assert wicci(g, {"a", "b", "c"}) == pytest.approx(0.75)
+    part = korse(g)
+    assert part.core == frozenset("abc")
+    assert part.peak_wicci == pytest.approx(0.75)
 
 
-def test_wicci_errors():
-    g = graph_from_edges([], isolated=["a", "b"])
-    with pytest.raises(ValueError):
-        wicci(g, {"a", "b"})
-    g2 = graph_from_edges([("a", "b", 1)])
-    with pytest.raises(ValueError):
-        wicci(g2, {"a", "zzz"})
-    with pytest.raises(ValueError):
-        WicciParams(beta=0)
+def test_wicci_errors(tmp_path, triangle):
+    for beta in (0, -1.0):
+        with pytest.raises(ValueError, match="beta"):
+            korse(triangle, beta)
+        with pytest.raises(ValueError, match="beta"):
+            write_sweep(korse(triangle), tmp_path / "sweep.csv", beta)
 
 
 def test_korse_k5():
@@ -69,18 +76,14 @@ def test_korse_recovers_planted_core(synth_default, synth_graph):
 
 
 def test_sweep_trace_matches_independent_recomputation(synth_graph):
-    from collusioncore.kcore import coreness
-
     g, _ = synth_graph
     part = korse(g)
     cm = coreness(g, "weighted")
     for point in part.sweep_trace[:: max(1, len(part.sweep_trace) // 12)]:
-        candidate = {n for n, v in cm.values.items() if v >= point.threshold}
+        candidate = {n for n, v in cm.items() if v >= point.threshold}
         assert len(candidate) == point.core_size
         if len(candidate) >= 2:
-            assert wicci(g, candidate) == pytest.approx(point.wicci, abs=1e-12)
-        # cross-module identity: candidate at t is exactly the weighted t-core
-        assert candidate == k_core(g, point.threshold, "weighted")
+            assert oracle_wicci(g, candidate) == pytest.approx(point.wicci, abs=1e-12)
 
 
 def test_sweep_monotonicity_and_nesting_random():
@@ -124,22 +127,22 @@ def test_korse_relabel_invariance():
         assert {rename[n] for n in korse(g).core} == set(korse(g2).core)
 
 
-def test_sweep_curves_k5_single_row():
+def test_sweep_curves_k5_single_row(tmp_path):
     part = korse(clique("abcde"))
-    rows = sweep_curves(part)
-    assert rows == [(1.0, 1.0, 1.0, 1.0)]
+    rows = sweep_rows(part, tmp_path / "sweep.csv")
+    assert rows == [(1.0, 5, 1.0, 1.0, 1.0)]
 
 
-def test_sweep_curves_zero_threshold_row():
+def test_sweep_curves_zero_threshold_row(tmp_path):
     # pendant-free graph plus one isolated node: candidate at threshold 0
     # gains the isolated node, so a dedicated row appears with fraction 1.0
     g = graph_from_edges([("a", "b", 2), ("b", "c", 1), ("a", "c", 1)], isolated=["z"])
-    rows = sweep_curves(korse(g))
+    rows = sweep_rows(korse(g), tmp_path / "sweep.csv")
     assert rows[-1][0] == 0.0
-    assert rows[-1][2] == 1.0  # weight fraction at threshold zero
-    fracs = [r[2] for r in rows]
+    assert rows[-1][3] == 1.0  # weight fraction at threshold zero
+    fracs = [r[3] for r in rows]
     assert fracs == sorted(fracs)  # non-increasing as the threshold rises
-    densities = [r[1] for r in rows]
+    densities = [r[2] for r in rows]
     assert densities == sorted(densities, reverse=True)
 
 
@@ -168,7 +171,7 @@ def test_read_partition_rejects_user_listed_twice(tmp_path):
 def test_write_sweep_header(tmp_path, triangle):
     part = korse(triangle)
     path = tmp_path / "sweep.csv"
-    write_sweep(part, path, WicciParams())
+    write_sweep(part, path, 1.0)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "norm_threshold,core_size,density,weight_fraction,wicci"
     assert len(lines) >= 2
@@ -184,20 +187,19 @@ def test_one_korse_run_writes_the_sweep_of_every_beta(tmp_path, synth_graph):
             graphs.append(g)
     path = tmp_path / "sweep.csv"
 
-    def sweep_bytes(partition, params):
-        write_sweep(partition, path, params)
+    def sweep_bytes(partition, beta):
+        write_sweep(partition, path, beta)
         return path.read_bytes()
 
     for g in graphs:
         once = korse(g)
         for beta in (0.5, 1.5, 2.0):
-            params = WicciParams(beta=beta)
-            run = korse(g, params)
-            text = sweep_bytes(once, params)
-            assert text == sweep_bytes(run, params)
+            run = korse(g, beta)
+            text = sweep_bytes(once, beta)
+            assert text == sweep_bytes(run, beta)
             # the scores written are those the sweep at beta chose by
             written = [line.rsplit(",", 1)[1] for line in text.decode().splitlines()[1:]]
-            assert written == [repr(row[3]) for row in sweep_curves(run)]
+            assert written == [repr(point.wicci) for _, point in _distinct_candidates(run)]
 
 
 def test_partition_core_density_is_that_of_the_core_subgraph(tmp_path):

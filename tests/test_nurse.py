@@ -23,7 +23,6 @@ from collusioncore.nurse import (
     init_model,
     load_model,
     loss,
-    loss_and_grads,
     min_class_size,
     predict_proba,
     save_model,
@@ -32,7 +31,7 @@ from collusioncore.nurse import (
 )
 
 import oracles
-from oracles import oracle_auc
+from oracles import loss_and_grads, oracle_auc
 
 TINY = NurseConfig(embedding_dim=8, epochs=40, batch_size=8, seed=3)
 
@@ -275,7 +274,7 @@ def test_train_matches_oracle_kernels(monkeypatch, n_per_class, config):
         k: repr(v.tolist()) for k, v in want.params.items()}
 
 
-@pytest.mark.parametrize("mode", ["balanced_1to1", "complete"])
+@pytest.mark.parametrize("mode", ["balanced", "complete"])
 def test_evaluate_matches_oracle_kernels(monkeypatch, mode):
     feats = blob_features(12, seed=3, separation=0.5)[:-5]  # 12 compromised, 7 core
     config = replace(TINY, epochs=6, batch_size=5)
@@ -395,7 +394,7 @@ EVAL_CFG = replace(TINY, epochs=60, seed=1)
 
 def test_evaluate_balanced_on_separable_data():
     feats = blob_features(25, seed=20)
-    report = evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=5)
+    report = evaluate(feats, EVAL_CFG, mode="balanced", folds=5)
     assert report.mean_auc > 0.9
     assert report.mean_break_even_f1 > 0.8
     for fold in report.folds:
@@ -409,7 +408,7 @@ def test_evaluate_balanced_undersamples():
         FeatureVector(f"extra{i}", np.zeros(26), np.zeros(25), np.zeros(8), label="compromised")
         for i in range(20)
     ]
-    report = evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=4)
+    report = evaluate(feats, EVAL_CFG, mode="balanced", folds=4)
     total = sum(f.n for f in report.folds)
     cores = sum(f.n_core for f in report.folds)
     assert total == 2 * cores  # exactly 1:1 after sampling
@@ -427,7 +426,7 @@ def test_evaluate_complete_keeps_everyone():
 def test_evaluate_impossible_stratification():
     feats = blob_features(3, seed=23)
     with pytest.raises(ValueError, match="stratification"):
-        evaluate(feats, EVAL_CFG, mode="balanced_1to1", folds=10)
+        evaluate(feats, EVAL_CFG, mode="balanced", folds=10)
 
 
 def test_min_class_size_matches_fold_arithmetic():
@@ -466,7 +465,7 @@ def test_class_split_undersamples_the_larger_class():
 
 def test_summary_of_one_fold_is_that_fold():
     fm = fold_metrics(0, [("a", 0.9, "core"), ("b", 0.2, "compromised"), ("c", 0.6, "core")])
-    report = summarize_folds("complete", [fm])
+    report = summarize_folds([fm])
     assert report.folds == (fm,)
     assert (report.mean_auc, report.mean_break_even_precision, report.mean_break_even_f1) == (
         fm.auc, fm.break_even_precision, fm.break_even_f1)

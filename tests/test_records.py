@@ -77,6 +77,17 @@ def test_ingest_rejects_negative_counter(tmp_path):
         ingest_dir(tmp_path, [], [bad], [{"user_id": "u1"}])
 
 
+def test_ingest_rejects_a_lone_surrogate(tmp_path):
+    # json.dumps writes non-ASCII text as escapes: a pair for U+1F600, and
+    # "\ud800" alone, which decodes to a string UTF-8 cannot encode
+    row = {"comment_id": "c1", "user_id": "u1", "video_id": "v1", "text": "nice \U0001F600"}
+    assert ingest_dir(tmp_path, [row], [VIDEO_ROW], [{"user_id": "u1"}]).comments[0].text == (
+        "nice \U0001F600")
+    row["text"] = "nice \ud800 video"
+    with pytest.raises(IngestError, match="comments.jsonl:1: field 'text' is not valid Unicode"):
+        ingest_dir(tmp_path, [row], [VIDEO_ROW], [{"user_id": "u1"}])
+
+
 def test_ingest_ignores_unknown_fields(tmp_path):
     d = ingest_dir(
         tmp_path,

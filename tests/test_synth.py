@@ -2,6 +2,7 @@ import collections
 
 import pytest
 
+from collusioncore import synth
 from collusioncore.records import validate
 from collusioncore.synth import (
     SynthConfig,
@@ -58,18 +59,13 @@ def test_infeasible_config_rejected():
         SynthConfig(n_videos=0)
     with pytest.raises(ValueError):
         SynthConfig(n_core=1, n_compromised=0)
-    with pytest.raises(ValueError):
-        SynthConfig(intra_community_co_comment_rate=1.5)
 
 
-def test_symmetric_multipliers_give_unit_ratios():
-    cfg = SynthConfig(
-        core_contribution_multiplier=1.0,
-        per_video_aggression_multiplier=1.0,
-        self_comment_multiplier_compromised=1.0,
-        seed=5,
-    )
-    d, labels = generate(cfg)
+def test_symmetric_multipliers_give_unit_ratios(monkeypatch):
+    for name in ("CORE_CONTRIBUTION_MULTIPLIER", "PER_VIDEO_AGGRESSION_MULTIPLIER",
+                 "SELF_COMMENT_MULTIPLIER_COMPROMISED"):
+        monkeypatch.setattr(synth, name, 1.0)
+    d, labels = generate(SynthConfig(seed=5))
     core = {u for u, l in labels.items() if l == "core"}
     comp = set(labels) - core
     made = collections.Counter(c.user_id for c in d.comments)
@@ -107,6 +103,13 @@ def test_planted_core_is_dense_block(synth_graph, synth_default):
     assert present / pairs >= 0.95
 
 
+def test_some_videos_have_only_core_or_only_compromised_commenters(synth_default):
+    dataset, labels = synth_default
+    roles = [{labels[u] for u in commenters} for commenters in dataset.video_commenters.values()]
+    assert {"core"} in roles
+    assert {"compromised"} in roles
+
+
 def test_labels_file_roundtrip(tmp_path, synth_default):
     _, labels = synth_default
     path = tmp_path / "labels.tsv"
@@ -118,6 +121,6 @@ def test_meta_file_lists_config(tmp_path):
     cfg = SynthConfig(seed=3)
     path = tmp_path / "synth_meta"
     write_meta(cfg, path)
-    text = path.read_text(encoding="utf-8")
-    assert "seed=3" in text
-    assert "core_contribution_multiplier=2.665" in text
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "n_compromised=200", "n_core=20", "n_videos=400", "peripheral_community_count=8",
+        "seed=3"]
