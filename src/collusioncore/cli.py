@@ -3,8 +3,12 @@
 Every subcommand reads and writes the documented file formats, writes a
 ``manifest.json`` next to its outputs, and exits with: 0 ok, 2 usage,
 3 missing or malformed input or a setting out of bounds, 4 data validation
-failure, 5 internal error. A flat ``key=value`` config file can supply
-tunable settings; command-line flags win over the config file.
+failure, 5 internal error. A command writes into a staging directory beside
+``--out``; its files move into ``--out`` only once it has finished, so a run
+that exits non-zero leaves ``--out`` as it was (the missing parents of
+``--out`` may be created). ``ingest-check`` keeps its report on exit 4.
+A flat ``key=value`` config file can supply tunable settings; command-line
+flags win over the config file.
 
 All randomness flows from one ``--seed`` (default 7). Stages derive from
 it deterministically: the generator and the stub embedder use it directly,
@@ -17,7 +21,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -164,7 +171,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, args, outputs, seeds, settings=None) -> None:
+def _write_manifest(out, args, seeds, settings=None) -> None:
+    """``manifest.json`` in ``out``, listing every file already written there."""
     inputs = (getattr(args, name, None) for name in INPUT_ARGS)
     manifest = {
         "command": args.command,
@@ -173,20 +181,14 @@ def _write_manifest(out_dir, args, outputs, seeds, settings=None) -> None:
             if not k.startswith("_") and k != "func" and v is not None
         },
         "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).is_file()},
-        "outputs": sorted(str(o) for o in outputs),
+        "outputs": sorted(p.name for p in out.iterdir()),
         "seeds": seeds,
         "settings": settings or {},
         "version": __version__,
     }
-    with (Path(out_dir) / "manifest.json").open("w", encoding="utf-8") as handle:
+    with (out / "manifest.json").open("w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_dataset(args):
@@ -246,40 +248,32 @@ def _do_build_ccn(dataset, collusive_only, out):
     graph = build_ccn(dataset, collusive_only=collusive_only)
     write_edgelist(graph, out / "ccn.tsv")
     (out / "stats.txt").write_text(format_stats(graph_stats(graph)), encoding="utf-8")
-    return graph, ["ccn.tsv", "ccn.tsv.nodes", "stats.txt"]
+    return graph
 
 
 def _do_kcore(graph, mode, out):
-    name = f"coreness_{mode}.tsv"
-    write_coreness(coreness(graph, mode), out / name)
-    return [name]
+    write_coreness(coreness(graph, mode), out / f"coreness_{mode}.tsv")
 
 
 def _do_korse(graph, beta, out):
     partition = korse(graph, beta)
     write_partition(partition, out / "partition.tsv")
-    outputs = ["partition.tsv"]
     for b in sorted({0.5, 1.0, 2.0} | {beta}):
         short = f"{b:g}"  # 1.0 is "1"; the repr where %g would round b
         name = f"sweep_beta_{short if float(short) == b else repr(b)}.csv"
         write_sweep(partition, out / name, b)
-        outputs.append(name)
-    return partition, outputs
+    return partition
 
 
 def _do_breakage(graph, keys, step, out):
-    outputs = []
     summary = []
     for key in keys:
         curve = removal_curve(graph, key, step)
         write_removal_curve(curve, out / f"breakage_{key}.csv")
         write_removal_curve_long(curve, out / f"breakage_{key}_long.csv")
-        outputs += [f"breakage_{key}.csv", f"breakage_{key}_long.csv"]
         frac = disintegration_fraction(curve)
         summary.append(f"{key}={'none' if frac is None else repr(frac)}")
     (out / "disintegration.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    outputs.append("disintegration.txt")
-    return outputs
 
 
 def _periphery(graph, partition):
@@ -291,29 +285,23 @@ def _periphery(graph, partition):
 
 
 def _do_communities(graph, partition, seed, out):
-    communities = louvain(_periphery(graph, partition), seed=seed)
-    write_communities(communities, out / "communities.csv")
-    return communities, ["communities.csv"]
+    write_communities(louvain(_periphery(graph, partition), seed=seed), out / "communities.csv")
 
 
 def _do_interplay(graph, partition, seed, out):
     """Interaction tables over several community runs, pooled correlations.
 
-    Returns the communities of the first run (at ``seed``) and the outputs.
+    Returns the communities of the first run (at ``seed``).
     """
     sub = _periphery(graph, partition)
-    outputs = []
     pooled = []
     for offset in range(3):
         communities = louvain(sub, seed=seed + offset)
         if offset == 0:
             first = communities
             write_communities(communities, out / "communities.csv")
-            outputs.append("communities.csv")
         rows = interplay_table(graph, partition, communities)
-        name = f"interplay_seed{seed + offset}.csv"
-        write_interplay(rows, out / name)
-        outputs.append(name)
+        write_interplay(rows, out / f"interplay_seed{seed + offset}.csv")
         pooled += rows
     large = [r for r in pooled if not r.small]
     chosen = large if len(large) >= 2 else pooled
@@ -326,15 +314,13 @@ def _do_interplay(graph, partition, seed, out):
         except ValueError as exc:
             lines.append(f"wcs_vs_{metric}=undefined ({exc})")
     (out / "correlations.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs.append("correlations.txt")
-    return first, outputs
+    return first
 
 
 def _do_case_study(dataset, partition, out):
     if not partition.core or not partition.periphery:
         raise InputError("the partition needs both core and periphery users")
     write_case_study(case_study_report(dataset, partition), out / "case_study.txt")
-    return ["case_study.txt"]
 
 
 def _do_features(dataset, partition, provider, pair_cap, out):
@@ -345,14 +331,14 @@ def _do_features(dataset, partition, provider, pair_cap, out):
     if not feats:
         raise InputError("no users to extract features for")
     write_features(feats, out / "features.csv")
-    return feats, ["features.csv"]
+    return feats
 
 
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
 
-def cmd_ingest_check(args):
+def cmd_ingest_check(args, out):
     dataset = _load_dataset(args)
     problems = validate(dataset)
     report = [
@@ -362,100 +348,93 @@ def cmd_ingest_check(args):
         f"violations={len(problems)}",
     ] + problems
     text = "\n".join(report) + "\n"
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         (out / "ingest_check.txt").write_text(text, encoding="utf-8")
-        _write_manifest(out, args, ["ingest_check.txt"], {})
+        _write_manifest(out, args, {})
     sys.stdout.write(text)
-    if problems:
-        raise ValidationError(f"{len(problems)} referential-integrity violations")
+    if problems:  # the report is the product, so it is kept on exit 4
+        print(f"validation error: {len(problems)} referential-integrity violations",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 
-def cmd_build_ccn(args):
+def cmd_build_ccn(args, out):
     dataset = _load_dataset(args)
-    out = _out_dir(args)
-    _, outputs = _do_build_ccn(dataset, not args.all_videos, out)
-    _write_manifest(out, args, outputs, {})
+    _do_build_ccn(dataset, not args.all_videos, out)
+    _write_manifest(out, args, {})
     return EXIT_OK
 
 
-def cmd_kcore(args):
+def cmd_kcore(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
-    out = _out_dir(args)
-    outputs = _do_kcore(graph, args.mode, out)
-    _write_manifest(out, args, outputs, {})
+    _do_kcore(graph, args.mode, out)
+    _write_manifest(out, args, {})
     return EXIT_OK
 
 
-def cmd_korse(args):
+def cmd_korse(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
     if graph.n_edges == 0:
         raise InputError("graph has no edges; cannot sweep")
-    out = _out_dir(args)
-    _, outputs = _do_korse(graph, _setting(args, "beta"), out)
-    _write_manifest(out, args, outputs, {})
+    _do_korse(graph, _setting(args, "beta"), out)
+    _write_manifest(out, args, {})
     return EXIT_OK
 
 
-def cmd_breakage(args):
+def cmd_breakage(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
     keys = ORDER_KEYS if args.order_key == "all" else (args.order_key,)
-    out = _out_dir(args)
-    outputs = _do_breakage(graph, keys, _setting(args, "step"), out)
-    _write_manifest(out, args, outputs, {})
+    _do_breakage(graph, keys, _setting(args, "step"), out)
+    _write_manifest(out, args, {})
     return EXIT_OK
 
 
-def cmd_communities(args):
+def cmd_communities(args, out):
     """`communities`, and `interplay`, which adds tables over the same communities."""
     graph = _read(read_edgelist, args.graph, "graph")
     partition = _read(read_partition, args.partition, "partition")
     seed = _setting(args, "seed")
-    out = _out_dir(args)
     stage = _do_interplay if args.command == "interplay" else _do_communities
-    _, outputs = stage(graph, partition, seed, out)
-    _write_manifest(out, args, outputs, {"louvain": seed})
+    stage(graph, partition, seed, out)
+    _write_manifest(out, args, {"louvain": seed})
     return EXIT_OK
 
 
-def cmd_case_study(args):
+def cmd_case_study(args, out):
     dataset = _load_dataset(args)
     partition = _read(read_partition, args.partition, "partition")
-    out = _out_dir(args)
-    outputs = _do_case_study(dataset, partition, out)
-    _write_manifest(out, args, outputs, {})
+    _do_case_study(dataset, partition, out)
+    _write_manifest(out, args, {})
     return EXIT_OK
 
 
-def cmd_features(args):
+def cmd_features(args, out):
     dataset = _load_dataset(args)
     partition = _read(read_partition, args.partition, "partition") if args.partition else None
     seed = _setting(args, "seed")
     provider = _provider(args, seed)
-    out = _out_dir(args)
     pair_cap = _setting(args, "pair_cap")
-    _, outputs = _do_features(dataset, partition, provider, pair_cap, out)
-    _write_manifest(out, args, outputs, {"embedder": seed},
+    _do_features(dataset, partition, provider, pair_cap, out)
+    _write_manifest(out, args, {"embedder": seed},
                     settings={"pair_cap": pair_cap, "dim": provider.dim})
     return EXIT_OK
 
 
-def cmd_nurse_train(args):
+def cmd_nurse_train(args, out):
     labeled = _labeled(_read(read_features, args.features, "features"), 2)
     seed = _setting(args, "seed")
     config = _nurse_config(args, dim=len(labeled[0].tfe), seed=seed)
     model = train(labeled, config)
-    out = _out_dir(args)
     save_model(model, out / "model.npz")
     (out / "train_report.txt").write_text(
         f"examples={len(labeled)}\nfinal_loss={loss(model, labeled)!r}\n", encoding="utf-8"
     )
-    _write_manifest(out, args, ["model.npz", "train_report.txt"], {"train": seed})
+    _write_manifest(out, args, {"train": seed})
     return EXIT_OK
 
 
-def cmd_nurse_eval(args):
+def cmd_nurse_eval(args, out):
     model = _read(load_model, args.model, "model")
     feats = _labeled(_read(read_features, args.features, "features"), 1)
     if "tfe" in model.config.branches and len(feats[0].tfe) != model.config.embedding_dim:
@@ -466,49 +445,41 @@ def cmd_nurse_eval(args):
     core, comp = class_split(feats, seed if args.mode == "balanced" else None)
     feats = sorted(core + comp, key=lambda f: f.user_id)
     scored = score_users(model, feats)
-    out = _out_dir(args)
     write_eval_report(summarize_folds([fold_metrics(0, scored)]), out / "eval.csv")
     with (out / "ranking.tsv").open("w", encoding="utf-8") as handle:
         for user, score, label in rank_users(scored):
             handle.write(f"{user}\t{score!r}\t{label}\n")
-    _write_manifest(out, args, ["eval.csv", "ranking.tsv"], {"sampling": seed})
+    _write_manifest(out, args, {"sampling": seed})
     return EXIT_OK
 
 
-def cmd_ablate(args):
+def cmd_ablate(args, out):
     feats = _read(read_features, args.features, "features")
     seed = _setting(args, "seed")
     reports = _cross_validate(ablations, args, feats, seed)
-    out = _out_dir(args)
-    outputs = []
     with (out / "ablation_summary.csv").open("w", encoding="utf-8") as handle:
         handle.write("method,mean_f1_breakeven,mean_auc\n")
         for name in sorted(reports):
             r = reports[name]
             handle.write(f"{name},{r.mean_break_even_f1!r},{r.mean_auc!r}\n")
-    outputs.append("ablation_summary.csv")
     write_method_curves(reports, out / "curves_f1.csv", out / "curves_auc.csv")
-    outputs += ["curves_f1.csv", "curves_auc.csv"]
     for name, report in reports.items():
-        fname = f"eval_{name.replace('+', '_')}.csv"
-        write_eval_report(report, out / fname)
-        outputs.append(fname)
-    _write_manifest(out, args, outputs, {"cv": seed, "folds": _setting(args, "folds")})
+        write_eval_report(report, out / f"eval_{name.replace('+', '_')}.csv")
+    _write_manifest(out, args, {"cv": seed, "folds": _setting(args, "folds")})
     return EXIT_OK
 
 
-def cmd_baseline_wbc(args):
+def cmd_baseline_wbc(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
-    out = _out_dir(args)
     ranked = wbc_baseline(graph, _setting(args, "threshold_k") or None)  # --k 0: every node
     with (out / "wbc_ranking.tsv").open("w", encoding="utf-8") as handle:
         for rank, (node, score) in enumerate(ranked, start=1):
             handle.write(f"{rank}\t{node}\t{score!r}\n")
-    _write_manifest(out, args, ["wbc_ranking.tsv"], {})
+    _write_manifest(out, args, {})
     return EXIT_OK
 
 
-def cmd_synth(args):
+def cmd_synth(args, out):
     seed = _setting(args, "seed")
     try:
         config = SynthConfig(
@@ -521,43 +492,33 @@ def cmd_synth(args):
         dataset, labels = generate(config)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    out = _out_dir(args)
     write_dataset(dataset, out / "comments.jsonl", out / "videos.jsonl", out / "users.jsonl")
     write_labels(labels, out / "labels.tsv")
     write_meta(config, out / "synth_meta")
-    _write_manifest(out, args,
-                    ["comments.jsonl", "videos.jsonl", "users.jsonl", "labels.tsv", "synth_meta"],
-                    {"generator": seed})
+    _write_manifest(out, args, {"generator": seed})
     return EXIT_OK
 
 
-def cmd_pipeline(args):
+def cmd_pipeline(args, out):
     dataset = _load_dataset(args)
     planted = _read(read_labels, args.labels, "labels") if args.labels else None
     seed = _setting(args, "seed")
     provider = _provider(args, seed)
-    out = _out_dir(args)
-    outputs = []
 
-    graph, produced = _do_build_ccn(dataset, not args.all_videos, out)
-    outputs += produced
+    graph = _do_build_ccn(dataset, not args.all_videos, out)
     if graph.n_edges == 0:
         raise ValidationError("built graph has no edges; pipeline cannot continue")
     for mode in MODES:
-        outputs += _do_kcore(graph, mode, out)
-    partition, produced = _do_korse(graph, _setting(args, "beta"), out)
-    outputs += produced
-    outputs += _do_breakage(graph, ORDER_KEYS, _setting(args, "step"), out)
-    communities, produced = _do_interplay(graph, partition, seed, out)
-    outputs += produced
-    outputs += _do_case_study(dataset, partition, out)
+        _do_kcore(graph, mode, out)
+    partition = _do_korse(graph, _setting(args, "beta"), out)
+    _do_breakage(graph, ORDER_KEYS, _setting(args, "step"), out)
+    communities = _do_interplay(graph, partition, seed, out)
+    _do_case_study(dataset, partition, out)
 
-    feats, produced = _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
-    outputs += produced
+    feats = _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
 
     eval_report = _cross_validate(evaluate, args, feats, seed)
     write_eval_report(eval_report, out / "eval.csv")
-    outputs.append("eval.csv")
 
     bc = weighted_betweenness(graph)
     in_eval = sorted({f.user_id for f in feats})
@@ -582,9 +543,7 @@ def cmd_pipeline(args):
         f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
         summary.append(f"planted_core_f1={f1!r}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    outputs.append("summary.txt")
-
-    _write_manifest(out, args, outputs, {"seed": seed, "folds": _setting(args, "folds")})
+    _write_manifest(out, args, {"seed": seed, "folds": _setting(args, "folds")})
     sys.stdout.write("\n".join(summary) + "\n")
     return EXIT_OK
 
@@ -623,6 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes: 0 ok, 2 usage, 3 missing/malformed input or a setting out\n"
             "of bounds, 4 data validation failure, 5 internal error\n\n"
+            "outputs: a run that exits non-zero leaves --out as it was (the missing\n"
+            "parents of --out may be created); ingest-check keeps its report on exit 4\n\n"
             "settings (--config key; its flag is the key with dashes, threshold_k is --k;\n"
             "an unknown or repeated config key is an error):\n"
             + "".join(f"  {name:<24}default {default!r}, {bound}\n"
@@ -744,12 +705,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """The handler's exit code. The handler writes into a fresh staging
+    directory beside ``--out``; once it returns, each staged file moves into
+    ``--out``, ``manifest.json`` last. The staging directory is always removed."""
+    if args.out is None:
+        return args.func(args, None)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # beside --out, on its filesystem, so each move is a rename, never a copy
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        code = args.func(args, staging)
+        out.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
+            os.replace(path, out / path.name)
+        return code
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args._settings = _resolve_settings(args)
-        return args.func(args)
+        return _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -61,23 +61,33 @@ def test_ingest_check_missing_file(tmp_path):
     assert code == 3
 
 
-def test_ingest_check_validation_failure(tmp_path, capsys):
-    (tmp_path / "comments.jsonl").write_text(
+def dangling_dataset(d) -> list:
+    """Dataset arguments for records whose one comment is by an unknown user."""
+    (d / "comments.jsonl").write_text(
         '{"comment_id": "c1", "user_id": "ghost", "video_id": "v1", "text": "x"}\n'
     )
-    (tmp_path / "videos.jsonl").write_text(
+    (d / "videos.jsonl").write_text(
         '{"video_id": "v1", "uploader_user_id": "u1", "title": "t", "description": "d",'
         ' "genre": "g", "duration_sec": 1, "likes": 0, "dislikes": 0, "views": 0,'
         ' "is_collusive": true}\n'
     )
-    (tmp_path / "users.jsonl").write_text('{"user_id": "u1"}\n')
-    code = main([
-        "ingest-check",
-        "--comments", str(tmp_path / "comments.jsonl"),
-        "--videos", str(tmp_path / "videos.jsonl"),
-        "--users", str(tmp_path / "users.jsonl"),
-    ])
+    (d / "users.jsonl").write_text('{"user_id": "u1"}\n')
+    return dataset_args(d)
+
+
+def test_ingest_check_validation_failure(tmp_path, capsys):
+    code = main(["ingest-check", *dangling_dataset(tmp_path)])
     assert code == 4
+
+
+def test_ingest_check_keeps_its_report_on_exit_4(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["ingest-check", *dangling_dataset(tmp_path), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "validation error: 1 referential-integrity violations\n"
+    assert sorted(p.name for p in out.iterdir()) == ["ingest_check.txt", "manifest.json"]
+    assert (out / "ingest_check.txt").read_text() == captured.out
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["ingest_check.txt"]
 
 
 def test_unknown_subcommand_usage_error():
@@ -98,6 +108,15 @@ def test_build_ccn_outputs(ccn_dir):
     assert (ccn_dir / "ccn.tsv.nodes").exists()
     stats = (ccn_dir / "stats.txt").read_text()
     assert "node_count=" in stats and "density=" in stats
+
+
+def test_manifest_lists_only_what_the_run_wrote(ccn_dir, tmp_path):
+    out = tmp_path / "ccn"
+    shutil.copytree(ccn_dir, out)
+    assert main(["kcore", "--graph", str(out / "ccn.tsv"), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["coreness_weighted.tsv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ccn.tsv", "ccn.tsv.nodes", "coreness_weighted.tsv", "manifest.json", "stats.txt"]
 
 
 def test_kcore_triangle_fixture(tmp_path):
@@ -375,6 +394,11 @@ def write(path, content) -> str:
     return str(path)
 
 
+def subdirs(path) -> list:
+    """Names of the directories in ``path``."""
+    return sorted(p.name for p in path.iterdir() if p.is_dir())
+
+
 def npz_bytes(tmp_path, **arrays) -> bytes:
     path = tmp_path / "scratch.npz"
     np.savez(path, **arrays)
@@ -438,98 +462,93 @@ def surrogate_text(data, tmp) -> list:
     return ["--comments", write(tmp / "comments.jsonl", "".join(comments)), *data[2:]]
 
 
-# id: (argv before --out over the fixture paths, fails before --out is created)
+# id: argv before --out over the fixture paths
 REJECTED = {
-    "pipeline-beta": (lambda p: ["pipeline", *p.data, "--beta", "-1"], True),
-    "pipeline-step": (lambda p: ["pipeline", *p.data, "--step", "0.5"], True),
+    "pipeline-beta": lambda p: ["pipeline", *p.data, "--beta", "-1"],
+    "pipeline-step": lambda p: ["pipeline", *p.data, "--step", "0.5"],
     "breakage-subnormal-step": (
-        lambda p: ["breakage", "--graph", p.graph, "--step", "5e-324"], True),
-    "pipeline-epochs": (lambda p: ["pipeline", *p.data, "--epochs", "0"], True),
-    "pipeline-folds": (lambda p: ["pipeline", *p.data, "--folds", "1"], True),
+        lambda p: ["breakage", "--graph", p.graph, "--step", "5e-324"]),
+    "pipeline-epochs": lambda p: ["pipeline", *p.data, "--epochs", "0"],
+    "pipeline-folds": lambda p: ["pipeline", *p.data, "--folds", "1"],
     "nurse-train-batch-size": (
-        lambda p: ["nurse-train", "--features", p.features, "--batch-size", "0"], True),
-    "ablate-folds": (lambda p: ["ablate", "--features", p.features, "--folds", "0"], True),
-    "features-dim": (lambda p: ["features", *p.data, "--dim", "0"], True),
-    "features-dim-1": (lambda p: ["features", *p.data, "--dim", "1"], True),
-    "pipeline-dim-1": (lambda p: ["pipeline", *p.data, "--dim", "1"], True),
+        lambda p: ["nurse-train", "--features", p.features, "--batch-size", "0"]),
+    "ablate-folds": lambda p: ["ablate", "--features", p.features, "--folds", "0"],
+    "features-dim": lambda p: ["features", *p.data, "--dim", "0"],
+    "features-dim-1": lambda p: ["features", *p.data, "--dim", "1"],
+    "pipeline-dim-1": lambda p: ["pipeline", *p.data, "--dim", "1"],
     "nurse-train-one-embedding-column": (
-        lambda p: ["nurse-train", "--features", one_embedding_column(p.features, p.tmp)], True),
+        lambda p: ["nurse-train", "--features", one_embedding_column(p.features, p.tmp)]),
     "ablate-one-embedding-column": (
-        lambda p: ["ablate", "--features", one_embedding_column(p.features, p.tmp)], True),
+        lambda p: ["ablate", "--features", one_embedding_column(p.features, p.tmp)]),
     "nurse-eval-format-1-model": (
         lambda p: ["nurse-eval", "--model", format_1_model(p.model, p.tmp),
-                   "--features", p.features], True),
-    "synth-no-videos": (lambda p: ["synth", "--n-videos", "0"], True),
-    "synth-no-communities": (lambda p: ["synth", "--communities", "0"], True),
-    "synth-negative-core": (lambda p: ["synth", "--n-core", "-1"], True),
-    "synth-one-user": (lambda p: ["synth", "--n-core", "1", "--n-compromised", "0"], True),
-    "features-pair-cap": (lambda p: ["features", *p.data, "--pair-cap", "-5"], True),
-    "baseline-wbc-k": (lambda p: ["baseline-wbc", "--graph", p.graph, "--k", "-1"], True),
+                   "--features", p.features]),
+    "synth-no-videos": lambda p: ["synth", "--n-videos", "0"],
+    "synth-no-communities": lambda p: ["synth", "--communities", "0"],
+    "synth-negative-core": lambda p: ["synth", "--n-core", "-1"],
+    "synth-one-user": lambda p: ["synth", "--n-core", "1", "--n-compromised", "0"],
+    "features-pair-cap": lambda p: ["features", *p.data, "--pair-cap", "-5"],
+    "baseline-wbc-k": lambda p: ["baseline-wbc", "--graph", p.graph, "--k", "-1"],
     "nurse-eval-garbage-model": (
         lambda p: ["nurse-eval", "--model", write(p.tmp / "model.npz", "garbage"),
-                   "--features", p.features], True),
+                   "--features", p.features]),
     "nurse-eval-model-without-meta": (
         lambda p: ["nurse-eval", "--features", p.features, "--model",
-                   write(p.tmp / "model.npz", npz_bytes(p.tmp, x=np.zeros(2)))], True),
+                   write(p.tmp / "model.npz", npz_bytes(p.tmp, x=np.zeros(2)))]),
     "pipeline-labels": (
-        lambda p: ["pipeline", *p.data, "--labels", write(p.tmp / "labels.tsv", "u1 core\n")],
-        True),
+        lambda p: ["pipeline", *p.data, "--labels", write(p.tmp / "labels.tsv", "u1 core\n")]),
     "config-unknown-key": (
         lambda p: ["--config", write(p.tmp / "run.cfg", "bogus=3\n"),
-                   "nurse-train", "--features", p.features], True),
+                   "nurse-train", "--features", p.features]),
     "features-embedding-missing": (
         lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
-                   write(p.tmp / "emb.txt", f"dim=2\n{text_key('unused')}\t0.5,0.5\n")],
-        False),
+                   write(p.tmp / "emb.txt", f"dim=2\n{text_key('unused')}\t0.5,0.5\n")]),
     "pipeline-impossible-stratification": (
-        lambda p: ["pipeline", *p.data, "--dim", "8", "--folds", "500"], False),
+        lambda p: ["pipeline", *p.data, "--dim", "8", "--folds", "500"]),
     "ablate-impossible-stratification": (
-        lambda p: ["ablate", "--features", p.features, "--folds", "500"], False),
+        lambda p: ["ablate", "--features", p.features, "--folds", "500"]),
     "nurse-train-learning-rate-nan": (
-        lambda p: ["nurse-train", "--features", p.features, "--learning-rate", "nan"], True),
+        lambda p: ["nurse-train", "--features", p.features, "--learning-rate", "nan"]),
     "nurse-train-learning-rate-inf": (
-        lambda p: ["nurse-train", "--features", p.features, "--learning-rate", "inf"], True),
+        lambda p: ["nurse-train", "--features", p.features, "--learning-rate", "inf"]),
     "nurse-train-momentum-nan": (
-        lambda p: ["nurse-train", "--features", p.features, "--momentum", "nan"], True),
+        lambda p: ["nurse-train", "--features", p.features, "--momentum", "nan"]),
     "config-learning-rate-inf": (
         lambda p: ["--config", write(p.tmp / "run.cfg", "learning_rate=inf\n"),
-                   "nurse-train", "--features", p.features], True),
+                   "nurse-train", "--features", p.features]),
     "config-momentum-nan": (
         lambda p: ["--config", write(p.tmp / "run.cfg", "momentum=nan\n"),
-                   "nurse-train", "--features", p.features], True),
+                   "nurse-train", "--features", p.features]),
     "config-repeated-key": (
         lambda p: ["--config", write(p.tmp / "run.cfg", "epochs=2\nepochs=3\n"),
-                   "nurse-train", "--features", p.features], True),
+                   "nurse-train", "--features", p.features]),
     "pipeline-repeated-label": (
         lambda p: ["pipeline", *p.data, "--labels",
-                   write(p.tmp / "labels.tsv", "u1\tcore\nu1\tcompromised\n")], True),
+                   write(p.tmp / "labels.tsv", "u1\tcore\nu1\tcompromised\n")]),
     "korse-repeated-edge": (
-        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\na\tb\t7\n")],
-        True),
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\na\tb\t7\n")]),
     "korse-reversed-repeated-edge": (
-        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\nb\ta\t7\n")],
-        True),
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\nb\ta\t7\n")]),
     "nurse-train-features-nan": (
-        lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 2, 2, "nan")],
-        True),
+        lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 2, 2, "nan")]),
     "nurse-eval-features-inf": (
         lambda p: ["nurse-eval", "--model", p.model,
-                   "--features", with_value(p.features, p.tmp, 4, -1, "inf")], True),
+                   "--features", with_value(p.features, p.tmp, 4, -1, "inf")]),
     "ablate-features-nan": (
-        lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 3, 30, "nan")], True),
+        lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 3, 30, "nan")]),
     "ablate-features-inf": (
-        lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 2, -1, "-inf")], True),
+        lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 2, -1, "-inf")]),
     "features-repeated-embedding": (
         lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
-                                            f"{text_key('a')}\t0.1,0.2\n")], True),
+                                            f"{text_key('a')}\t0.1,0.2\n")]),
     "features-embeddings-dim-1": (
         lambda p: ["features", *p.data, "--provider", "file",
-                   "--embeddings", one_value_embeddings(p.dir, p.tmp)], True),
+                   "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
     "pipeline-embeddings-dim-1": (
         lambda p: ["pipeline", *p.data, "--provider", "file",
-                   "--embeddings", one_value_embeddings(p.dir, p.tmp)], True),
-    "features-surrogate-text": (lambda p: ["features", *surrogate_text(p.data, p.tmp)], True),
+                   "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
+    "features-surrogate-text": lambda p: ["features", *surrogate_text(p.data, p.tmp)],
 }
 
 # what the error message of a rejected case must contain
@@ -568,7 +587,7 @@ REJECTED_MESSAGE = {
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, model_dir, tmp_path,
                                capsys):
-    argv, before_out = REJECTED[case]
+    argv = REJECTED[case]
     paths = type("Paths", (), dict(dir=synth_dir, data=dataset_args(synth_dir),
                                   graph=str(ccn_dir / "ccn.tsv"),
                                   features=str(features_dir / "features.csv"),
@@ -577,9 +596,55 @@ def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, model_di
     assert main(argv(paths) + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal" not in err
-    if before_out:
-        assert not out.exists()
+    assert not out.exists()
+    assert subdirs(tmp_path) == []  # no staging directory left behind
     assert REJECTED_MESSAGE.get(case, "") in err
+
+
+# id: (the cli name of a late stage made to raise, argv before --out over the fixture paths)
+FAULTS = {
+    "pipeline-weighted_betweenness": (
+        "weighted_betweenness",
+        lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2"]),
+    "nurse-train-train": (
+        "train", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+    "nurse-train-loss": (  # raises after model.npz is written
+        "loss", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_failed_run_leaves_out_as_it_was(case, existing, synth_dir, features_dir, tmp_path,
+                                         monkeypatch, capsys):
+    name, argv = FAULTS[case]
+    argv = argv(type("Paths", (), dict(data=dataset_args(synth_dir),
+                                       features=str(features_dir / "features.csv"))))
+    out = tmp_path / "out"
+    before = {}
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"kept\n")
+        before = {"notes.txt": b"kept\n"}
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, name, fault)
+    assert main(argv + ["--out", str(out)]) == 5
+    assert "internal error: RuntimeError: injected fault" in capsys.readouterr().err
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not out.exists()
+    assert subdirs(tmp_path) == (["out"] if existing else [])
+
+    monkeypatch.undo()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert subdirs(tmp_path) == ["out"]
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, *listed, "manifest.json"])
+    assert all((out / n).read_bytes() == data for n, data in before.items())
 
 
 def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):

@@ -1,9 +1,10 @@
-"""The README's library example and settings table match the code."""
+"""The README's library example, subcommand table and settings table match the code."""
 
+import argparse
 import re
 from pathlib import Path
 
-from collusioncore.cli import TUNABLE_DEFAULTS
+from collusioncore.cli import TUNABLE_DEFAULTS, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,6 +21,18 @@ def test_library_example_imports_exported_names():
     block = re.search(r"```python\n(.*?)```", section("Library"), re.S).group(1)
     statement = re.search(r"^from collusioncore import \(.*?\)", block, re.S | re.M).group(0)
     exec(statement, {})
+
+
+def test_subcommand_table_lists_the_parser_subcommands_in_order():
+    lines = section("Subcommands").splitlines()
+    start = lines.index("| command | purpose |") + 2  # past the rule row
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([\w-]+)` \|", line).group(1))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert rows == list(sub.choices)
 
 
 def test_settings_table_lists_the_tunable_settings():
