@@ -712,6 +712,10 @@ def _run(args) -> int:
     if args.out is None:
         return args.func(args, None)
     out = Path(args.out)
+    # the nearest existing path of --out and its parents must be a directory
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out {args.out}: {existing} is not a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     # beside --out, on its filesystem, so each move is a rename, never a copy
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))

@@ -12,17 +12,28 @@ the model. Evaluation ranks users by core probability and reports
 precision, recall and F1 at every cutoff and at the break-even cutoff, and
 the AUC.
 
-The conv is the only dense (users, channels, positions) work: the forward
-pass keeps just the pooled value and the two inputs at the pooled position
-of each channel, and the conv gradient flows through that position alone.
-Training evaluates the full-set objective after every epoch under exactly
-the parameters the next epoch's first batch uses, so that batch takes its
-conv rows from the objective's pass instead of recomputing them.
+The conv pre-activation at position l is linear in the point
+(T[l], T[l+1]), so its maximum over l lies on the convex hull of the
+user's points. Each ``train`` and ``predict_proba`` call therefore finds,
+once per user, the positions on the two outer convex layers (exact
+orientation tests, Akl-Toussaint pruning, Andrew's monotone chain), and
+every step evaluates the conv at those candidates only. A (user, channel)
+cell is certified when the second layer's maximum, plus a rounding bound,
+stays below the first layer's: then the dense kernel's first-index argmax
+lies on layer 1, whose values are the dense values bit for bit. A user
+with any uncertified cell takes the dense kernel over all positions. The
+forward pass keeps just the pooled value and the two inputs at the pooled
+position of each channel, and the conv gradient flows through that
+position alone. Training evaluates the full-set objective after every
+epoch under exactly the parameters the next epoch's first batch uses, so
+that batch takes its conv rows from the objective's pass instead of
+recomputing them.
 """
 
 import json
 import zipfile
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -132,14 +143,153 @@ def _raw_inputs(features, config: NurseConfig) -> dict:
 
 
 def _standardize(model: NurseModel, X: dict) -> dict:
-    return {
-        b: (X[b] - model.norm_mean[b]) / model.norm_std[b] for b in X
-    }
+    """The network's inputs: each block z-scored, and under ``"hull"`` the
+    conv candidates of the TFE block."""
+    Z = {b: (X[b] - model.norm_mean[b]) / model.norm_std[b] for b in X}
+    if "tfe" in Z:
+        Z["hull"] = _convex_layers(Z["tfe"])
+    return Z
 
 
-def _conv_pool(T, conv_w, conv_b):
-    """(pooled, t0, t1) per (user, channel): the max-pooled ReLU of the width-2
-    conv over ``T`` and the two inputs at the pooled position.
+# ---------------------------------------------------------------------------
+# The conv over each user's two outer convex layers
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)  # smallest normal: covers products that underflow
+ORIENT_BOUND = (3.0 + 8.0 * EPS) * EPS / 2  # Shewchuk's ccwerrboundA
+
+
+def _orient_float(ax, ay, bx, by, cx, cy):
+    """(det, bound): det > 0 when a, b, c turn counter-clockwise, and the
+    sign of det is exact wherever |det| > bound (Shewchuk 1997)."""
+    left = (ax - cx) * (by - cy)
+    right = (ay - cy) * (bx - cx)
+    return left - right, ORIENT_BOUND * (abs(left) + abs(right)) + TINY
+
+
+def _orient(a, b, c) -> int:
+    """Exact sign of the turn a -> b -> c of float points: 1, 0 or -1."""
+    det, bound = _orient_float(*a, *b, *c)
+    if abs(det) > bound:  # false for nan, so overflow goes exact
+        return 1 if det > 0 else -1
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in (a, b, c))
+    exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (exact > 0) - (exact < 0)
+
+
+def _hull_boundary(points) -> set:
+    """The distinct points that lie on the boundary of their convex hull:
+    vertices and the points on its edges (Andrew's monotone chain, popping
+    only on a strict clockwise turn)."""
+    ordered = sorted(points)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _orient(out[-2], out[-1], p) < 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return set(chain(ordered)) | set(chain(reversed(ordered)))
+
+
+def _octagon_interior(x, y, alive):
+    """Mask of the alive points strictly inside the polygon of each row's
+    extreme alive points in 8 directions (Akl & Toussaint 1978).
+
+    The polygon's vertices are points of the row, so a point strictly inside
+    it is strictly inside the row's hull. A point counts as inside only when
+    every orientation test says so beyond its error bound.
+    """
+    rows = np.arange(len(x))[:, None]
+    keys = (x, x + y, y, y - x, -x, -x - y, -y, x - y)  # counter-clockwise
+    ext = np.stack([np.argmax(np.where(alive, k, -np.inf), axis=1) for k in keys], axis=1)
+    vx, vy = x[rows, ext], y[rows, ext]
+    inside = alive.copy()
+    proper = np.zeros(len(x), dtype=bool)  # has an edge of nonzero length
+    for k in range(8):
+        ax, ay = vx[:, k, None], vy[:, k, None]
+        bx, by = vx[:, (k + 1) % 8, None], vy[:, (k + 1) % 8, None]
+        degenerate = (ax == bx) & (ay == by)
+        proper |= ~degenerate[:, 0]
+        det, bound = _orient_float(ax, ay, bx, by, x, y)
+        inside &= (det > bound) | degenerate
+    return inside & proper[:, None]
+
+
+def _layer(x, y, alive):
+    """Mask of the alive points on the hull boundary of each row's alive
+    points, duplicates included."""
+    rows, cols = np.nonzero(alive & ~_octagon_interior(x, y, alive))
+    xs, ys = x[rows, cols].tolist(), y[rows, cols].tolist()
+    starts = np.searchsorted(rows, np.arange(len(x) + 1)).tolist()
+    on = np.zeros_like(alive)
+    for row, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        points = list(zip(xs[lo:hi], ys[lo:hi]))
+        boundary = _hull_boundary(set(points))
+        on[row, cols[lo:hi][[p in boundary for p in points]]] = True
+    return on
+
+
+def _padded_positions(mask):
+    """(users, K) positions of each row's True entries, ascending, padded
+    with the row's first one (0 for an empty row); K is at least 1."""
+    counts = mask.sum(axis=1)
+    rows, cols = np.nonzero(mask)
+    idx = np.zeros((len(mask), max(int(counts.max(initial=0)), 1)), dtype=np.intp)
+    idx[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
+    return np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])
+
+
+@dataclass(frozen=True)
+class _ConvexLayers:
+    """Conv candidates of a standardized TFE block, one row per user.
+
+    ``t0``/``t1`` hold the two inputs at the positions of the user's first
+    convex layer (columns before ``split``) and of its second layer (the
+    rest), each layer in ascending position order and padded by repeating
+    its first entry.
+    """
+    t0: np.ndarray
+    t1: np.ndarray
+    split: int
+    has_inner: np.ndarray  # the user has points off layer 1
+    scale: np.ndarray  # max |T| of the row
+
+    def __getitem__(self, idx):
+        return _ConvexLayers(self.t0[idx], self.t1[idx], self.split,
+                            self.has_inner[idx], self.scale[idx])
+
+
+def _layer_masks(T):
+    """(layer 1, layer 2) masks over the conv positions of each row of ``T``:
+    the points (T[l], T[l+1]) on the boundary of their convex hull, then
+    those on the hull boundary of the points left. A non-finite row puts
+    every position in layer 1."""
+    x, y = T[:, :-1], T[:, 1:]
+    alive = np.repeat(np.isfinite(T).all(axis=1)[:, None], x.shape[1], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan tests never prune
+        outer = _layer(x, y, alive) | ~alive
+        return outer, _layer(x, y, ~outer)
+
+
+def _convex_layers(T) -> _ConvexLayers:
+    outer, inner = _layer_masks(T)
+    outer_idx = _padded_positions(outer)
+    idx = np.concatenate([outer_idx, _padded_positions(inner)], axis=1)
+    return _ConvexLayers(
+        t0=np.take_along_axis(T, idx, axis=1),
+        t1=np.take_along_axis(T, idx + 1, axis=1),
+        split=outer_idx.shape[1],
+        has_inner=inner.any(axis=1),
+        scale=np.abs(T).max(axis=1),
+    )
+
+
+def _dense_pool(T, conv_w, conv_b):
+    """(pooled, t0, t1) per (user, channel) from the conv at every position.
 
     The argmax runs on the pre-activation. Wherever a channel's maximum is
     positive it is the argmax of the ReLU; elsewhere the pooled value is 0
@@ -153,9 +303,42 @@ def _conv_pool(T, conv_w, conv_b):
     return pooled, np.take_along_axis(T, idx, axis=1), np.take_along_axis(T, idx + 1, axis=1)
 
 
+def _conv_pool(T, hull: _ConvexLayers, conv_w, conv_b):
+    """(pooled, t0, t1) per (user, channel): the max-pooled ReLU of the width-2
+    conv over ``T`` and the two inputs at the pooled position, equal to
+    :func:`_dense_pool` bit for bit.
+
+    The candidates are evaluated with the dense kernel's multiply, add, add,
+    so layer 1 holds the dense values of its positions. Rounding bound: a
+    value is fl(fl(fl(w0 t0) + fl(t1 w1)) + b), within 1.5 eps (R + |b|)
+    of the exact w0 t0 + w1 t1 + b, where R = max|T| (|w0| + |w1|). A
+    position off layer 1 lies in the hull of layer 2, so its exact value is
+    at most layer 2's exact maximum and its computed value at most
+    max(layer 2) + 3 eps (R + |b|). The slack of 8 eps (R + |b|) also covers
+    the rounding of R, of the slack and of its sum with max(layer 2); TINY
+    covers products that underflow. Where max(layer 2) + slack is below
+    max(layer 1), every position off layer 1 computes strictly below the
+    pooled value, so the dense first-index argmax is layer 1's.
+    """
+    z = np.multiply(hull.t0[:, None, :], conv_w[None, :, 0, None])
+    z += hull.t1[:, None, :] * conv_w[None, :, 1, None]
+    z += conv_b[None, :, None]
+    users = np.arange(len(z))[:, None]
+    idx = np.argmax(z[:, :, :hull.split], axis=2)
+    top = z[users, np.arange(z.shape[1]), idx]
+    reach = hull.scale[:, None] * (np.abs(conv_w[:, 0]) + np.abs(conv_w[:, 1]))
+    slack = 8 * EPS * (reach + np.abs(conv_b)) + TINY
+    certified = (z[:, :, hull.split:].max(axis=2) + slack < top) | ~hull.has_inner[:, None]
+    pooled, t0, t1 = _relu(top), hull.t0[users, idx], hull.t1[users, idx]
+    dense = np.flatnonzero(~certified.all(axis=1))
+    if dense.size:
+        pooled[dense], t0[dense], t1[dense] = _dense_pool(T[dense], conv_w, conv_b)
+    return pooled, t0, t1
+
+
 def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None,
                    conv=None):
-    """Run the network on standardized inputs; returns (probs, cache).
+    """Run the network on the inputs of :func:`_standardize`; returns (probs, cache).
 
     ``conv`` may give the :func:`_conv_pool` rows of ``X["tfe"]`` under the
     current conv parameters, computed by an earlier pass, to skip the conv.
@@ -169,7 +352,7 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
     for branch in (b for b in BRANCH_ORDER if b in cfg.branches):
         if branch == "tfe":
             if conv is None:
-                conv = _conv_pool(X["tfe"], p["conv_w"], p["conv_b"])
+                conv = _conv_pool(X["tfe"], X["hull"], p["conv_w"], p["conv_b"])
             cache["conv"] = conv
             x = conv[0]
         else:

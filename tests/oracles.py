@@ -6,7 +6,9 @@ formulas for statistics, the paper's per-pair edge weight definition, one
 full cosine per vector pair for the similarity block, a separate embedding
 pass for the mean comment embedding, and rational path lengths for
 betweenness. The NURSE kernels are the dense conv-gradient versions the
-library used before its pooled-position rewrite.
+library used before its pooled-position rewrite, the conv pool is the conv
+at every position, and convex-hull boundaries come from supporting lines
+tested in rational arithmetic.
 """
 
 import heapq
@@ -333,6 +335,48 @@ def loss_and_grads(model: NurseModel, batch):
     probs, cache = nurse._forward_batch(model, X, train_mode=False)
     grads = nurse._backward_batch(model, cache, nurse._d_logits(probs, y))
     return nurse._cross_entropy(probs, y), grads
+
+
+def conv_pool(T, conv_w, conv_b):
+    """(pooled, t0, t1) per (user, channel): the width-2 conv at every
+    position, max-pooled at the first-index argmax of the pre-activation."""
+    z = (T[:, None, :-1] * conv_w[None, :, 0, None] + T[:, None, 1:] * conv_w[None, :, 1, None]
+         + conv_b[None, :, None])
+    idx = np.argmax(z, axis=2)
+    pooled = _relu(np.take_along_axis(z, idx[:, :, None], axis=2)[:, :, 0])
+    return pooled, np.take_along_axis(T, idx, axis=1), np.take_along_axis(T, idx + 1, axis=1)
+
+
+def on_hull_boundary(points):
+    """Per point, whether it lies on the boundary of the convex hull of
+    ``points``: whether a line through it and another distinct point has
+    every point on one side (all points do when there are at most two)."""
+    exact = [tuple(map(Fraction, p)) for p in points]
+    distinct = set(exact)
+
+    def side(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    def supported(p):
+        return len(distinct) <= 2 or any(
+            all(side(p, q, r) >= 0 for r in distinct) or all(side(p, q, r) <= 0 for r in distinct)
+            for q in distinct if q != p)
+
+    return [supported(p) for p in exact]
+
+
+def convex_layers(T):
+    """(layer 1, layer 2) boolean masks over the conv positions of each row:
+    the points (T[l], T[l+1]) on the hull boundary, then those on the hull
+    boundary of the points left."""
+    outer = np.zeros((len(T), T.shape[1] - 1), dtype=bool)
+    inner = np.zeros_like(outer)
+    for row, t in enumerate(T.tolist()):
+        points = list(zip(t[:-1], t[1:]))
+        outer[row] = on_hull_boundary(points)
+        rest = [l for l in range(len(points)) if not outer[row, l]]
+        inner[row, rest] = on_hull_boundary([points[l] for l in rest])
+    return outer, inner
 
 
 # The NURSE kernels as they were before the conv gradient was restricted to

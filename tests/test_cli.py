@@ -549,6 +549,11 @@ REJECTED = {
         lambda p: ["pipeline", *p.data, "--provider", "file",
                    "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
     "features-surrogate-text": lambda p: ["features", *surrogate_text(p.data, p.tmp)],
+    "kcore-out-is-a-file": (
+        lambda p: ["kcore", "--graph", p.graph, "--out", write(p.tmp / "notadir", "kept\n")]),
+    "kcore-out-parent-is-a-file": (
+        lambda p: ["kcore", "--graph", p.graph,
+                   "--out", str(Path(write(p.tmp / "notadir", "kept\n")) / "out")]),
 }
 
 # what the error message of a rejected case must contain
@@ -581,6 +586,8 @@ REJECTED_MESSAGE = {
     "features-embeddings-dim-1": "dim must be >= 2",
     "pipeline-embeddings-dim-1": "dim must be >= 2",
     "features-surrogate-text": "comments.jsonl:1: field 'text' is not valid Unicode",
+    "kcore-out-is-a-file": "notadir is not a directory",
+    "kcore-out-parent-is-a-file": "notadir is not a directory",
 }
 
 
@@ -593,7 +600,10 @@ def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, model_di
                                   features=str(features_dir / "features.csv"),
                                   model=str(model_dir / "model.npz"), tmp=tmp_path))
     out = tmp_path / "out"
-    assert main(argv(paths) + ["--out", str(out)]) == 3
+    argv = argv(paths)
+    if "--out" not in argv:  # the cases of a bad --out name their own
+        argv += ["--out", str(out)]
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal" not in err
     assert not out.exists()

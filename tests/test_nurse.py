@@ -205,6 +205,7 @@ def kernel_case(branches, batch, dim, seed, integer_inputs=False, dead_channels=
         model.params["conv_b"] = rng.standard_normal(CONV_CHANNELS)
         if dead_channels:
             model.params["conv_b"][::2] = -1e3
+        X["hull"] = nurse._convex_layers(X["tfe"])
     return model, X
 
 
@@ -238,6 +239,7 @@ def test_kernels_match_oracle_on_small_integers(data, batch, dim, branches):
     small = st.lists(st.integers(-2, 2), min_size=batch * dim, max_size=batch * dim)
     if "tfe" in branches:
         X["tfe"] = np.array(data.draw(small), dtype=float).reshape(batch, dim)
+        X["hull"] = nurse._convex_layers(X["tfe"])
         model.params["conv_w"] = np.array(
             data.draw(st.lists(st.integers(-2, 2), min_size=2 * CONV_CHANNELS,
                                max_size=2 * CONV_CHANNELS)),
@@ -246,6 +248,94 @@ def test_kernels_match_oracle_on_small_integers(data, batch, dim, branches):
             data.draw(st.lists(st.integers(-3, 1), min_size=CONV_CHANNELS,
                                max_size=CONV_CHANNELS)), dtype=float)
     assert_kernels_match_oracle(model, X, seed=batch)
+
+
+def dense_rows(T, conv_w, conv_b):
+    """The rows of ``T`` that took the dense kernel in :func:`nurse._conv_pool`,
+    after asserting that its output equals the dense oracle repr for repr."""
+    taken = []
+    dense = nurse._dense_pool
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nurse, "_dense_pool", lambda rows, w, b: taken.append(rows) or dense(rows, w, b))
+        got = nurse._conv_pool(T, nurse._convex_layers(T), conv_w, conv_b)
+    want = oracles.conv_pool(T, conv_w, conv_b)
+    assert [repr(a.tolist()) for a in got] == [repr(a.tolist()) for a in want]
+    return [row for rows in taken for row in rows.tolist()]
+
+
+def conv_params(seed, zero_channel=None, bias=None):
+    rng = np.random.default_rng(seed)
+    conv_w, conv_b = rng.standard_normal((CONV_CHANNELS, 2)), rng.standard_normal(CONV_CHANNELS)
+    if zero_channel is not None:
+        conv_w[zero_channel] = 0.0
+    if bias is not None:
+        conv_b[bias[0]] = bias[1]
+    return conv_w, conv_b
+
+
+_rng = np.random.default_rng(17)
+_GAUSS = _rng.standard_normal((5, 12))
+
+# id: (T, conv params, the rows of T that must take the dense kernel)
+CONV_CASES = {
+    # every point on one line, so every position is on layer 1
+    "collinear": (np.stack([np.arange(9) * 3.0 - 7, 2.0 ** -np.arange(9), -np.arange(9.0)]),
+                  conv_params(0), []),
+    "all-equal": (np.array([[0.7] * 8, [0.0] * 8, [-3.0] * 8]), conv_params(1), []),
+    "duplicate-points": (np.tile(_rng.standard_normal((3, 4)), 5), conv_params(2), []),
+    "dim-2": (_rng.standard_normal((4, 2)), conv_params(3), []),
+    "dim-3": (_rng.standard_normal((4, 3)), conv_params(4), []),
+    # every position ties in channel 3, and layer 1 cannot be certified
+    "zero-weight-channel": (_GAUSS, conv_params(5, zero_channel=3), _GAUSS.tolist()),
+    # |b| >> |w| |T|: fl(s + b) collapses every position of channel 6 to b
+    "tie-collapse": (_GAUSS, conv_params(6, bias=(6, 1e17)), _GAUSS.tolist()),
+    "dead-channels": (_GAUSS, conv_params(7, bias=(slice(None, None, 2), -1e3)), []),
+    "non-finite-row": (np.array([[1.0, np.inf, 2.0, -1.0, 0.5], [1.0, -2.0, 2.0, -1.0, 0.5]]),
+                       conv_params(8), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv_pool_matches_dense_oracle(case):
+    T, (conv_w, conv_b), fallback = CONV_CASES[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dense_rows(T, conv_w, conv_b) == fallback
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), users=st.integers(1, 5), dim=st.integers(2, 9))
+def test_conv_pool_matches_dense_oracle_on_small_integers(data, users, dim):
+    def ints(n, low, high):
+        return np.array(data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n)),
+                        dtype=float)
+
+    T = ints(users * dim, -2, 2).reshape(users, dim)
+    conv_w, conv_b = ints(2 * CONV_CHANNELS, -2, 2).reshape(CONV_CHANNELS, 2), ints(
+        CONV_CHANNELS, -3, 1)
+    outer, inner = oracles.convex_layers(T)
+    assert [m.tolist() for m in nurse._layer_masks(T)] == [outer.tolist(), inner.tolist()]
+    # exact integer values: a user falls back iff some channel's layer-2
+    # maximum ties its layer-1 maximum
+    z = T[:, None, :-1] * conv_w[None, :, 0, None] + T[:, None, 1:] * conv_w[None, :, 1, None] \
+        + conv_b[None, :, None]
+    ties = [inner[u].any() and any(z[u, c, inner[u]].max() == z[u, c, outer[u]].max()
+                                   for c in range(CONV_CHANNELS)) for u in range(users)]
+    assert dense_rows(T, conv_w, conv_b) == T[ties].tolist()
+
+
+@pytest.mark.parametrize("users,dim", [(32, 64), (400, 64), (32, 768), (400, 768)])
+def test_gaussian_rows_never_take_the_dense_kernel(monkeypatch, users, dim):
+    """Guards the speed: a certificate too strict would keep the bytes."""
+    rng = np.random.default_rng(users * dim)
+    T = rng.standard_normal((users, dim))
+    model = init_model(NurseConfig(embedding_dim=dim, seed=users))
+
+    def dense(*args):
+        raise AssertionError("a user took the dense kernel")
+
+    monkeypatch.setattr(nurse, "_dense_pool", dense)
+    nurse._conv_pool(T, nurse._convex_layers(T), model.params["conv_w"],
+                     rng.standard_normal(CONV_CHANNELS))
 
 
 def use_oracle_kernels(monkeypatch):
