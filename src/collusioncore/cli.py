@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest, build, decompose, analyze, train, report.
 
-Every subcommand reads and writes the documented file formats, writes a
+Every subcommand reads and writes the documented file formats, gets a
 ``manifest.json`` next to its outputs, and exits with: 0 ok, 2 usage,
 3 missing or malformed input or a setting out of bounds, 4 data validation
 failure, 5 internal error. A command writes into a staging directory beside
@@ -13,8 +13,9 @@ flags win over the config file.
 All randomness flows from one ``--seed`` (default 7). Stages derive from
 it deterministically: the generator and the stub embedder use it directly,
 community detection runs at seed, seed+1 and seed+2, and fold models train
-at seed + 7919 * (fold + 1). The derivations are recorded per run in the
-manifest.
+at seed + 7919 * (fold + 1). The manifest lists each setting the run read,
+``seed`` among them (there is no separate ``seeds`` field), and the sha256
+of each file it read, ``--config`` and a graph's ``.nodes`` sidecar included.
 """
 
 import argparse
@@ -46,7 +47,14 @@ from .analysis import (
 from .centrality import wbc_baseline, weighted_betweenness
 from .embeddings import FileEmbedder, HashEmbedder
 from .features import extract_all, read_features, write_features
-from .graph import build_ccn, format_stats, graph_stats, read_edgelist, write_edgelist
+from .graph import (
+    build_ccn,
+    format_stats,
+    graph_stats,
+    nodes_sidecar,
+    read_edgelist,
+    write_edgelist,
+)
 from .kcore import MODES, coreness, write_coreness
 from .korse import korse, read_partition, write_partition, write_sweep
 from .nurse import (
@@ -102,7 +110,7 @@ TUNABLE_DEFAULTS = {
 }
 
 # Argument names of input files; the manifest records a digest of each one given.
-INPUT_ARGS = ("comments", "videos", "users", "graph", "partition", "labels",
+INPUT_ARGS = ("config", "comments", "videos", "users", "graph", "partition", "labels",
               "features", "model", "embeddings")
 
 
@@ -160,7 +168,9 @@ def _resolve_settings(args) -> dict:
 
 
 def _setting(args, name: str):
-    return args._settings[name]
+    """The resolved value of a tunable setting; the manifest lists each one read."""
+    value = args._read[name] = args._settings[name]
+    return value
 
 
 def _sha256(path) -> str:
@@ -171,9 +181,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out, args, seeds, settings=None) -> None:
+def _write_manifest(out, args) -> None:
     """``manifest.json`` in ``out``, listing every file already written there."""
-    inputs = (getattr(args, name, None) for name in INPUT_ARGS)
+    inputs = [getattr(args, name, None) for name in INPUT_ARGS]
+    if getattr(args, "graph", None):  # read_edgelist reads the sidecar when it exists
+        inputs.append(nodes_sidecar(args.graph))
     manifest = {
         "command": args.command,
         "args": {
@@ -182,8 +194,7 @@ def _write_manifest(out, args, seeds, settings=None) -> None:
         },
         "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).is_file()},
         "outputs": sorted(p.name for p in out.iterdir()),
-        "seeds": seeds,
-        "settings": settings or {},
+        "settings": args._read,
         "version": __version__,
     }
     with (out / "manifest.json").open("w", encoding="utf-8") as handle:
@@ -214,7 +225,7 @@ def _labeled(feats, per_class: int) -> list:
     return labeled
 
 
-def _nurse_config(args, dim, seed) -> NurseConfig:
+def _nurse_config(args, dim) -> NurseConfig:
     try:
         return NurseConfig(
             embedding_dim=dim,
@@ -222,18 +233,18 @@ def _nurse_config(args, dim, seed) -> NurseConfig:
             momentum=_setting(args, "momentum"),
             epochs=_setting(args, "epochs"),
             batch_size=_setting(args, "batch_size"),
-            seed=seed,
+            seed=_setting(args, "seed"),
         )
     except ValueError as exc:
         raise InputError(f"features: {exc}") from None  # too few embedding values
 
 
-def _cross_validate(run, args, feats, seed):
+def _cross_validate(run, args, feats):
     """``run`` (evaluate or ablations) on the labelled ``feats``, once they
     are known to fill every fold."""
     folds = _setting(args, "folds")
     feats = _labeled(feats, min_class_size(folds))
-    config = _nurse_config(args, dim=len(feats[0].tfe), seed=seed)
+    config = _nurse_config(args, dim=len(feats[0].tfe))
     return run(feats, config, mode=args.mode, folds=folds)
 
 
@@ -350,7 +361,6 @@ def cmd_ingest_check(args, out):
     text = "\n".join(report) + "\n"
     if out is not None:
         (out / "ingest_check.txt").write_text(text, encoding="utf-8")
-        _write_manifest(out, args, {})
     sys.stdout.write(text)
     if problems:  # the report is the product, so it is kept on exit 4
         print(f"validation error: {len(problems)} referential-integrity violations",
@@ -362,14 +372,12 @@ def cmd_ingest_check(args, out):
 def cmd_build_ccn(args, out):
     dataset = _load_dataset(args)
     _do_build_ccn(dataset, not args.all_videos, out)
-    _write_manifest(out, args, {})
     return EXIT_OK
 
 
 def cmd_kcore(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
     _do_kcore(graph, args.mode, out)
-    _write_manifest(out, args, {})
     return EXIT_OK
 
 
@@ -378,7 +386,6 @@ def cmd_korse(args, out):
     if graph.n_edges == 0:
         raise InputError("graph has no edges; cannot sweep")
     _do_korse(graph, _setting(args, "beta"), out)
-    _write_manifest(out, args, {})
     return EXIT_OK
 
 
@@ -386,7 +393,6 @@ def cmd_breakage(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
     keys = ORDER_KEYS if args.order_key == "all" else (args.order_key,)
     _do_breakage(graph, keys, _setting(args, "step"), out)
-    _write_manifest(out, args, {})
     return EXIT_OK
 
 
@@ -394,10 +400,8 @@ def cmd_communities(args, out):
     """`communities`, and `interplay`, which adds tables over the same communities."""
     graph = _read(read_edgelist, args.graph, "graph")
     partition = _read(read_partition, args.partition, "partition")
-    seed = _setting(args, "seed")
     stage = _do_interplay if args.command == "interplay" else _do_communities
-    stage(graph, partition, seed, out)
-    _write_manifest(out, args, {"louvain": seed})
+    stage(graph, partition, _setting(args, "seed"), out)
     return EXIT_OK
 
 
@@ -405,32 +409,25 @@ def cmd_case_study(args, out):
     dataset = _load_dataset(args)
     partition = _read(read_partition, args.partition, "partition")
     _do_case_study(dataset, partition, out)
-    _write_manifest(out, args, {})
     return EXIT_OK
 
 
 def cmd_features(args, out):
     dataset = _load_dataset(args)
     partition = _read(read_partition, args.partition, "partition") if args.partition else None
-    seed = _setting(args, "seed")
-    provider = _provider(args, seed)
-    pair_cap = _setting(args, "pair_cap")
-    _do_features(dataset, partition, provider, pair_cap, out)
-    _write_manifest(out, args, {"embedder": seed},
-                    settings={"pair_cap": pair_cap, "dim": provider.dim})
+    provider = _provider(args, _setting(args, "seed"))
+    _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
     return EXIT_OK
 
 
 def cmd_nurse_train(args, out):
     labeled = _labeled(_read(read_features, args.features, "features"), 2)
-    seed = _setting(args, "seed")
-    config = _nurse_config(args, dim=len(labeled[0].tfe), seed=seed)
+    config = _nurse_config(args, dim=len(labeled[0].tfe))
     model = train(labeled, config)
     save_model(model, out / "model.npz")
     (out / "train_report.txt").write_text(
         f"examples={len(labeled)}\nfinal_loss={loss(model, labeled)!r}\n", encoding="utf-8"
     )
-    _write_manifest(out, args, {"train": seed})
     return EXIT_OK
 
 
@@ -440,23 +437,20 @@ def cmd_nurse_eval(args, out):
     if "tfe" in model.config.branches and len(feats[0].tfe) != model.config.embedding_dim:
         raise InputError(f"features have {len(feats[0].tfe)} embedding values, "
                          f"the model expects {model.config.embedding_dim}")
-    seed = _setting(args, "seed")
     feats = sorted(feats, key=lambda f: f.user_id)
-    core, comp = class_split(feats, seed if args.mode == "balanced" else None)
+    core, comp = class_split(feats, _setting(args, "seed") if args.mode == "balanced" else None)
     feats = sorted(core + comp, key=lambda f: f.user_id)
     scored = score_users(model, feats)
     write_eval_report(summarize_folds([fold_metrics(0, scored)]), out / "eval.csv")
     with (out / "ranking.tsv").open("w", encoding="utf-8") as handle:
         for user, score, label in rank_users(scored):
             handle.write(f"{user}\t{score!r}\t{label}\n")
-    _write_manifest(out, args, {"sampling": seed})
     return EXIT_OK
 
 
 def cmd_ablate(args, out):
     feats = _read(read_features, args.features, "features")
-    seed = _setting(args, "seed")
-    reports = _cross_validate(ablations, args, feats, seed)
+    reports = _cross_validate(ablations, args, feats)
     with (out / "ablation_summary.csv").open("w", encoding="utf-8") as handle:
         handle.write("method,mean_f1_breakeven,mean_auc\n")
         for name in sorted(reports):
@@ -465,7 +459,6 @@ def cmd_ablate(args, out):
     write_method_curves(reports, out / "curves_f1.csv", out / "curves_auc.csv")
     for name, report in reports.items():
         write_eval_report(report, out / f"eval_{name.replace('+', '_')}.csv")
-    _write_manifest(out, args, {"cv": seed, "folds": _setting(args, "folds")})
     return EXIT_OK
 
 
@@ -475,19 +468,17 @@ def cmd_baseline_wbc(args, out):
     with (out / "wbc_ranking.tsv").open("w", encoding="utf-8") as handle:
         for rank, (node, score) in enumerate(ranked, start=1):
             handle.write(f"{rank}\t{node}\t{score!r}\n")
-    _write_manifest(out, args, {})
     return EXIT_OK
 
 
 def cmd_synth(args, out):
-    seed = _setting(args, "seed")
     try:
         config = SynthConfig(
             n_core=args.n_core,
             n_compromised=args.n_compromised,
             n_videos=args.n_videos,
             peripheral_community_count=args.communities,
-            seed=seed,
+            seed=_setting(args, "seed"),
         )
         dataset, labels = generate(config)
     except ValueError as exc:
@@ -495,7 +486,6 @@ def cmd_synth(args, out):
     write_dataset(dataset, out / "comments.jsonl", out / "videos.jsonl", out / "users.jsonl")
     write_labels(labels, out / "labels.tsv")
     write_meta(config, out / "synth_meta")
-    _write_manifest(out, args, {"generator": seed})
     return EXIT_OK
 
 
@@ -517,7 +507,7 @@ def cmd_pipeline(args, out):
 
     feats = _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
 
-    eval_report = _cross_validate(evaluate, args, feats, seed)
+    eval_report = _cross_validate(evaluate, args, feats)
     write_eval_report(eval_report, out / "eval.csv")
 
     bc = weighted_betweenness(graph)
@@ -543,7 +533,6 @@ def cmd_pipeline(args, out):
         f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
         summary.append(f"planted_core_f1={f1!r}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    _write_manifest(out, args, {"seed": seed, "folds": _setting(args, "folds")})
     sys.stdout.write("\n".join(summary) + "\n")
     return EXIT_OK
 
@@ -604,7 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
             "  embeddings file         'dim=<d>' header, then hash<TAB>csv floats\n"
             "  eval.csv                fold,k,precision,recall,f1,auc + summary row\n"
             "  manifest.json           per-run snapshot: args, sha256 of every input\n"
-            "                          file given (--embeddings too), outputs, seeds"
+            "                          file read (--config, --embeddings and a graph's\n"
+            "                          .nodes sidecar too), the settings read (seed\n"
+            "                          included; no separate seeds), outputs"
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -707,8 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """The handler's exit code. The handler writes into a fresh staging
-    directory beside ``--out``; once it returns, each staged file moves into
-    ``--out``, ``manifest.json`` last. The staging directory is always removed."""
+    directory beside ``--out``; once it returns, ``manifest.json`` is written
+    there and each staged file moves into ``--out``, ``manifest.json`` last.
+    The staging directory is always removed."""
     if args.out is None:
         return args.func(args, None)
     out = Path(args.out)
@@ -721,6 +713,7 @@ def _run(args) -> int:
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
         code = args.func(args, staging)
+        _write_manifest(staging, args)
         out.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
             os.replace(path, out / path.name)
@@ -733,7 +726,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._settings = _resolve_settings(args)
+        args._settings, args._read = _resolve_settings(args), {}
         return _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

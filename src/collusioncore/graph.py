@@ -226,10 +226,15 @@ EDGELIST_HEADER = "# ccn v1"
 NODES_HEADER = "# ccn nodes v1"
 
 
+def nodes_sidecar(path) -> Path:
+    """The node sidecar of the edge list at ``path``: ``<path>.nodes``."""
+    return Path(str(path) + ".nodes")
+
+
 def write_edgelist(graph: Ccn, path) -> None:
     """Write tab-separated sorted edges plus a node sidecar file.
 
-    The sidecar (``<path>.nodes``) preserves isolated nodes, which the
+    The sidecar (:func:`nodes_sidecar`) preserves isolated nodes, which the
     edge-list format alone cannot represent.
     """
     path = Path(path)
@@ -237,7 +242,7 @@ def write_edgelist(graph: Ccn, path) -> None:
         handle.write(EDGELIST_HEADER + "\n")
         for (a, b) in sorted(graph.edges):
             handle.write(f"{a}\t{b}\t{graph.edges[(a, b)]}\n")
-    with Path(str(path) + ".nodes").open("w", encoding="utf-8") as handle:
+    with nodes_sidecar(path).open("w", encoding="utf-8") as handle:
         handle.write(NODES_HEADER + "\n")
         for node in sorted(graph.nodes):
             handle.write(node + "\n")
@@ -268,7 +273,7 @@ def read_edgelist(path) -> Ccn:
             weights[(a, b)] = int(w)
             nodes.add(a)
             nodes.add(b)
-    sidecar = Path(str(path) + ".nodes")
+    sidecar = nodes_sidecar(path)
     if sidecar.exists():
         with sidecar.open(encoding="utf-8") as handle:
             header = handle.readline().rstrip("\n")

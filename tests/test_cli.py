@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -16,6 +17,7 @@ from collusioncore import cli
 from collusioncore.cli import main
 from collusioncore.embeddings import HashEmbedder, text_key, write_embedding_file
 from collusioncore.features import feature_header
+from collusioncore.graph import nodes_sidecar
 from collusioncore.records import ingest
 
 from conftest import SYNTH_SEED
@@ -42,7 +44,7 @@ def test_synth_writes_expected_files(synth_dir):
         assert (synth_dir / name).exists(), name
     manifest = json.loads((synth_dir / "manifest.json").read_text())
     assert manifest["command"] == "synth"
-    assert manifest["seeds"] == {"generator": SYNTH_SEED}
+    assert manifest["settings"]["seed"] == SYNTH_SEED
 
 
 def test_ingest_check_ok(synth_dir, capsys):
@@ -117,6 +119,20 @@ def test_manifest_lists_only_what_the_run_wrote(ccn_dir, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["coreness_weighted.tsv"]
     assert sorted(p.name for p in out.iterdir()) == [
         "ccn.tsv", "ccn.tsv.nodes", "coreness_weighted.tsv", "manifest.json", "stats.txt"]
+
+
+def test_manifest_digests_the_graph_sidecar(ccn_dir, tmp_path):
+    graph = tmp_path / "graph" / "ccn.tsv"
+    shutil.copytree(ccn_dir, graph.parent)
+    manifests = []
+    for name, extra in (("a", ""), ("b", "isolated-user\n")):
+        with nodes_sidecar(graph).open("a", encoding="utf-8") as handle:
+            handle.write(extra)
+        assert main(["kcore", "--graph", str(graph), "--out", str(tmp_path / name)]) == 0
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    a, b = (m["inputs"] for m in manifests)
+    assert a[str(graph)] == b[str(graph)]
+    assert a[str(nodes_sidecar(graph))] != b[str(nodes_sidecar(graph))]
 
 
 def test_kcore_triangle_fixture(tmp_path):
@@ -305,14 +321,21 @@ def test_korse_sweep_files_name_each_beta_once(ccn_dir, korse_dir, tmp_path):
     assert sorted(name for name in listed if name.startswith("sweep_beta_")) == sweeps
 
 
-def test_config_file_supplies_defaults(synth_dir, tmp_path):
+def test_config_file_supplies_defaults(synth_dir, features_dir, tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("seed=3\n")
+    config.write_text("seed=3\nepochs=3\n")
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
     assert main(["--config", str(config), "synth", "--out", str(out1)]) == 0
     assert main(["synth", "--seed", "3", "--out", str(out2)]) == 0
     assert (out1 / "comments.jsonl").read_bytes() == (out2 / "comments.jsonl").read_bytes()
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["inputs"][str(config)] == hashlib.sha256(config.read_bytes()).hexdigest()
+    assert manifest["settings"] == {"seed": 3}  # synth reads no epochs
+    out4 = tmp_path / "model"
+    assert main(["--config", str(config), "nurse-train",
+                 "--features", str(features_dir / "features.csv"), "--out", str(out4)]) == 0
+    assert json.loads((out4 / "manifest.json").read_text())["settings"]["epochs"] == 3
     # explicit flag beats the config file
     out3 = tmp_path / "s3"
     assert main(["--config", str(config), "synth", "--seed", "4", "--out", str(out3)]) == 0
@@ -620,6 +643,8 @@ FAULTS = {
         "train", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
     "nurse-train-loss": (  # raises after model.npz is written
         "loss", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+    "nurse-train-_sha256": (  # raises in the manifest write, after the handler returns
+        "_sha256", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
 }
 
 
@@ -665,6 +690,61 @@ def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
     assert manifest["inputs"][emb] == digest
+    assert sorted(manifest["settings"]) == ["pair_cap", "seed"]  # no stub, so no dim
+
+
+TRAINING = ["batch_size", "epochs", "learning_rate", "momentum"]
+
+# id: (the settings the run reads, argv before --out over the fixture paths)
+MANIFEST_SETTINGS = {
+    "ingest-check": ([], lambda p: ["ingest-check", *p.data]),
+    "build-ccn": ([], lambda p: ["build-ccn", *p.data]),
+    "kcore": ([], lambda p: ["kcore", "--graph", p.graph]),
+    "korse": (["beta"], lambda p: ["korse", "--graph", p.graph]),
+    "breakage": (["step"], lambda p: ["breakage", "--graph", p.graph,
+                                      "--order-key", "weighted_degree"]),
+    "communities": (["seed"], lambda p: ["communities", "--graph", p.graph,
+                                         "--partition", p.partition]),
+    "interplay": (["seed"], lambda p: ["interplay", "--graph", p.graph,
+                                       "--partition", p.partition]),
+    "case-study": ([], lambda p: ["case-study", *p.data, "--partition", p.partition]),
+    "features": (["dim", "pair_cap", "seed"], lambda p: ["features", *p.data, "--dim", "4"]),
+    "nurse-train": (["seed", *TRAINING],
+                    lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+    "nurse-eval": (["seed"], lambda p: ["nurse-eval", "--model", p.model,
+                                        "--features", p.features]),
+    "nurse-eval-complete": ([], lambda p: ["nurse-eval", "--model", p.model,
+                                           "--features", p.features, "--mode", "complete"]),
+    "ablate": (["folds", "seed", *TRAINING],
+               lambda p: ["ablate", "--features", p.features, "--epochs", "1", "--folds", "2"]),
+    "baseline-wbc": (["threshold_k"], lambda p: ["baseline-wbc", "--graph", p.graph]),
+    "synth": (["seed"], lambda p: ["synth", "--n-core", "4", "--n-compromised", "16",
+                                   "--n-videos", "24", "--communities", "2"]),
+    "pipeline": (["beta", "dim", "folds", "pair_cap", "seed", "step", *TRAINING],
+                 lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2"]),
+}
+
+
+def test_manifest_table_names_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    names = type("Paths", (), dict(data=[], graph="", partition="", features="", model=""))
+    assert {argv(names)[0] for _, argv in MANIFEST_SETTINGS.values()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_SETTINGS))
+def test_manifest_lists_the_settings_the_run_read(case, synth_dir, ccn_dir, korse_dir,
+                                                 features_dir, model_dir, tmp_path):
+    read, argv = MANIFEST_SETTINGS[case]
+    argv = argv(type("Paths", (), dict(data=dataset_args(synth_dir),
+                                       graph=str(ccn_dir / "ccn.tsv"),
+                                       partition=str(korse_dir / "partition.tsv"),
+                                       features=str(features_dir / "features.csv"),
+                                       model=str(model_dir / "model.npz"))))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert sorted(manifest) == ["args", "command", "inputs", "outputs", "settings", "version"]
+    assert sorted(manifest["settings"]) == sorted(read)
 
 
 def test_file_provider_matches_the_stub_it_was_written_from(synth_dir, tmp_path):
