@@ -207,10 +207,10 @@ def _load_dataset(args):
                  "dataset")
 
 
-def _provider(args, seed):
+def _provider(args):
     if args.provider == "file":
         return _read(FileEmbedder.load, args.embeddings, "embeddings")
-    return HashEmbedder(dim=_setting(args, "dim"), seed=seed)
+    return HashEmbedder(dim=_setting(args, "dim"), seed=_setting(args, "seed"))
 
 
 def _labeled(feats, per_class: int) -> list:
@@ -415,7 +415,7 @@ def cmd_case_study(args, out):
 def cmd_features(args, out):
     dataset = _load_dataset(args)
     partition = _read(read_partition, args.partition, "partition") if args.partition else None
-    provider = _provider(args, _setting(args, "seed"))
+    provider = _provider(args)
     _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
     return EXIT_OK
 
@@ -493,7 +493,7 @@ def cmd_pipeline(args, out):
     dataset = _load_dataset(args)
     planted = _read(read_labels, args.labels, "labels") if args.labels else None
     seed = _setting(args, "seed")
-    provider = _provider(args, seed)
+    provider = _provider(args)
 
     graph = _do_build_ccn(dataset, not args.all_videos, out)
     if graph.n_edges == 0:

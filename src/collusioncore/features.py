@@ -8,8 +8,8 @@ Extraction emits raw values; standardization happens inside the classifier.
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,22 +74,35 @@ def _recent(comments, cap: int):
     return ordered[:cap]
 
 
-def _cosines(pairs) -> list[float]:
-    """Cosine of each ((a, norm a), (b, norm b)) pair; 0.0 when either norm is 0."""
-    return [
-        0.0 if na == 0.0 or nb == 0.0 else float(np.dot(a, b) / (na * nb))
-        for (a, na), (b, nb) in pairs
-    ]
+def _stacked(vectors, dim: int) -> tuple:
+    """(rows, norms): the vectors as one contiguous (n, dim) array, and each
+    row's norm as ``np.linalg.norm`` takes it, the root of its ``ddot``."""
+    rows = np.array(vectors, dtype=float).reshape(len(vectors), dim)
+    return rows, np.sqrt(np.vecdot(rows, rows))
+
+
+def _cosines(left, right=None) -> list[float]:
+    """Cosines of the pairs across two stacked sets in ``product`` order, or
+    of the pairs within one set in ``combinations`` order; 0.0 where either
+    norm is 0.
+
+    One ``np.vecdot`` call per row of the left set gives the row's dot
+    products, each the ``ddot`` that ``np.dot`` takes of the pair, so every
+    value has the bits of ``np.dot(a, b) / (norm a * norm b)``.
+    """
+    (a, na), (b, nb) = left, left if right is None else right
+    dots = np.zeros((len(a), len(b)))
+    for i in range(len(a)):
+        lo = i + 1 if right is None else 0
+        np.vecdot(a[i], b[lo:], out=dots[i, lo:])
+    cosines = np.divide(dots, np.multiply.outer(na, nb), out=np.zeros_like(dots),
+                        where=np.outer(na != 0.0, nb != 0.0))
+    # a boolean mask reads the strict upper triangle row by row
+    return (cosines[~np.tri(len(a), dtype=bool)] if right is None else cosines.ravel()).tolist()
 
 
 def _video_text(video) -> str:
     return " ".join((video.title, video.description, video.genre))
-
-
-def _embedded(provider, text: str) -> tuple:
-    """(vector, norm) of one text."""
-    v = provider.embed_text(text)
-    return v, float(np.linalg.norm(v))
 
 
 def _sfe_tfe(dataset: Dataset, user_id: str, provider, pair_cap: int, videos: dict) -> tuple:
@@ -103,35 +116,36 @@ def _sfe_tfe(dataset: Dataset, user_id: str, provider, pair_cap: int, videos: di
     product) is all zeros. TFE is the mean embedding of every comment the
     user posted; zeros if none.
 
-    ``videos`` memoises (vector, norm) by video id across users.
+    ``videos`` memoises the embedding of each video text by video id across
+    users.
     """
     uploads = dataset.videos_by_uploader.get(user_id, ())
     own_videos = {v.video_id for v in uploads}
     comments = dataset.comments_by_user.get(user_id, ())
-    embedded = {c: _embedded(provider, c.text) for c in comments}
+    embedded = {c: provider.embed_text(c.text) for c in comments}
     tfe = np.zeros(provider.dim)
     for c in comments:
-        tfe += embedded[c][0]
+        tfe += embedded[c]
     if comments:
         tfe /= len(comments)
 
     def video(v):
         if v.video_id not in videos:
-            videos[v.video_id] = _embedded(provider, _video_text(v))
+            videos[v.video_id] = provider.embed_text(_video_text(v))
         return videos[v.video_id]
 
     own_comments = [c for c in comments if c.video_id in own_videos]
     other_comments = [c for c in comments if c.video_id not in own_videos]
     ov_ids = sorted({c.video_id for c in other_comments})[:pair_cap]
-    sc = [embedded[c] for c in _recent(own_comments, pair_cap)]
-    oc = [embedded[c] for c in _recent(other_comments, pair_cap)]
-    sv = [video(v) for v in sorted(uploads, key=lambda v: v.video_id)[:pair_cap]]
-    ov = [video(dataset.videos_by_id[vid]) for vid in ov_ids if vid in dataset.videos_by_id]
+    sc, oc, sv, ov = (_stacked(vectors, provider.dim) for vectors in (
+        [embedded[c] for c in _recent(own_comments, pair_cap)],
+        [embedded[c] for c in _recent(other_comments, pair_cap)],
+        [video(v) for v in sorted(uploads, key=lambda v: v.video_id)[:pair_cap]],
+        [video(dataset.videos_by_id[vid]) for vid in ov_ids if vid in dataset.videos_by_id]))
 
     sfe: list[float] = []
-    for pairs in (combinations(sc, 2), combinations(oc, 2), product(sc, oc),
-                  combinations(sv, 2), product(sv, ov)):
-        sfe.extend(stat5(_cosines(pairs)))
+    for cosines in (_cosines(sc), _cosines(oc), _cosines(sc, oc), _cosines(sv), _cosines(sv, ov)):
+        sfe.extend(stat5(cosines))
     return np.array(sfe), tfe
 
 
@@ -177,15 +191,19 @@ def feature_header(dim: int) -> list[str]:
 
 
 def write_features(features, path) -> None:
+    """CSV of ``feature_header`` and one row per vector: the id and label,
+    quoted as ``csv`` quotes them, then the ``repr`` of every value."""
     if not features:
         raise ValueError("no feature vectors to write")
-    dim = len(features[0].tfe)
+    # writerow returns what ``write`` returns: here the formatted line itself
+    line = csv.writer(SimpleNamespace(write=str)).writerow
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(feature_header(dim))
+        handle.write(line(feature_header(len(features[0].tfe))))
         for fv in features:
             values = np.concatenate([fv.mfe, fv.sfe, fv.tfe]).tolist()
-            writer.writerow([fv.user_id, fv.label or "", *map(repr, values)])
+            fields = line([fv.user_id, fv.label or ""]).removesuffix("\r\n")
+            # a float's repr holds no comma, quote or line break, so needs no quoting
+            handle.write(f"{fields},{','.join(map(repr, values))}\r\n")
 
 
 def read_features(path) -> list[FeatureVector]:
@@ -200,24 +218,22 @@ def read_features(path) -> list[FeatureVector]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+                raise ValueError(f"{where}: expected {len(header)} fields")
             if row[1] not in ("", "core", "compromised"):
-                raise ValueError(f"{path}:{reader.line_num}: label must be core, compromised "
-                                 "or empty")
+                raise ValueError(f"{where}: label must be core, compromised or empty")
             if row[0] in seen:
-                raise ValueError(f"{path}:{reader.line_num}: duplicate user '{row[0]}'")
+                raise ValueError(f"{where}: duplicate user '{row[0]}'")
             seen.add(row[0])
-            values = [float(x) for x in row[2:]]
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}:{reader.line_num}: non-finite value")
-            out.append(
-                FeatureVector(
-                    user_id=row[0],
-                    label=row[1] or None,
-                    mfe=np.array(values[:MFE_SIZE]),
-                    sfe=np.array(values[MFE_SIZE:MFE_SIZE + SFE_SIZE]),
-                    tfe=np.array(values[MFE_SIZE + SFE_SIZE:]),
-                )
-            )
+            try:
+                values = np.array(row[2:], dtype=float)
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric value") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{where}: non-finite value")
+            out.append(FeatureVector(user_id=row[0], label=row[1] or None,
+                                     mfe=values[:MFE_SIZE],
+                                     sfe=values[MFE_SIZE:MFE_SIZE + SFE_SIZE],
+                                     tfe=values[MFE_SIZE + SFE_SIZE:]))
     return out

@@ -14,10 +14,12 @@ the AUC.
 
 The conv pre-activation at position l is linear in the point
 (T[l], T[l+1]), so its maximum over l lies on the convex hull of the
-user's points. Each ``train`` and ``predict_proba`` call therefore finds,
-once per user, the positions on the two outer convex layers (exact
-orientation tests, Akl-Toussaint pruning, Andrew's monotone chain), and
-every step evaluates the conv at those candidates only. A (user, channel)
+user's points. Each ``train`` call therefore finds, once per user, the
+positions on the two outer convex layers (exact orientation tests,
+Akl-Toussaint pruning, Andrew's monotone chain), and every step evaluates
+the conv at those candidates only. Only training builds them, because only
+its many steps pay the build back: ``predict_proba`` makes one pass, and
+runs the dense kernel over blocks of users instead. A (user, channel)
 cell is certified when the second layer's maximum, plus a rounding bound,
 stays below the first layer's: then the dense kernel's first-index argmax
 lies on layer 1, whose values are the dense values bit for bit. A user
@@ -43,6 +45,7 @@ from .features import MFE_SIZE, SFE_SIZE
 BRANCH_ORDER = ("tfe", "sfe", "mfe")  # concatenation order of branch outputs
 CORE = 1  # class index of the core label in softmax outputs
 PROB_FLOOR = 1e-12
+PREDICT_BLOCK = 32  # users per dense conv pass in predict_proba
 
 # The paper's fixed architecture (NurseConfig holds the training settings):
 # conv channels, one dense layer per branch, train-time dropout on the
@@ -143,12 +146,9 @@ def _raw_inputs(features, config: NurseConfig) -> dict:
 
 
 def _standardize(model: NurseModel, X: dict) -> dict:
-    """The network's inputs: each block z-scored, and under ``"hull"`` the
-    conv candidates of the TFE block."""
-    Z = {b: (X[b] - model.norm_mean[b]) / model.norm_std[b] for b in X}
-    if "tfe" in Z:
-        Z["hull"] = _convex_layers(Z["tfe"])
-    return Z
+    """Each block z-scored. Only :func:`train` adds the conv candidates of
+    the TFE block, under ``"hull"``: its many steps pay back their build."""
+    return {b: (X[b] - model.norm_mean[b]) / model.norm_std[b] for b in X}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,8 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
     """Run the network on the inputs of :func:`_standardize`; returns (probs, cache).
 
     ``conv`` may give the :func:`_conv_pool` rows of ``X["tfe"]`` under the
-    current conv parameters, computed by an earlier pass, to skip the conv.
+    current conv parameters, computed by an earlier pass or by the dense
+    kernel, to skip the conv; without it the conv runs over ``X["hull"]``.
     """
     cfg = model.config
     p = model.params
@@ -437,9 +438,20 @@ def _d_logits(probs, y, sample_weight=None):
 
 
 def predict_proba(model: NurseModel, features) -> np.ndarray:
-    """Per-user (compromised, core) probability rows, evaluation mode."""
+    """Per-user (compromised, core) probability rows, evaluation mode.
+
+    One pass builds no conv candidates: the dense kernel runs over blocks of
+    ``PREDICT_BLOCK`` users, which bounds its (users, channels, positions)
+    buffer, and gives the rows :func:`_conv_pool` would give.
+    """
     X = _standardize(model, _raw_inputs(features, model.config))
-    probs, _ = _forward_batch(model, X, train_mode=False)
+    conv = None
+    if "tfe" in X:
+        T, conv_w, conv_b = X["tfe"], model.params["conv_w"], model.params["conv_b"]
+        blocks = [_dense_pool(T[i:i + PREDICT_BLOCK], conv_w, conv_b)
+                  for i in range(0, len(T), PREDICT_BLOCK)]
+        conv = tuple(np.concatenate(parts) for parts in zip(*blocks))
+    probs, _ = _forward_batch(model, X, train_mode=False, conv=conv)
     return probs
 
 
@@ -483,6 +495,8 @@ def train(features, config: NurseConfig) -> NurseModel:
         std[std == 0.0] = 1.0
         model.norm_std[branch] = std
     X = _standardize(model, raw)
+    if "tfe" in X:
+        X["hull"] = _convex_layers(X["tfe"])
 
     if config.class_weight == "balanced":
         counts = np.bincount(y, minlength=2)

@@ -4,20 +4,29 @@ These deliberately avoid the library's own algorithms: subset enumeration
 for cores, a scan of every edge for WICCI, union-find for components, direct
 formulas for statistics, the paper's per-pair edge weight definition, one
 full cosine per vector pair for the similarity block, a separate embedding
-pass for the mean comment embedding, and rational path lengths for
-betweenness. The NURSE kernels are the dense conv-gradient versions the
-library used before its pooled-position rewrite, the conv pool is the conv
-at every position, and convex-hull boundaries come from supporting lines
-tested in rational arithmetic.
+pass for the mean comment embedding, one ``csv.writer`` row per feature
+vector, and rational path lengths for betweenness. The NURSE kernels are
+the dense conv-gradient versions the library used before its
+pooled-position rewrite, the conv pool is the conv at every position, and
+convex-hull boundaries come from supporting lines tested in rational
+arithmetic.
 """
 
+import csv
 import heapq
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
-from collusioncore.features import DEFAULT_PAIR_CAP, _recent, _video_text, stat5
+from collusioncore.features import (
+    DEFAULT_PAIR_CAP,
+    _recent,
+    _video_text,
+    feature_header,
+    stat5,
+)
 from collusioncore import nurse
 from collusioncore.graph import Ccn
 from collusioncore.nurse import (
@@ -222,6 +231,18 @@ def oracle_tfe(dataset, user_id, provider):
     return acc / len(comments)
 
 
+def oracle_write_features(features, path) -> None:
+    """``features.csv`` written one ``csv.writer`` row per vector, every
+    field (id, label and each value's repr) quoted as csv quotes it."""
+    dim = len(features[0].tfe)
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(feature_header(dim))
+        for fv in features:
+            values = np.concatenate([fv.mfe, fv.sfe, fv.tfe]).tolist()
+            writer.writerow([fv.user_id, fv.label or "", *map(repr, values)])
+
+
 def oracle_pearson(xs, ys):
     n = len(xs)
     mx = sum(xs) / n
@@ -332,6 +353,8 @@ def loss_and_grads(model: NurseModel, batch):
     """
     y = nurse._labels_array(batch)
     X = nurse._standardize(model, nurse._raw_inputs(batch, model.config))
+    if "tfe" in X:
+        X["hull"] = nurse._convex_layers(X["tfe"])
     probs, cache = nurse._forward_batch(model, X, train_mode=False)
     grads = nurse._backward_batch(model, cache, nurse._d_logits(probs, y))
     return nurse._cross_entropy(probs, y), grads

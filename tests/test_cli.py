@@ -561,6 +561,8 @@ REJECTED = {
         lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 3, 30, "nan")]),
     "ablate-features-inf": (
         lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 2, -1, "-inf")]),
+    "nurse-train-features-non-numeric": (
+        lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 3, 7, "0.5x")]),
     "features-repeated-embedding": (
         lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
@@ -597,6 +599,7 @@ REJECTED_MESSAGE = {
     "nurse-eval-features-inf": "bad.csv:4: non-finite value",
     "ablate-features-nan": "bad.csv:3: non-finite value",
     "ablate-features-inf": "bad.csv:2: non-finite value",
+    "nurse-train-features-non-numeric": "bad.csv:3: non-numeric value",
     "features-dim-1": "dim must be >= 2, got 1",
     "pipeline-dim-1": "dim must be >= 2, got 1",
     "nurse-train-one-embedding-column": "embedding_dim must be >= 2",
@@ -690,7 +693,7 @@ def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
     assert manifest["inputs"][emb] == digest
-    assert sorted(manifest["settings"]) == ["pair_cap", "seed"]  # no stub, so no dim
+    assert sorted(manifest["settings"]) == ["pair_cap"]  # no stub, so no dim and no seed
 
 
 TRAINING = ["batch_size", "epochs", "learning_rate", "momentum"]
@@ -709,6 +712,8 @@ MANIFEST_SETTINGS = {
                                        "--partition", p.partition]),
     "case-study": ([], lambda p: ["case-study", *p.data, "--partition", p.partition]),
     "features": (["dim", "pair_cap", "seed"], lambda p: ["features", *p.data, "--dim", "4"]),
+    "features-file-provider": (["pair_cap"], lambda p: ["features", *p.data, "--provider", "file",
+                                                        "--embeddings", p.embeddings]),
     "nurse-train": (["seed", *TRAINING],
                     lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
     "nurse-eval": (["seed"], lambda p: ["nurse-eval", "--model", p.model,
@@ -728,19 +733,27 @@ MANIFEST_SETTINGS = {
 def test_manifest_table_names_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    names = type("Paths", (), dict(data=[], graph="", partition="", features="", model=""))
+    names = type("Paths", (), dict(data=[], graph="", partition="", features="", model="",
+                                   embeddings=""))
     assert {argv(names)[0] for _, argv in MANIFEST_SETTINGS.values()} == set(sub.choices)
+
+
+@pytest.fixture(scope="module")
+def embeddings_file(synth_dir, tmp_path_factory):
+    return write_all_embeddings(synth_dir, tmp_path_factory.mktemp("emb") / "emb.txt", dim=4)
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_SETTINGS))
 def test_manifest_lists_the_settings_the_run_read(case, synth_dir, ccn_dir, korse_dir,
-                                                 features_dir, model_dir, tmp_path):
+                                                 features_dir, model_dir, embeddings_file,
+                                                 tmp_path):
     read, argv = MANIFEST_SETTINGS[case]
     argv = argv(type("Paths", (), dict(data=dataset_args(synth_dir),
                                        graph=str(ccn_dir / "ccn.tsv"),
                                        partition=str(korse_dir / "partition.tsv"),
                                        features=str(features_dir / "features.csv"),
-                                       model=str(model_dir / "model.npz"))))
+                                       model=str(model_dir / "model.npz"),
+                                       embeddings=embeddings_file)))
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert sorted(manifest) == ["args", "command", "inputs", "outputs", "settings", "version"]

@@ -7,7 +7,7 @@ from collusioncore.embeddings import (
     text_key,
     write_embedding_file,
 )
-from collusioncore.features import _cosines
+from collusioncore.features import _cosines, _stacked
 
 from oracles import cosine
 
@@ -67,7 +67,7 @@ def test_stub_empty_text_zero_vector_with_flag():
 
 def kernel_cosine(a, b):
     """The similarity block's cosine of one pair, with norms taken as it takes them."""
-    return _cosines([((a, float(np.linalg.norm(a))), (b, float(np.linalg.norm(b))))])[0]
+    return _cosines(_stacked([a], len(a)), _stacked([b], len(b)))[0]
 
 
 def test_cosine_identities():

@@ -1,5 +1,6 @@
+import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from collusioncore.features import (
     DEFAULT_PAIR_CAP,
     MFE_SIZE,
     SFE_SIZE,
+    FeatureVector,
+    _cosines,
+    _stacked,
     _video_text,
     extract_all,
     feature_header,
@@ -21,7 +25,7 @@ from collusioncore.graph import build_ccn
 from collusioncore.korse import CorePartition, korse
 
 from conftest import make_comment, make_dataset, make_user, make_video
-from oracles import cosine, oracle_sfe, oracle_stat5, oracle_tfe
+from oracles import cosine, oracle_sfe, oracle_stat5, oracle_tfe, oracle_write_features
 
 
 def test_stat5_examples():
@@ -120,9 +124,12 @@ def reprs(values):
     return [repr(v) for v in values.tolist()]
 
 
-@pytest.mark.parametrize("pair_cap", [200, 3])
-def test_sfe_matches_per_pair_cosine_oracle(provider, synth_default, pair_cap):
+@pytest.mark.parametrize("pair_cap,dim", [pytest.param(200, 64, id="200"),
+                                          pytest.param(3, 64, id="3"),
+                                          pytest.param(200, 768, id="200-dim768")])
+def test_sfe_matches_per_pair_cosine_oracle(synth_default, pair_cap, dim):
     dataset, _ = synth_default
+    provider = HashEmbedder(dim=dim, seed=9)
     for fv in extract_all(dataset, provider=provider, pair_cap=pair_cap):
         uid = fv.user_id
         assert reprs(fv.sfe) == reprs(oracle_sfe(dataset, uid, provider, pair_cap)), uid
@@ -174,6 +181,57 @@ def test_sfe_with_an_empty_comment_matches_oracle(provider):
     assert fv.sfe[10] > 0.0 and fv.sfe[11] == 0.0  # SC x OC: a pair with a zero vector reads 0.0
     assert reprs(fv.sfe) == reprs(oracle_sfe(d, "u", provider))
     assert reprs(fv.tfe) == reprs(oracle_tfe(d, "u", provider))
+
+
+def test_sfe_with_empty_members_in_every_set_matches_oracle(provider):
+    blank = dict(title="", description="", genre="")  # a video text of spaces only
+    d = make_dataset(
+        users=[make_user("u"), make_user("w")],
+        videos=[make_video("v1", "u", **blank), make_video("v2", "u", title="own video"),
+                make_video("v3", "w", **blank), make_video("v4", "w", title="their video")],
+        comments=[
+            make_comment("u", "v1", text="", ts=1),
+            make_comment("u", "v1", text="alpha beta", ts=2),
+            make_comment("u", "v2", text="beta gamma", ts=3),
+            make_comment("u", "v3", text=" ", ts=4),
+            make_comment("u", "v4", text="gamma delta", ts=5),
+            make_comment("u", "v4", text="delta alpha", ts=6),
+        ],
+    )
+    # SC (v1, v2), OC (v3, v4), SV (v1, v2) and OV (v3, v4) each hold a zero vector
+    assert not any(provider.embed_text(t).any() for t in ("", " ", _video_text(d.videos[0])))
+    fv = features_of(d, "u", provider)
+    assert reprs(fv.sfe) == reprs(oracle_sfe(d, "u", provider))
+    assert reprs(fv.tfe) == reprs(oracle_tfe(d, "u", provider))
+
+
+def row_sets(rng, dim):
+    """Two sets of vectors with zero members, taken as rows and columns of
+    non-contiguous arrays (views with strides other than one value)."""
+    left = rng.standard_normal((9, 2 * dim)) * rng.uniform(0, 50, size=(9, 1))
+    right = rng.standard_normal((3 * dim, 7))
+    left[4] = 0.0
+    right[:, 2] = 0.0
+    return list(left[::2, ::2]), list(right[::3].T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 64, 768])
+def test_cosine_rows_match_per_pair_dot(dim):
+    """One vecdot call per row has the bits of one np.dot per pair.
+
+    The reference dots contiguous copies, as providers return them: a
+    strided ddot may sum in another order. Stacking copies the views, so
+    the kernel's bits do not depend on the inputs' memory layout.
+    """
+    left, right = row_sets(np.random.default_rng(dim), dim)
+    a, b = _stacked(left, dim), _stacked(right, dim)
+    left, right = [np.ascontiguousarray(v) for v in left], [np.ascontiguousarray(v) for v in right]
+    for got, pairs in ((_cosines(a), combinations(left, 2)),
+                       (_cosines(a, b), product(left, right)),
+                       (_cosines(b, a), product(right, left))):
+        assert [repr(v) for v in got] == [repr(cosine(x, y)) for x, y in pairs]
+    assert _cosines(_stacked(left[:1], dim)) == []
+    assert _cosines(a, _stacked([], dim)) == [] == _cosines(_stacked([], dim), b)
 
 
 def test_sfe_entries_bounded(provider, synth_default):
@@ -268,15 +326,61 @@ def test_extract_all_planted_label_counts(provider, synth_default):
     assert got_core == sum(1 for l in labels.values() if l == "core")
 
 
-@pytest.mark.parametrize("rows", [["u1,periphery"], ["u1,core", "u1,"]],
-                         ids=["unknown-label", "duplicate-user"])
-def test_read_features_rejects_bad_rows(tmp_path, rows):
-    values = ",".join(["0.0"] * (MFE_SIZE + SFE_SIZE + 2))
+VALUES = ",".join(["0.5"] * (MFE_SIZE + SFE_SIZE + 2))
+
+# id: (rows after the dim-2 header, the line the error names, its message)
+BAD_ROWS = {
+    "unknown-label": ([f"u1,periphery,{VALUES}"], 2, "label must be core"),
+    "duplicate-user": ([f"u1,core,{VALUES}", f"u1,,{VALUES}"], 3, "duplicate user 'u1'"),
+    "field-count": ([f"u1,core,{VALUES},0.5"], 2, "expected 55 fields"),
+    "nan": ([f"u1,core,{VALUES[:-3]}nan"], 2, "non-finite value"),
+    "inf": ([f"u1,,inf{VALUES[3:]}"], 2, "non-finite value"),
+    "minus-inf": ([f"u1,,{VALUES[:-3]}-inf"], 2, "non-finite value"),
+    "non-numeric": ([f"u1,,{VALUES[:-3]}abc"], 2, "non-numeric value"),
+    "empty-cell": ([f"u1,,{VALUES[:-3]}"], 2, "non-numeric value"),
+    # a quoted id spanning two lines moves the next row to line 4
+    "after-multiline-id": ([f'"a\nb",core,{VALUES}', f"c,compromised,{VALUES[:-3]}x"], 4,
+                           "non-numeric value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_read_features_rejects_bad_rows(tmp_path, case):
+    rows, line, message = BAD_ROWS[case]
     path = tmp_path / "features.csv"
-    path.write_text(",".join(feature_header(2)) + "\n" +
-                    "".join(f"{row},{values}\n" for row in rows))
-    with pytest.raises(ValueError):
+    path.write_text(",".join(feature_header(2)) + "\n" + "".join(f"{row}\n" for row in rows),
+                    encoding="utf-8", newline="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: {message}"):
         read_features(path)
+
+
+def odd_features(dim):
+    """Feature vectors whose ids need csv quoting and whose values test repr."""
+    ids = ["a,b", 'say "hi"', "line\nbreak", "car\rriage", "crlf\r\nid", " leading",
+           "trailing ", "plain"]
+    rng = np.random.default_rng(dim)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, -1 / 3, 2.0 ** 52 + 1]
+    out = []
+    for i, user_id in enumerate(ids):
+        values = rng.standard_normal(MFE_SIZE + SFE_SIZE + dim) * 10.0 ** rng.integers(-8, 9)
+        values[:len(special)] = np.roll(special, i)
+        out.append(FeatureVector(user_id=user_id, label=[None, "core", "compromised"][i % 3],
+                                 mfe=values[:MFE_SIZE], sfe=values[MFE_SIZE:-dim],
+                                 tfe=values[-dim:]))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 768])
+def test_write_features_matches_csv_writer_rows(tmp_path, dim):
+    feats = odd_features(dim)
+    write_features(feats, tmp_path / "features.csv")
+    oracle_write_features(feats, tmp_path / "oracle.csv")
+    assert (tmp_path / "features.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    again = read_features(tmp_path / "features.csv")
+    assert [(f.user_id, f.label) for f in again] == [(f.user_id, f.label) for f in feats]
+    for x, y in zip(feats, again):
+        for block in ("mfe", "sfe", "tfe"):
+            assert reprs(getattr(x, block)) == reprs(getattr(y, block))
 
 
 def test_feature_csv_roundtrip(tmp_path, provider):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,55 @@ def test_gaussian_rows_never_take_the_dense_kernel(monkeypatch, users, dim):
     monkeypatch.setattr(nurse, "_dense_pool", dense)
     nurse._conv_pool(T, nurse._convex_layers(T), model.params["conv_w"],
                      rng.standard_normal(CONV_CHANNELS))
+
+
+def as_features(X):
+    """Feature vectors whose blocks are the rows of a kernel case's inputs."""
+    return [FeatureVector(f"u{i:03d}", mfe, sfe, tfe)
+            for i, (mfe, sfe, tfe) in enumerate(zip(X["mfe"], X["sfe"], X["tfe"]))]
+
+
+def no_candidates(*args):
+    raise AssertionError("the conv candidates were built")
+
+
+# id: kernel_case arguments; 45 users span a full and a partial block
+PREDICT_CASES = {
+    "gaussian-400x768": dict(batch=400, dim=768),
+    "small-integer-ties": dict(batch=45, dim=9, integer_inputs=True),
+    "dead-channels": dict(batch=45, dim=33, dead_channels=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICT_CASES))
+def test_predict_proba_equals_the_conv_pool_pass_without_building_candidates(
+        monkeypatch, case):
+    model, X = kernel_case(nurse.BRANCH_ORDER, seed=5, **PREDICT_CASES[case])
+    want, _ = nurse._forward_batch(model, X)  # _conv_pool over X["hull"]
+    monkeypatch.setattr(nurse, "_convex_layers", no_candidates)
+    got = predict_proba(model, as_features(X))  # identity scaling: the same inputs
+    assert repr(got.tolist()) == repr(want.tolist())
+
+
+def test_loss_and_scoring_build_no_candidates(monkeypatch):
+    feats = blob_features(n_per_class=20)
+    model = train(feats, replace(TINY, epochs=3))
+    monkeypatch.setattr(nurse, "_convex_layers", no_candidates)
+    assert math.isfinite(loss(model, feats))
+    assert len(nurse.score_users(model, feats)) == len(feats)
+
+
+def test_predict_proba_memory_is_bounded_by_its_blocks():
+    model, X = kernel_case(nurse.BRANCH_ORDER, batch=400, dim=768, seed=6)
+    feats = as_features(X)
+    tracemalloc.start()
+    try:
+        predict_proba(model, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense pass over all 400 users holds (400, 32, 767) floats, 78.5 MB
+    assert peak < 40e6
 
 
 def use_oracle_kernels(monkeypatch):
