@@ -421,7 +421,8 @@ def case_study_report(dataset: Dataset, partition: CorePartition) -> CaseStudyRe
 
 
 # ---------------------------------------------------------------------------
-# CSV exports
+# CSV exports: one file per result, each value written once. The CLI's
+# OUTPUTS table names and describes every file.
 # ---------------------------------------------------------------------------
 
 def write_removal_curve(curve: RemovalCurve, path) -> None:
@@ -434,21 +435,6 @@ def write_removal_curve(curve: RemovalCurve, path) -> None:
             handle.write(
                 f"{p.fraction_removed!r},{p.largest_component},{p.removed_density!r},{buckets}\n"
             )
-
-
-def write_removal_curve_long(curve: RemovalCurve, path) -> None:
-    """Long-format ``series,x,y`` rows for plotting."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("series,x,y\n")
-        for p in curve.points:
-            handle.write(f"largest_component,{p.fraction_removed!r},{p.largest_component}\n")
-        for p in curve.points:
-            handle.write(f"removed_density,{p.fraction_removed!r},{p.removed_density!r}\n")
-        for _, _, label in SIZE_BUCKETS:
-            for p in curve.points:
-                handle.write(
-                    f"bucket:{label},{p.fraction_removed!r},{p.component_buckets[label]}\n"
-                )
 
 
 def write_communities(communities: CommunitySet, path) -> None:

@@ -26,6 +26,7 @@ import os
 import shutil
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 from . import __version__
@@ -42,7 +43,6 @@ from .analysis import (
     write_communities,
     write_interplay,
     write_removal_curve,
-    write_removal_curve_long,
 )
 from .centrality import wbc_baseline, weighted_betweenness
 from .embeddings import FileEmbedder, HashEmbedder
@@ -112,6 +112,63 @@ TUNABLE_DEFAULTS = {
 # Argument names of input files; the manifest records a digest of each one given.
 INPUT_ARGS = ("config", "comments", "videos", "users", "graph", "partition", "labels",
               "features", "model", "embeddings")
+
+# Every output file: name (<...> stands for a value), the commands that write
+# it (None: every command) and its format. --help and the README show this
+# table; the tests check each command's manifest against it.
+OUTPUTS = (
+    ("comments.jsonl", ("synth",), "comment records, one JSON object per line"),
+    ("videos.jsonl", ("synth",), "video records, one JSON object per line"),
+    ("users.jsonl", ("synth",), "user records, one JSON object per line"),
+    ("labels.tsv", ("synth",), "user TAB core or compromised, sorted by user"),
+    ("synth_meta", ("synth",), "name=value lines, the five synth settings"),
+    ("ingest_check.txt", ("ingest-check",),
+     "users=, videos=, comments= and violations= counts, then one violation a line; "
+     "also printed"),
+    ("ccn.tsv", ("build-ccn", "pipeline"),
+     "'# ccn v1' header, then sorted a TAB b TAB weight edges"),
+    ("ccn.tsv.nodes", ("build-ccn", "pipeline"),
+     "'# ccn nodes v1' header, then every node of ccn.tsv, isolated ones too, sorted"),
+    ("stats.txt", ("build-ccn", "pipeline"),
+     "name=value graph statistics; an undefined one is left out"),
+    ("coreness_<mode>.tsv", ("kcore", "pipeline"),
+     "user TAB coreness, descending coreness; pipeline writes both modes"),
+    ("partition.tsv", ("korse", "pipeline"),
+     "'# key=value' summary lines, then user TAB core or periphery"),
+    ("sweep_beta_<b>.csv", ("korse", "pipeline"),
+     "norm_threshold,core_size,density,weight_fraction,wicci; b for 0.5, 1, 2 and "
+     "--beta, as %g unless that rounds it"),
+    ("breakage_<key>.csv", ("breakage", "pipeline"),
+     "fraction_removed,largest_component,removed_density and one count per "
+     "component-size bucket, for removal in order of key"),
+    ("disintegration.txt", ("breakage", "pipeline"),
+     "key=fraction for each removal order: the first fraction removed at which the "
+     "largest component holds under half the remaining nodes, or none"),
+    ("communities.csv", ("communities", "interplay", "pipeline"),
+     "'# modularity=' line, then user_id,community"),
+    ("interplay_seed<N>.csv", ("interplay", "pipeline"),
+     "community_id,size,avg_weighted_degree,weighted_size,wcs,small; Louvain "
+     "seeds seed, seed+1, seed+2"),
+    ("correlations.txt", ("interplay", "pipeline"),
+     "wcs_vs_avg_weighted_degree= and wcs_vs_weighted_size= Pearson r, or undefined"),
+    ("case_study.txt", ("case-study", "pipeline"),
+     "name=value core timeline statistics, unavailable when undefined"),
+    ("features.csv", ("features", "pipeline"), "user_id,label,mfe_0..25,sfe_0..24,tfe_0..d-1"),
+    ("model.npz", ("nurse-train",), "numpy archive: model format 2, parameters, scaling"),
+    ("train_report.txt", ("nurse-train",), "examples= and final_loss= lines"),
+    ("eval.csv", ("nurse-eval", "pipeline"),
+     "fold,k,precision,recall,f1,auc, then a mean,breakeven row"),
+    ("ranking.tsv", ("nurse-eval",), "user TAB score TAB label, descending score"),
+    ("ablation_summary.csv", ("ablate",), "method,mean_f1_breakeven,mean_auc"),
+    ("curves_f1.csv", ("ablate",), "method,k,f1: each method's mean F1@k"),
+    ("eval_<method>.csv", ("ablate",),
+     "eval.csv of one branch subset: mfe, sfe, tfe, mfe_sfe, mfe_tfe, sfe_tfe or all"),
+    ("wbc_ranking.tsv", ("baseline-wbc",), "rank TAB user TAB weighted betweenness"),
+    ("summary.txt", ("pipeline",), "name=value headline results, also printed"),
+    ("manifest.json", None,
+     "args, sha256 of every input file read (--config, --embeddings and a graph's "
+     ".nodes sidecar too), the settings read (seed included), outputs"),
+)
 
 
 def _read(reader, path, what):
@@ -208,7 +265,7 @@ def _load_dataset(args):
 
 
 def _provider(args):
-    if args.provider == "file":
+    if args.embeddings is not None:
         return _read(FileEmbedder.load, args.embeddings, "embeddings")
     return HashEmbedder(dim=_setting(args, "dim"), seed=_setting(args, "seed"))
 
@@ -281,7 +338,6 @@ def _do_breakage(graph, keys, step, out):
     for key in keys:
         curve = removal_curve(graph, key, step)
         write_removal_curve(curve, out / f"breakage_{key}.csv")
-        write_removal_curve_long(curve, out / f"breakage_{key}_long.csv")
         frac = disintegration_fraction(curve)
         summary.append(f"{key}={'none' if frac is None else repr(frac)}")
     (out / "disintegration.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
@@ -456,7 +512,7 @@ def cmd_ablate(args, out):
         for name in sorted(reports):
             r = reports[name]
             handle.write(f"{name},{r.mean_break_even_f1!r},{r.mean_auc!r}\n")
-    write_method_curves(reports, out / "curves_f1.csv", out / "curves_auc.csv")
+    write_method_curves(reports, out / "curves_f1.csv")
     for name, report in reports.items():
         write_eval_report(report, out / f"eval_{name.replace('+', '_')}.csv")
     return EXIT_OK
@@ -548,10 +604,10 @@ def _add_dataset_args(p):
 
 
 def _add_provider_args(p):
-    p.add_argument("--provider", choices=("stub", "file"), default="stub",
-                   help="embedding source (default stub)")
-    p.add_argument("--embeddings", help="precomputed embedding file for --provider file")
-    p.add_argument("--dim", type=int, help="stub embedding dimension (default 768)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--embeddings",
+                        help="precomputed embedding file, read in place of the stub")
+    source.add_argument("--dim", type=int, help="stub embedding dimension (default 768)")
     p.add_argument("--pair-cap", dest="pair_cap", type=int,
                    help="cap per similarity set (default 200)")
 
@@ -577,25 +633,17 @@ def build_parser() -> argparse.ArgumentParser:
             "an unknown or repeated config key is an error):\n"
             + "".join(f"  {name:<24}default {default!r}, {bound}\n"
                       for name, (default, _, bound) in TUNABLE_DEFAULTS.items())
-            + "\nfile formats:\n"
+            + "\ninput formats (graph, partition, labels, features and model files are\n"
+            "outputs below):\n"
             "  comments/videos/users   one JSON object per line (.jsonl) or CSV\n"
             "                          with the same column names (.csv)\n"
-            "  ccn.tsv                 '# ccn v1' header, then a<TAB>b<TAB>weight,\n"
-            "                          sorted; isolated nodes in ccn.tsv.nodes\n"
-            "  coreness_<mode>.tsv     user<TAB>coreness, descending coreness\n"
-            "  partition.tsv           '# key=value' summary lines, then\n"
-            "                          user<TAB>core|periphery\n"
-            "  sweep_beta_<b>.csv      norm_threshold,core_size,density,\n"
-            "                          weight_fraction,wicci; b for 0.5, 1, 2 and\n"
-            "                          --beta, as %g unless that rounds it\n"
-            "  features.csv            user_id,label,mfe_0..25,sfe_0..24,tfe_0..d-1\n"
-            "  labels.tsv              user<TAB>core|compromised\n"
             "  embeddings file         'dim=<d>' header, then hash<TAB>csv floats\n"
-            "  eval.csv                fold,k,precision,recall,f1,auc + summary row\n"
-            "  manifest.json           per-run snapshot: args, sha256 of every input\n"
-            "                          file read (--config, --embeddings and a graph's\n"
-            "                          .nodes sidecar too), the settings read (seed\n"
-            "                          included; no separate seeds), outputs"
+            "\noutputs (file, commands that write it, format):\n"
+            + "".join(f"  {name:<24}{', '.join(commands or ['every command'])}\n"
+                      + textwrap.fill(text, 79, initial_indent=" " * 26,
+                                      subsequent_indent=" " * 26, break_long_words=False,
+                                      break_on_hyphens=False) + "\n"
+                      for name, commands, text in OUTPUTS)
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -699,8 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """The handler's exit code. The handler writes into a fresh staging
     directory beside ``--out``; once it returns, ``manifest.json`` is written
-    there and each staged file moves into ``--out``, ``manifest.json`` last.
-    The staging directory is always removed."""
+    there and, unless a directory in ``--out`` has the name of one of them,
+    the staged files move into ``--out`` in name order, ``manifest.json``
+    last. The staging directory is always removed."""
     if args.out is None:
         return args.func(args, None)
     out = Path(args.out)
@@ -714,9 +763,14 @@ def _run(args) -> int:
     try:
         code = args.func(args, staging)
         _write_manifest(staging, args)
+        names = sorted((p.name for p in staging.iterdir()),
+                       key=lambda name: (name == "manifest.json", name))
+        for name in names:
+            if (out / name).is_dir():
+                raise InputError(f"--out {args.out}: {out / name} is a directory")
         out.mkdir(exist_ok=True)
-        for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
-            os.replace(path, out / path.name)
+        for name in names:
+            os.replace(staging / name, out / name)
         return code
     finally:
         shutil.rmtree(staging, ignore_errors=True)

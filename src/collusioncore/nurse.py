@@ -803,17 +803,13 @@ def write_eval_report(report: EvalReport, path) -> None:
         )
 
 
-def write_method_curves(reports: dict, f1_path, auc_path) -> None:
-    """Per-method mean F1@k and AUC rows for comparison plots."""
-    with Path(f1_path).open("w", encoding="utf-8") as handle:
+def write_method_curves(reports: dict, path) -> None:
+    """``method,k,f1`` rows: each method's mean F1@k, for comparison plots.
+
+    A method's mean AUC does not depend on k; ``ablation_summary.csv`` holds it.
+    """
+    with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("method,k,f1\n")
         for method in sorted(reports):
-            report = reports[method]
-            for k, f1 in enumerate(report.mean_f1_at, 1):
+            for k, f1 in enumerate(reports[method].mean_f1_at, 1):
                 handle.write(f"{method},{k},{f1!r}\n")
-    with Path(auc_path).open("w", encoding="utf-8") as handle:
-        handle.write("method,k,auc\n")
-        for method in sorted(reports):
-            report = reports[method]
-            for k in range(1, len(report.mean_f1_at) + 1):
-                handle.write(f"{method},{k},{report.mean_auc!r}\n")

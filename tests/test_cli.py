@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -266,8 +267,7 @@ def test_malformed_embeddings_file_is_input_error(synth_dir, tmp_path):
     bad = tmp_path / "embeddings.txt"
     bad.write_text("abc\t0.1,0.2\n")
     assert main(["features"] + dataset_args(synth_dir) +
-                ["--provider", "file", "--embeddings", str(bad),
-                 "--out", str(tmp_path / "x")]) == 3
+                ["--embeddings", str(bad), "--out", str(tmp_path / "x")]) == 3
 
 
 def test_baseline_wbc_cli(ccn_dir, tmp_path):
@@ -353,12 +353,6 @@ def test_pipeline_end_to_end(synth_dir, tmp_path, capsys):
     values = dict(line.split("=", 1) for line in summary.splitlines())
     assert float(values["planted_core_f1"]) >= 0.95
     assert float(values["nurse_mean_auc"]) > float(values["wbc_auc"])
-    for name in ("ccn.tsv", "stats.txt", "coreness_weighted.tsv",
-                 "coreness_unweighted.tsv", "partition.tsv",
-                 "breakage_weighted_degree.csv", "communities.csv",
-                 "interplay_seed0.csv", "correlations.txt", "case_study.txt",
-                 "features.csv", "eval.csv", "manifest.json"):
-        assert (out / name).exists(), name
 
 
 def test_pipeline_matches_manual_composition(synth_dir, tmp_path):
@@ -367,20 +361,27 @@ def test_pipeline_matches_manual_composition(synth_dir, tmp_path):
                 ["--dim", "16", "--epochs", "5", "--folds", "3",
                  "--seed", "1", "--out", str(pipe)]) == 0
     manual = tmp_path / "manual"
-    assert main(["build-ccn"] + dataset_args(synth_dir) + ["--out", str(manual)]) == 0
-    assert main(["kcore", "--graph", str(manual / "ccn.tsv"), "--mode", "weighted",
-                 "--out", str(manual)]) == 0
-    assert main(["korse", "--graph", str(manual / "ccn.tsv"), "--out", str(manual)]) == 0
-    assert main(["interplay", "--graph", str(manual / "ccn.tsv"),
-                 "--partition", str(manual / "partition.tsv"),
-                 "--seed", "1", "--out", str(manual)]) == 0
-    assert main(["features"] + dataset_args(synth_dir) +
-                ["--partition", str(manual / "partition.tsv"),
-                 "--dim", "16", "--seed", "1", "--out", str(manual)]) == 0
-    for name in ("ccn.tsv", "ccn.tsv.nodes", "stats.txt", "coreness_weighted.tsv",
-                 "partition.tsv", "sweep_beta_1.csv", "communities.csv",
-                 "interplay_seed1.csv", "correlations.txt", "features.csv"):
-        assert (pipe / name).read_bytes() == (manual / name).read_bytes(), name
+    graph = ["--graph", str(manual / "ccn.tsv")]
+    partition = ["--partition", str(manual / "partition.tsv")]
+    composed = {"eval.csv"}
+    for argv in (["build-ccn", *dataset_args(synth_dir)],
+                 ["kcore", *graph, "--mode", "weighted"],
+                 ["kcore", *graph, "--mode", "unweighted"],
+                 ["korse", *graph],
+                 ["breakage", *graph],
+                 ["interplay", *graph, *partition, "--seed", "1"],
+                 ["case-study", *dataset_args(synth_dir), *partition],
+                 ["features", *dataset_args(synth_dir), *partition, "--dim", "16", "--seed", "1"],
+                 ["ablate", "--features", str(manual / "features.csv"),
+                  "--epochs", "5", "--folds", "3", "--seed", "1"]):
+        assert main(argv + ["--out", str(manual)]) == 0, argv[0]
+        if argv[0] != "ablate":  # of ablate's outputs, pipeline writes eval_all.csv as eval.csv
+            composed.update(json.loads((manual / "manifest.json").read_text())["outputs"])
+    outputs = set(json.loads((pipe / "manifest.json").read_text())["outputs"])
+    assert outputs - {"summary.txt"} == composed  # summary.txt: the one file only pipeline writes
+    for name in composed:
+        other = "eval_all.csv" if name == "eval.csv" else name
+        assert (pipe / name).read_bytes() == (manual / other).read_bytes(), name
 
 
 def test_rerun_is_byte_identical(synth_dir, tmp_path):
@@ -524,7 +525,7 @@ REJECTED = {
         lambda p: ["--config", write(p.tmp / "run.cfg", "bogus=3\n"),
                    "nurse-train", "--features", p.features]),
     "features-embedding-missing": (
-        lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
+        lambda p: ["features", *p.data, "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('unused')}\t0.5,0.5\n")]),
     "pipeline-impossible-stratification": (
         lambda p: ["pipeline", *p.data, "--dim", "8", "--folds", "500"]),
@@ -564,16 +565,17 @@ REJECTED = {
     "nurse-train-features-non-numeric": (
         lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 3, 7, "0.5x")]),
     "features-repeated-embedding": (
-        lambda p: ["features", *p.data, "--provider", "file", "--embeddings",
+        lambda p: ["features", *p.data, "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
                                             f"{text_key('a')}\t0.1,0.2\n")]),
     "features-embeddings-dim-1": (
-        lambda p: ["features", *p.data, "--provider", "file",
-                   "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
+        lambda p: ["features", *p.data, "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
     "pipeline-embeddings-dim-1": (
-        lambda p: ["pipeline", *p.data, "--provider", "file",
-                   "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
+        lambda p: ["pipeline", *p.data, "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
     "features-surrogate-text": lambda p: ["features", *surrogate_text(p.data, p.tmp)],
+    "features-embeddings-file-absent": (
+        lambda p: ["features", *p.data, "--embeddings", str(p.tmp / "absent.txt")]),
+    "features-embeddings-empty-path": lambda p: ["features", *p.data, "--embeddings", ""],
     "kcore-out-is-a-file": (
         lambda p: ["kcore", "--graph", p.graph, "--out", write(p.tmp / "notadir", "kept\n")]),
     "kcore-out-parent-is-a-file": (
@@ -612,6 +614,8 @@ REJECTED_MESSAGE = {
     "features-embeddings-dim-1": "dim must be >= 2",
     "pipeline-embeddings-dim-1": "dim must be >= 2",
     "features-surrogate-text": "comments.jsonl:1: field 'text' is not valid Unicode",
+    "features-embeddings-file-absent": "embeddings: [Errno 2] No such file or directory",
+    "features-embeddings-empty-path": "embeddings file is required (--embeddings)",
     "kcore-out-is-a-file": "notadir is not a directory",
     "kcore-out-parent-is-a-file": "notadir is not a directory",
 }
@@ -685,11 +689,32 @@ def test_failed_run_leaves_out_as_it_was(case, existing, synth_dir, features_dir
     assert all((out / n).read_bytes() == data for n, data in before.items())
 
 
+@pytest.mark.parametrize("name", ["ccn.tsv", "manifest.json", "stats.txt"])
+def test_a_directory_with_an_output_name_leaves_out_as_it_was(name, synth_dir, tmp_path,
+                                                              capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    (out / "notes.txt").write_bytes(b"kept\n")
+    assert main(["build-ccn", *dataset_args(synth_dir), "--out", str(out)]) == 3
+    assert f"{out / name} is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "notes.txt"])
+    assert (out / "notes.txt").read_bytes() == b"kept\n" and not any((out / name).iterdir())
+    assert subdirs(tmp_path) == ["out"]  # no staging directory left behind
+
+
+def test_staged_files_move_in_name_order_manifest_last(ccn_dir, tmp_path, monkeypatch):
+    moved, replace = [], os.replace
+    monkeypatch.setattr(cli.os, "replace",
+                        lambda src, dst: (moved.append(Path(dst).name), replace(src, dst)))
+    assert main(["korse", "--graph", str(ccn_dir / "ccn.tsv"), "--out", str(tmp_path)]) == 0
+    assert moved == sorted(moved[:-1]) + ["manifest.json"] and len(moved) == 5
+
+
 def test_manifest_hashes_embeddings_file(synth_dir, tmp_path):
     emb = write_all_embeddings(synth_dir, tmp_path / "emb.txt", dim=4)
     out = tmp_path / "out"
     assert main(["features"] + dataset_args(synth_dir) +
-                ["--provider", "file", "--embeddings", emb, "--out", str(out)]) == 0
+                ["--embeddings", emb, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
     assert manifest["inputs"][emb] == digest
@@ -712,8 +737,8 @@ MANIFEST_SETTINGS = {
                                        "--partition", p.partition]),
     "case-study": ([], lambda p: ["case-study", *p.data, "--partition", p.partition]),
     "features": (["dim", "pair_cap", "seed"], lambda p: ["features", *p.data, "--dim", "4"]),
-    "features-file-provider": (["pair_cap"], lambda p: ["features", *p.data, "--provider", "file",
-                                                        "--embeddings", p.embeddings]),
+    "features-file-provider": (["pair_cap"],
+                               lambda p: ["features", *p.data, "--embeddings", p.embeddings]),
     "nurse-train": (["seed", *TRAINING],
                     lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
     "nurse-eval": (["seed"], lambda p: ["nurse-eval", "--model", p.model,
@@ -758,11 +783,27 @@ def test_manifest_lists_the_settings_the_run_read(case, synth_dir, ccn_dir, kors
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert sorted(manifest) == ["args", "command", "inputs", "outputs", "settings", "version"]
     assert sorted(manifest["settings"]) == sorted(read)
+    rows = [re.sub(r"<\w+>", ".+", re.escape(name)) for name, commands, _ in cli.OUTPUTS
+            if commands is None or manifest["command"] in commands]
+    names = manifest["outputs"] + ["manifest.json"]
+    for name in names:
+        assert sum(bool(re.fullmatch(row, name)) for row in rows) == 1, name
+    for row in rows:
+        assert any(re.fullmatch(row, name) for name in names), row
+
+
+@pytest.mark.parametrize("command", ["features", "pipeline"])
+def test_embeddings_and_dim_together_is_a_usage_error(command, synth_dir, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main([command, *dataset_args(synth_dir), "--embeddings", str(tmp_path / "emb.txt"),
+              "--dim", "4", "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_file_provider_matches_the_stub_it_was_written_from(synth_dir, tmp_path):
     emb = write_all_embeddings(synth_dir, tmp_path / "emb.txt", dim=4)
-    for name, provider in (("file", ["--provider", "file", "--embeddings", emb]),
+    for name, provider in (("file", ["--embeddings", emb]),
                            ("stub", ["--dim", "4", "--seed", "0"])):
         assert main(["features"] + dataset_args(synth_dir) + provider +
                     ["--out", str(tmp_path / name)]) == 0
@@ -824,8 +865,7 @@ FUZZ_TARGETS = [
     ("labels", lambda v, f: ["pipeline", *v["data"], "--labels", f, "--dim", "4",
                              "--epochs", "1", "--folds", "2"]),
     ("model", lambda v, f: ["nurse-eval", "--model", f, "--features", v["features"]]),
-    ("embeddings", lambda v, f: ["features", *v["data"], "--provider", "file",
-                                 "--embeddings", f]),
+    ("embeddings", lambda v, f: ["features", *v["data"], "--embeddings", f]),
     ("config", lambda v, f: ["--config", f, "kcore", "--graph", v["graph"]]),
     ("comments", lambda v, f: ["features", *records_with(v, "comments", f), "--dim", "4"]),
     ("videos", lambda v, f: ["features", *records_with(v, "videos", f), "--dim", "4"]),
