@@ -698,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--partition", help="optional partition for labels")
     _add_provider_args(p)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="stub embedding seed; not with --embeddings")
 
     p = command("nurse-train", cmd_nurse_train, "train the fusion classifier")
     p.add_argument("--features", required=True)
@@ -779,6 +779,9 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # only the stub reads features' --seed; pipeline's Louvain reads it too
+    if args.command == "features" and args.embeddings is not None and args.seed is not None:
+        parser.error("features: argument --seed: not allowed with argument --embeddings")
     try:
         args._settings, args._read = _resolve_settings(args), {}
         return _run(args)

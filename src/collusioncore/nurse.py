@@ -30,6 +30,16 @@ position alone. Training evaluates the full-set objective after every
 epoch under exactly the parameters the next epoch's first batch uses, so
 that batch takes its conv rows from the objective's pass instead of
 recomputing them.
+
+Training keeps its state in four flat float64 vectors: the parameters,
+their velocity, the batch gradient and the best checkpoint. The model's
+parameters and the gradients are reshaped views of theirs, so the backward
+pass writes every gradient in place, and a momentum step is four in-place
+operations over whole vectors (scale the velocity, scale the gradient,
+subtract, add to the parameters). They are the elementwise operations of
+a step per tensor on the same operands, so the results are the same bit
+for bit; what they save is per-tensor dispatch, which is most of a step's
+cost at these layer sizes.
 """
 
 import json
@@ -377,17 +387,17 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
     return probs, cache
 
 
-def _backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
-    """Gradients of the loss w.r.t. every parameter tensor."""
+def _backward_batch(model: NurseModel, cache: dict, d_logits, g: dict) -> None:
+    """Gradients of the loss w.r.t. every parameter tensor, written into the
+    arrays of ``g``, one per parameter key, each of its parameter's shape."""
     cfg = model.config
     p = model.params
-    g: dict = {}
-    g["out_w"] = d_logits.T @ cache["h_fus"]
-    g["out_b"] = d_logits.sum(axis=0)
+    np.matmul(d_logits.T, cache["h_fus"], out=g["out_w"])
+    d_logits.sum(axis=0, out=g["out_b"])
     d_hfus = d_logits @ p["out_w"]
     d_zfus = d_hfus * (cache["z_fus"] > 0)
-    g["fus_w"] = d_zfus.T @ cache["fused_in"]
-    g["fus_b"] = d_zfus.sum(axis=0)
+    np.matmul(d_zfus.T, cache["fused_in"], out=g["fus_w"])
+    d_zfus.sum(axis=0, out=g["fus_b"])
     d_fused = d_zfus @ p["fus_w"]
 
     offset = 0
@@ -398,17 +408,14 @@ def _backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
         if mask is not None:
             d_h = d_h * mask
         d_z = d_h * (z > 0)
-        g[f"{branch}_w"] = d_z.T @ x
-        g[f"{branch}_b"] = d_z.sum(axis=0)
+        np.matmul(d_z.T, x, out=g[f"{branch}_w"])
+        d_z.sum(axis=0, out=g[f"{branch}_b"])
         if branch == "tfe":
             pooled, t0, t1 = cache["conv"]
             d_zconv = (d_z @ p["tfe_w"]) * (pooled > 0)  # only the pooled position
-            g["conv_b"] = d_zconv.sum(axis=0)
-            g["conv_w"] = np.stack(
-                [np.einsum("bc,bc->c", d_zconv, t0), np.einsum("bc,bc->c", d_zconv, t1)],
-                axis=1,
-            )
-    return g
+            d_zconv.sum(axis=0, out=g["conv_b"])
+            np.einsum("bc,bc->c", d_zconv, t0, out=g["conv_w"][:, 0])
+            np.einsum("bc,bc->c", d_zconv, t1, out=g["conv_w"][:, 1])
 
 
 def _labels_array(features) -> np.ndarray:
@@ -426,15 +433,6 @@ def _cross_entropy(probs, y, sample_weight=None):
     if sample_weight is not None:
         ce = ce * sample_weight
     return float(ce.mean())
-
-
-def _d_logits(probs, y, sample_weight=None):
-    """Gradient of the mean (weighted) cross-entropy w.r.t. the logits."""
-    onehot = np.stack([1 - y, y], axis=1).astype(float)
-    d_logits = (probs - onehot) / len(y)
-    if sample_weight is not None:
-        d_logits = d_logits * sample_weight[:, None]
-    return d_logits
 
 
 def predict_proba(model: NurseModel, features) -> np.ndarray:
@@ -470,6 +468,16 @@ def loss(model: NurseModel, batch) -> float:
     return _cross_entropy(probs, y)
 
 
+def _views(flat, shapes: dict) -> dict:
+    """Consecutive reshaped views of ``flat``, one per entry of ``shapes``."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
 def train(features, config: NurseConfig) -> NurseModel:
     """Mini-batch momentum SGD, returning the best-loss checkpoint.
 
@@ -477,6 +485,12 @@ def train(features, config: NurseConfig) -> NurseModel:
     the given training features and stored in the model; the checkpoint is
     chosen by the full-set training objective evaluated after every epoch
     (the untrained state included).
+
+    The parameters, their velocity, the batch gradient and the checkpoint
+    are each one flat vector, so a momentum step is four in-place
+    operations and a checkpoint is one copy. The returned parameters are
+    reshaped views of the checkpoint vector, one per key, none overlapping
+    another; each model owns its vector.
     """
     if not features:
         raise ValueError("train requires a non-empty feature list")
@@ -498,6 +512,7 @@ def train(features, config: NurseConfig) -> NurseModel:
     if "tfe" in X:
         X["hull"] = _convex_layers(X["tfe"])
 
+    onehot = np.stack([1 - y, y], axis=1).astype(float)
     if config.class_weight == "balanced":
         counts = np.bincount(y, minlength=2)
         weights = (len(y) / (2.0 * counts))[y]
@@ -509,29 +524,38 @@ def train(features, config: NurseConfig) -> NurseModel:
         probs, cache = _forward_batch(model, X, train_mode=False)
         return _cross_entropy(probs, y, weights), cache
 
-    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    shapes = _param_shapes(config)
+    params = np.concatenate([model.params[k].ravel() for k in shapes])
+    model.params = _views(params, shapes)
+    grad = np.empty_like(params)
+    grads = _views(grad, shapes)
+    velocity = np.zeros_like(params)
     best_loss, full = objective()
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    best = params.copy()
     n = len(features)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_X = {b: X[b][idx] for b in X}
             # The epoch's first batch runs under the parameters of the last
-            # objective pass, and the conv has no dropout: reuse its rows.
+            # objective pass, and the conv has no dropout: reuse its rows,
+            # and gather only the blocks the dense branches read.
             conv = tuple(a[idx] for a in full["conv"]) if start == 0 and "conv" in full else None
+            batch_X = {b: X[b][idx] for b in X if conv is None or b in ("sfe", "mfe")}
             probs, cache = _forward_batch(model, batch_X, train_mode=True, rng=rng, conv=conv)
-            d_logits = _d_logits(probs, y[idx], None if weights is None else weights[idx])
-            grads = _backward_batch(model, cache, d_logits)
-            for key, grad in grads.items():
-                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grad
-                model.params[key] = model.params[key] + velocity[key]
+            d_logits = (probs - onehot[idx]) / len(idx)  # of the mean cross-entropy
+            if weights is not None:
+                d_logits *= weights[idx, None]
+            _backward_batch(model, cache, d_logits, grads)
+            velocity *= config.momentum
+            grad *= config.learning_rate
+            velocity -= grad
+            params += velocity
         epoch_loss, full = objective()
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best_params = {k: v.copy() for k, v in model.params.items()}
-    model.params = best_params
+            np.copyto(best, params)
+    model.params = _views(best, shapes)
     return model
 
 

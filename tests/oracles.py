@@ -7,9 +7,10 @@ full cosine per vector pair for the similarity block, a separate embedding
 pass for the mean comment embedding, one ``csv.writer`` row per feature
 vector, and rational path lengths for betweenness. The NURSE kernels are
 the dense conv-gradient versions the library used before its
-pooled-position rewrite, the conv pool is the conv at every position, and
-convex-hull boundaries come from supporting lines tested in rational
-arithmetic.
+pooled-position rewrite, the training loop keeps one array per parameter
+and recomputes every conv and one-hot label block, the conv pool is the
+conv at every position, and convex-hull boundaries come from supporting
+lines tested in rational arithmetic.
 """
 
 import csv
@@ -30,7 +31,7 @@ from collusioncore.features import (
 from collusioncore import nurse
 from collusioncore.graph import Ccn
 from collusioncore.nurse import (
-    BRANCH_WIDTHS, DROPOUT, FoldMetrics, NurseModel, auc, rank_users,
+    BRANCH_WIDTHS, DROPOUT, FoldMetrics, NurseConfig, NurseModel, auc, rank_users,
 )
 from collusioncore.records import Dataset
 
@@ -356,7 +357,8 @@ def loss_and_grads(model: NurseModel, batch):
     if "tfe" in X:
         X["hull"] = nurse._convex_layers(X["tfe"])
     probs, cache = nurse._forward_batch(model, X, train_mode=False)
-    grads = nurse._backward_batch(model, cache, nurse._d_logits(probs, y))
+    grads = {k: np.empty(shape) for k, shape in nurse._param_shapes(model.config).items()}
+    nurse._backward_batch(model, cache, d_logits(probs, y), grads)
     return nurse._cross_entropy(probs, y), grads
 
 
@@ -516,3 +518,59 @@ def backward_batch(model: NurseModel, cache: dict, d_logits) -> dict:
         g["mfe_w"] = d_zmfe.T @ cache["X"]["mfe"]
         g["mfe_b"] = d_zmfe.sum(axis=0)
     return g
+
+
+def d_logits(probs, y, sample_weight=None):
+    """Gradient of the mean (weighted) cross-entropy w.r.t. the logits."""
+    onehot = np.stack([1 - y, y], axis=1).astype(float)
+    d = (probs - onehot) / len(y)
+    if sample_weight is not None:
+        d = d * sample_weight[:, None]
+    return d
+
+
+def train(features, config: NurseConfig) -> NurseModel:
+    """:func:`collusioncore.nurse.train` as a loop over the kernels above:
+    one array per parameter key, the velocity and the checkpoint as dicts of
+    copies, and every batch's conv and one-hot labels computed afresh."""
+    features = sorted(features, key=lambda fv: fv.user_id)
+    y = nurse._labels_array(features)
+    rng = np.random.default_rng(config.seed)
+    model = nurse.init_model(config, rng)
+    raw = nurse._raw_inputs(features, config)
+    for branch in config.branches:
+        model.norm_mean[branch] = raw[branch].mean(axis=0)
+        std = raw[branch].std(axis=0)
+        std[std == 0.0] = 1.0
+        model.norm_std[branch] = std
+    X = nurse._standardize(model, raw)
+    if config.class_weight == "balanced":
+        counts = np.bincount(y, minlength=2)
+        weights = (len(y) / (2.0 * counts))[y]
+    else:
+        weights = None
+
+    def objective():
+        probs, _ = forward_batch(model, X, train_mode=False)
+        return nurse._cross_entropy(probs, y, weights)
+
+    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    best_loss = objective()
+    best_params = {k: v.copy() for k, v in model.params.items()}
+    n = len(features)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            probs, cache = forward_batch(model, {b: X[b][idx] for b in X}, True, rng)
+            grads = backward_batch(model, cache, d_logits(
+                probs, y[idx], None if weights is None else weights[idx]))
+            for key, grad in grads.items():
+                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grad
+                model.params[key] = model.params[key] + velocity[key]
+        epoch_loss = objective()
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
+            best_params = {k: v.copy() for k, v in model.params.items()}
+    model.params = best_params
+    return model

@@ -801,6 +801,20 @@ def test_embeddings_and_dim_together_is_a_usage_error(command, synth_dir, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_with_embeddings_is_a_usage_error_on_features_only(synth_dir, tmp_path):
+    def run(command):
+        return main([command, *dataset_args(synth_dir), "--embeddings",
+                     str(tmp_path / "absent.txt"), "--seed", "9", "--out", str(tmp_path / "out")])
+
+    with pytest.raises(SystemExit) as err:
+        run("features")
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+    # pipeline's Louvain reads --seed: the run gets as far as the absent file
+    assert run("pipeline") == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_file_provider_matches_the_stub_it_was_written_from(synth_dir, tmp_path):
     emb = write_all_embeddings(synth_dir, tmp_path / "emb.txt", dim=4)
     for name, provider in (("file", ["--embeddings", emb]),

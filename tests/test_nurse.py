@@ -59,7 +59,7 @@ def blob_features(n_per_class=20, dim=8, seed=0, separation=3.0):
 def params_digest(model):
     h = hashlib.sha256()
     for key in sorted(model.params):
-        h.update(key.encode())
+        h.update(f"{key}{model.params[key].shape}".encode())
         h.update(model.params[key].tobytes())
     return h.hexdigest()
 
@@ -210,6 +210,13 @@ def kernel_case(branches, batch, dim, seed, integer_inputs=False, dead_channels=
     return model, X
 
 
+def nan_grads(config):
+    """Gradient views of one NaN-filled flat vector, as :func:`train` lays
+    them out, so an entry the backward pass leaves unwritten shows."""
+    shapes = nurse._param_shapes(config)
+    return nurse._views(np.full(sum(math.prod(s) for s in shapes.values()), np.nan), shapes)
+
+
 def assert_kernels_match_oracle(model, X, seed):
     d_logits = np.random.default_rng(seed).standard_normal((len(next(iter(X.values()))), 2))
     for train_mode in (False, True):
@@ -217,7 +224,8 @@ def assert_kernels_match_oracle(model, X, seed):
         want_probs, want_cache = oracles.forward_batch(model, X, train_mode,
                                                        np.random.default_rng(seed))
         assert repr(probs.tolist()) == repr(want_probs.tolist())
-        grads = nurse._backward_batch(model, cache, d_logits)
+        grads = nan_grads(model.config)
+        nurse._backward_batch(model, cache, d_logits, grads)
         want = oracles.backward_batch(model, want_cache, d_logits)
         assert {k: repr(g.tolist()) for k, g in grads.items()} == {
             k: repr(g.tolist()) for k, g in want.items()}
@@ -388,14 +396,6 @@ def test_predict_proba_memory_is_bounded_by_its_blocks():
     assert peak < 40e6
 
 
-def use_oracle_kernels(monkeypatch):
-    def forward_batch(model, X, train_mode=False, rng=None, conv=None):
-        return oracles.forward_batch(model, X, train_mode, rng)  # recomputes every conv
-
-    monkeypatch.setattr(nurse, "_forward_batch", forward_batch)
-    monkeypatch.setattr(nurse, "_backward_batch", oracles.backward_batch)
-
-
 @pytest.mark.parametrize("n_per_class,config", [
     (3, replace(TINY, batch_size=8)),                           # n < batch size
     (8, replace(TINY, batch_size=8)),                           # n a multiple of it
@@ -404,14 +404,18 @@ def use_oracle_kernels(monkeypatch):
     (11, replace(TINY, batch_size=8, branches=("mfe", "sfe"))),
     (5, replace(TINY, batch_size=4, embedding_dim=2, branches=("tfe",))),
 ])
-def test_train_matches_oracle_kernels(monkeypatch, n_per_class, config):
+def test_train_matches_oracle_kernels(n_per_class, config):
     feats = blob_features(n_per_class, dim=config.embedding_dim, seed=n_per_class)
     config = replace(config, epochs=12)
-    got = train(feats, config)
-    use_oracle_kernels(monkeypatch)
-    want = train(feats, config)
-    assert {k: repr(v.tolist()) for k, v in got.params.items()} == {
-        k: repr(v.tolist()) for k, v in want.params.items()}
+    assert params_digest(train(feats, config)) == params_digest(oracles.train(feats, config))
+
+
+def test_train_at_learning_rate_zero_returns_the_initial_parameters():
+    feats = blob_features(8, seed=2)
+    config = replace(TINY, learning_rate=0.0, epochs=5)
+    got = params_digest(train(feats, config))
+    assert got == params_digest(init_model(config, np.random.default_rng(config.seed)))
+    assert got == params_digest(oracles.train(feats, config))
 
 
 @pytest.mark.parametrize("mode", ["balanced", "complete"])
@@ -419,8 +423,30 @@ def test_evaluate_matches_oracle_kernels(monkeypatch, mode):
     feats = blob_features(12, seed=3, separation=0.5)[:-5]  # 12 compromised, 7 core
     config = replace(TINY, epochs=6, batch_size=5)
     got = evaluate(feats, config, mode=mode, folds=3)
-    use_oracle_kernels(monkeypatch)
+    monkeypatch.setattr(nurse, "train", oracles.train)
+    monkeypatch.setattr(nurse, "_forward_batch",  # scoring recomputes every conv
+                        lambda model, X, train_mode=False, rng=None, conv=None:
+                        oracles.forward_batch(model, X, train_mode, rng))
     assert repr(got) == repr(evaluate(feats, config, mode=mode, folds=3))
+
+
+def test_trained_parameters_are_separate_arrays(monkeypatch, tmp_path):
+    models = []
+    monkeypatch.setattr(nurse, "train", lambda *a: models.append(train(*a)) or models[-1])
+    evaluate(blob_features(6, seed=7), replace(TINY, epochs=3), folds=2)
+    assert len(models) == 2
+    for model in models:
+        shapes = nurse._param_shapes(model.config)
+        assert {k: v.shape for k, v in model.params.items()} == shapes
+        for v in model.params.values():
+            assert v.dtype == np.float64 and v.flags.c_contiguous
+        arrays = list(model.params.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        save_model(model, tmp_path / "model.npz")
+        assert params_digest(load_model(tmp_path / "model.npz")) == params_digest(model)
+    assert not any(np.shares_memory(a, b) for a in models[0].params.values()
+                   for b in models[1].params.values())
 
 
 def test_first_batch_of_each_epoch_reuses_the_objective_conv(monkeypatch):
