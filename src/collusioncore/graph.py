@@ -8,8 +8,9 @@ smaller of the two users' comment counts.
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 
 from .records import Dataset
@@ -140,20 +141,6 @@ def components(graph: Ccn, nodes=None) -> list[set]:
     return out
 
 
-def _bfs_eccentricity(graph: Ccn, start) -> int:
-    dist = {start: 0}
-    queue = deque([start])
-    far = 0
-    while queue:
-        node = queue.popleft()
-        for nbr, _ in graph.adjacency[node]:
-            if nbr not in dist:
-                dist[nbr] = dist[node] + 1
-                far = max(far, dist[nbr])
-                queue.append(nbr)
-    return far
-
-
 @dataclass(frozen=True)
 class GraphStats:
     """Summary statistics; edge statistics are None for an edgeless graph."""
@@ -176,6 +163,13 @@ def graph_stats(graph: Ccn) -> GraphStats:
 
     Weighted degree sums incident edge weights; density and clustering are
     unweighted; the diameter is taken on the largest connected component.
+
+    Clustering and diameter use neighbour bitmasks (bit i of ``mask[v]``:
+    the i-th node in id order neighbours ``v``). ``v``'s neighbours share
+    ``sum(popcount(mask[u] & mask[v]) for u in N(v)) / 2`` links; the
+    diameter counts rounds of ``reach[v] |= reach[u]`` over the edges until
+    each node of the largest component reaches all of it. Both are exact
+    integer counts. Each map takes about n²/8 bytes (0.3 MiB at 1,603 nodes).
     """
     n = graph.n_nodes
     m = graph.n_edges
@@ -184,24 +178,26 @@ def graph_stats(graph: Ccn) -> GraphStats:
     weights = list(graph.edges.values())
     wdegs = [graph.weighted_degree(v) for v in graph.nodes]
 
+    bit = {v: 1 << i for i, v in enumerate(sorted(graph.nodes))}
+    mask = {v: sum(bit[u] for u, _ in graph.adjacency[v]) for v in graph.nodes}
     clustering = []
-    neighbor_sets = {v: {u for u, _ in graph.adjacency[v]} for v in graph.nodes}
     for v in graph.nodes:
-        nbrs = graph.adjacency[v]
-        deg = len(nbrs)
+        deg = graph.degree(v)
         if deg < 2:
             continue
-        links = 0
-        for i in range(deg):
-            set_i = neighbor_sets[nbrs[i][0]]
-            for j in range(i + 1, deg):
-                if nbrs[j][0] in set_i:
-                    links += 1
+        links = sum((mask[u] & mask[v]).bit_count() for u, _ in graph.adjacency[v]) // 2
         clustering.append(2.0 * links / (deg * (deg - 1)))
     avg_clustering = math.fsum(clustering) / n  # one rounding: the node order is moot
 
-    # a BFS from a node of the largest component never leaves it
-    diameter = max(_bfs_eccentricity(graph, v) for v in components(graph)[0])
+    # reach[v]: the nodes within `diameter` hops of v, all in v's component
+    largest = components(graph)[0]
+    full = sum(bit[v] for v in largest)
+    reach = {v: bit[v] for v in largest}
+    diameter = 0
+    while any(r != full for r in reach.values()):
+        reach = {v: reduce(or_, (reach[u] for u, _ in graph.adjacency[v]), r)
+                 for v, r in reach.items()}
+        diameter += 1
 
     return GraphStats(
         node_count=n,
@@ -280,7 +276,7 @@ def read_edgelist(path) -> Ccn:
             if header != NODES_HEADER:
                 raise ValueError(f"{sidecar}: unexpected header {header!r}")
             for line in handle:
-                line = line.strip()
+                line = line.rstrip("\n")
                 if line:
                     nodes.add(line)
     return Ccn.build(nodes, weights)

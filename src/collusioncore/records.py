@@ -101,14 +101,15 @@ class Dataset:
 # Parsing helpers
 # ---------------------------------------------------------------------------
 
-def _require_str(row: dict, field: str, origin: str, nonempty: bool = False) -> str:
+def _require_str(row: dict, field: str, origin: str, is_id: bool = False) -> str:
     if field not in row or row[field] is None:
         raise IngestError(f"{origin}: missing required field '{field}'")
     value = row[field]
     if not isinstance(value, str):
         raise IngestError(f"{origin}: field '{field}' must be a string")
-    if nonempty and value == "":
-        raise IngestError(f"{origin}: field '{field}' must be non-empty")
+    if is_id and (value == "" or "\t" in value or "\r" in value or "\n" in value):
+        # outputs write ids as fields of tab-separated lines
+        raise IngestError(f"{origin}: field '{field}' must be non-empty, without tab, CR or LF")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate from a JSON escape
@@ -157,9 +158,9 @@ def _require_bool(row: dict, field: str, origin: str) -> bool:
 
 def _parse_comment(row: dict, origin: str) -> CommentRecord:
     return CommentRecord(
-        comment_id=_require_str(row, "comment_id", origin, nonempty=True),
-        user_id=_require_str(row, "user_id", origin, nonempty=True),
-        video_id=_require_str(row, "video_id", origin, nonempty=True),
+        comment_id=_require_str(row, "comment_id", origin, is_id=True),
+        user_id=_require_str(row, "user_id", origin, is_id=True),
+        video_id=_require_str(row, "video_id", origin, is_id=True),
         text=_require_str(row, "text", origin),
         timestamp=_optional_int(row, "timestamp", origin),
     )
@@ -167,8 +168,8 @@ def _parse_comment(row: dict, origin: str) -> CommentRecord:
 
 def _parse_video(row: dict, origin: str) -> VideoRecord:
     return VideoRecord(
-        video_id=_require_str(row, "video_id", origin, nonempty=True),
-        uploader_user_id=_require_str(row, "uploader_user_id", origin, nonempty=True),
+        video_id=_require_str(row, "video_id", origin, is_id=True),
+        uploader_user_id=_require_str(row, "uploader_user_id", origin, is_id=True),
         title=_require_str(row, "title", origin),
         description=_require_str(row, "description", origin),
         genre=_require_str(row, "genre", origin),
@@ -182,7 +183,7 @@ def _parse_video(row: dict, origin: str) -> VideoRecord:
 
 def _parse_user(row: dict, origin: str) -> UserRecord:
     return UserRecord(
-        user_id=_require_str(row, "user_id", origin, nonempty=True),
+        user_id=_require_str(row, "user_id", origin, is_id=True),
         channel_subscriber_count=_optional_int(row, "channel_subscriber_count", origin, minimum=0),
         channel_created_at=_optional_int(row, "channel_created_at", origin),
     )

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own algorithms: subset enumeration
 for cores, a scan of every edge for WICCI, union-find for components, direct
-formulas for statistics, the paper's per-pair edge weight definition, one
-full cosine per vector pair for the similarity block, a separate embedding
-pass for the mean comment embedding, one ``csv.writer`` row per feature
-vector, and rational path lengths for betweenness. The NURSE kernels are
-the dense conv-gradient versions the library used before its
+formulas for statistics, a neighbour-pair scan for clustering, a BFS from
+every node for the diameter, the paper's per-pair edge weight definition,
+one full cosine per vector pair for the similarity block, a separate
+embedding pass for the mean comment embedding, one ``csv.writer`` row per
+feature vector, and rational path lengths for betweenness. The NURSE
+kernels are the dense conv-gradient versions the library used before its
 pooled-position rewrite, the training loop keeps one array per parameter
 and recomputes every conv and one-hot label block, the conv pool is the
 conv at every position, and convex-hull boundaries come from supporting
@@ -15,6 +16,8 @@ lines tested in rational arithmetic.
 
 import csv
 import heapq
+import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -156,6 +159,44 @@ def oracle_component_sizes(graph, alive):
         root = uf.find(node)
         counts[root] = counts.get(root, 0) + 1
     return sorted(counts.values(), reverse=True)
+
+
+def oracle_avg_clustering(graph):
+    """Mean local clustering by a scan of every neighbour pair, the
+    coefficients summed with one rounding (``math.fsum``)."""
+    neighbor_sets = {v: {u for u, _ in graph.adjacency[v]} for v in graph.nodes}
+    clustering = []
+    for v in graph.nodes:
+        nbrs = graph.adjacency[v]
+        deg = len(nbrs)
+        if deg < 2:
+            continue
+        links = 0
+        for i in range(deg):
+            set_i = neighbor_sets[nbrs[i][0]]
+            for j in range(i + 1, deg):
+                if nbrs[j][0] in set_i:
+                    links += 1
+        clustering.append(2.0 * links / (deg * (deg - 1)))
+    return math.fsum(clustering) / graph.n_nodes
+
+
+def oracle_diameter(graph):
+    """Diameter of the largest component (of equal sizes, the one holding
+    the least id) by a BFS from every node; None for an empty graph."""
+    far = {}  # (-component size, least id) -> largest eccentricity seen
+    for start in graph.nodes:
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for nbr, _ in graph.adjacency[node]:
+                if nbr not in dist:
+                    dist[nbr] = dist[node] + 1
+                    queue.append(nbr)
+        key = (-len(dist), min(dist))
+        far[key] = max(far.get(key, 0), max(dist.values()))
+    return far[min(far)] if far else None
 
 
 def oracle_removal_counts(n, step_fraction):

@@ -476,14 +476,18 @@ def one_value_embeddings(data_dir, tmp) -> str:
     return write(tmp / "emb.txt", "dim=1\n" + "".join(f"{key}\t0.5\n" for key in keys))
 
 
-def surrogate_text(data, tmp) -> list:
-    """Dataset arguments whose first comment's text holds a lone surrogate,
-    written as a JSON escape."""
-    comments = Path(data[1]).read_text(encoding="utf-8").splitlines(keepends=True)
-    row = json.loads(comments[0])
-    row["text"] = "nice \ud800 video"
-    comments[0] = json.dumps(row) + "\n"
-    return ["--comments", write(tmp / "comments.jsonl", "".join(comments)), *data[2:]]
+def with_first_row(data, tmp, flag, field, value) -> list:
+    """Dataset arguments whose ``flag`` file (``--comments``, ``--videos`` or
+    ``--users``) has ``field`` of its first row set to ``value``, written by
+    ``json.dumps`` (so a lone surrogate is a JSON escape)."""
+    args = list(data)
+    i = args.index(flag) + 1
+    lines = Path(args[i]).read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[0])
+    row[field] = value
+    lines[0] = json.dumps(row) + "\n"
+    args[i] = write(tmp / Path(args[i]).name, "".join(lines))
+    return args
 
 
 # id: argv before --out over the fixture paths
@@ -572,7 +576,21 @@ REJECTED = {
         lambda p: ["features", *p.data, "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
     "pipeline-embeddings-dim-1": (
         lambda p: ["pipeline", *p.data, "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
-    "features-surrogate-text": lambda p: ["features", *surrogate_text(p.data, p.tmp)],
+    "features-surrogate-text": (
+        lambda p: ["features", *with_first_row(p.data, p.tmp, "--comments", "text",
+                                               "nice \ud800 video")]),
+    "build-ccn-tab-in-comment-user-id": (
+        lambda p: ["build-ccn", *with_first_row(p.data, p.tmp, "--comments", "user_id", "u\t1")]),
+    "features-tab-in-comment-id": (
+        lambda p: ["features", *with_first_row(p.data, p.tmp, "--comments",
+                                               "comment_id", "c\t1")]),
+    "pipeline-lf-in-video-id": (
+        lambda p: ["pipeline", *with_first_row(p.data, p.tmp, "--videos", "video_id", "v\n1")]),
+    "ingest-check-cr-in-uploader-id": (
+        lambda p: ["ingest-check", *with_first_row(p.data, p.tmp, "--videos",
+                                                   "uploader_user_id", "u\r1")]),
+    "build-ccn-cr-in-user-id": (
+        lambda p: ["build-ccn", *with_first_row(p.data, p.tmp, "--users", "user_id", "u1\r")]),
     "features-embeddings-file-absent": (
         lambda p: ["features", *p.data, "--embeddings", str(p.tmp / "absent.txt")]),
     "features-embeddings-empty-path": lambda p: ["features", *p.data, "--embeddings", ""],
@@ -614,6 +632,16 @@ REJECTED_MESSAGE = {
     "features-embeddings-dim-1": "dim must be >= 2",
     "pipeline-embeddings-dim-1": "dim must be >= 2",
     "features-surrogate-text": "comments.jsonl:1: field 'text' is not valid Unicode",
+    "build-ccn-tab-in-comment-user-id":
+        "comments.jsonl:1: field 'user_id' must be non-empty, without tab, CR or LF",
+    "features-tab-in-comment-id":
+        "comments.jsonl:1: field 'comment_id' must be non-empty, without tab, CR or LF",
+    "pipeline-lf-in-video-id":
+        "videos.jsonl:1: field 'video_id' must be non-empty, without tab, CR or LF",
+    "ingest-check-cr-in-uploader-id":
+        "videos.jsonl:1: field 'uploader_user_id' must be non-empty, without tab, CR or LF",
+    "build-ccn-cr-in-user-id":
+        "users.jsonl:1: field 'user_id' must be non-empty, without tab, CR or LF",
     "features-embeddings-file-absent": "embeddings: [Errno 2] No such file or directory",
     "features-embeddings-empty-path": "embeddings file is required (--embeddings)",
     "kcore-out-is-a-file": "notadir is not a directory",

@@ -15,7 +15,14 @@ from collusioncore.graph import (
 )
 
 from conftest import graph_from_edges, make_comment, make_dataset, make_user, make_video
-from oracles import edge_weight, iucc, oracle_component_sizes, random_weighted_graph
+from oracles import (
+    edge_weight,
+    iucc,
+    oracle_avg_clustering,
+    oracle_component_sizes,
+    oracle_diameter,
+    random_weighted_graph,
+)
 
 
 def fixture_two_videos():
@@ -228,6 +235,15 @@ def test_edgelist_roundtrip_keeps_isolated_nodes(tmp_path, synth_graph):
     assert body == sorted(body)
 
 
+def test_edgelist_roundtrip_keeps_spaces_around_ids(tmp_path):
+    g = Ccn.build([" u1", "u2", "u3 "], {(" u1", "u2"): 2})
+    path = tmp_path / "ccn.tsv"
+    write_edgelist(g, path)
+    again = read_edgelist(path)
+    assert sorted(again.nodes) == [" u1", "u2", "u3 "]
+    assert again.edges == g.edges
+
+
 def test_components_of_node_subsets_match_union_find():
     rng = np.random.default_rng(31)
     for _ in range(150):
@@ -241,6 +257,13 @@ def test_components_of_node_subsets_match_union_find():
         assert set().union(*comps) == keep
         assert [(-len(c), min(c)) for c in comps] == sorted((-len(c), min(c)) for c in comps)
     assert components(g, set()) == []
+
+
+def nx_graph(g):
+    G = nx.Graph()
+    G.add_nodes_from(g.nodes)
+    G.add_edges_from(g.edges)
+    return G
 
 
 def test_graph_stats_diameter_is_that_of_the_largest_component():
@@ -261,10 +284,49 @@ def test_graph_stats_diameter_is_that_of_the_largest_component():
         isolated = [f"z{i}" for i in range(int(rng.integers(0, 3)))]
         g = graph_from_edges([(a, b, w) for (a, b), w in edges.items()], isolated=isolated)
 
-        G = nx.Graph()
-        G.add_nodes_from(g.nodes)
-        G.add_edges_from(g.edges)
+        G = nx_graph(g)
         largest = max(nx.connected_components(G), key=len)
         expected = nx.diameter(G.subgraph(largest))
         assert expected < path_len - 1, trial
-        assert graph_stats(g).diameter == expected
+        s = graph_stats(g)
+        assert s.diameter == expected == oracle_diameter(g)
+        assert s.avg_clustering == oracle_avg_clustering(g), trial
+        assert s.avg_clustering == pytest.approx(nx.average_clustering(G), abs=1e-12)
+
+
+def test_graph_stats_matches_the_pair_scan_and_bfs_oracles():
+    """Edgeless, single-node, sparse (mostly disconnected) and dense graphs."""
+    rng = np.random.default_rng(41)
+    shapes = [dict(min_nodes=1, max_nodes=1), dict(min_nodes=1, max_nodes=8, edge_prob=0.0),
+              dict(min_nodes=2, max_nodes=20, edge_prob=0.1),
+              dict(min_nodes=2, max_nodes=20, edge_prob=0.3),
+              dict(min_nodes=2, max_nodes=14, edge_prob=0.8)]
+    for shape in shapes:
+        for trial in range(60):
+            g = random_weighted_graph(rng, **shape)
+            s = graph_stats(g)
+            assert s.diameter == oracle_diameter(g), (shape, trial)
+            assert s.avg_clustering == oracle_avg_clustering(g), (shape, trial)
+            assert s.avg_clustering == pytest.approx(nx.average_clustering(nx_graph(g)),
+                                                     abs=1e-12)
+
+
+def test_graph_stats_at_the_papers_scale():
+    """1,603 nodes and about 51k edges: planted communities, sparse links
+    between them, and a path hanging off one node to stretch the diameter."""
+    rng = np.random.default_rng(1603)
+    n, tail = 1603, 6
+    block = rng.integers(0, 12, size=n - tail)
+    i, j = np.triu_indices(n - tail, k=1)
+    p = np.where(block[i] == block[j], 0.4, 0.007)
+    keep = rng.random(i.size) < p
+    edges = [(f"u{a:04d}", f"u{b:04d}", 1) for a, b in zip(i[keep], j[keep])]
+    edges += [(f"u{a:04d}", f"u{a + 1:04d}", 1) for a in range(n - tail - 1, n - 1)]
+    g = graph_from_edges(edges)
+    assert g.n_nodes == n and 48_000 < g.n_edges < 54_000
+    G = nx_graph(g)
+    largest = max(nx.connected_components(G), key=len)
+    s = graph_stats(g)
+    assert s.diameter == nx.diameter(G.subgraph(largest), usebounds=True)
+    assert s.diameter > tail
+    assert s.avg_clustering == pytest.approx(nx.average_clustering(G), abs=1e-12)

@@ -88,6 +88,25 @@ def test_ingest_rejects_a_lone_surrogate(tmp_path):
         ingest_dir(tmp_path, [row], [VIDEO_ROW], [{"user_id": "u1"}])
 
 
+def test_ingest_rejects_a_tab_cr_or_lf_in_an_id(tmp_path):
+    # ids are written into tab-separated outputs; a text may hold all three
+    comment = {"comment_id": "c1", "user_id": "u1", "video_id": "v1", "text": "a\tb\r\nc"}
+    assert ingest_dir(tmp_path, [comment], [VIDEO_ROW], [{"user_id": "u1"}]).comments[0].text == (
+        "a\tb\r\nc")
+    for name, field in [("comments", "comment_id"), ("comments", "user_id"),
+                        ("comments", "video_id"), ("videos", "video_id"),
+                        ("videos", "uploader_user_id"), ("users", "user_id")]:
+        for char in "\t\r\n":
+            rows = {"comments": [dict(comment)], "videos": [dict(VIDEO_ROW)],
+                    "users": [{"user_id": "u0"}, {"user_id": "u1"}]}
+            rows[name][-1][field] = f"x{char}y"
+            line = len(rows[name])
+            message = (f"{name}.jsonl:{line}: field '{field}' "
+                       "must be non-empty, without tab, CR or LF")
+            with pytest.raises(IngestError, match=message):
+                ingest_dir(tmp_path, rows["comments"], rows["videos"], rows["users"])
+
+
 def test_ingest_ignores_unknown_fields(tmp_path):
     d = ingest_dir(
         tmp_path,
