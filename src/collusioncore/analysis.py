@@ -7,13 +7,13 @@ timeline statistics contrasting core and compromised users.
 
 import math
 import random
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 from .graph import Ccn, components, density
 from .kcore import coreness
 from .korse import CorePartition
 from .records import Dataset
+from .tables import write_rows
 
 ORDER_KEYS = (
     "weighted_degree",
@@ -427,37 +427,27 @@ def case_study_report(dataset: Dataset, partition: CorePartition) -> CaseStudyRe
 
 def write_removal_curve(curve: RemovalCurve, path) -> None:
     labels = [label for _, _, label in SIZE_BUCKETS]
-    with Path(path).open("w", encoding="utf-8") as handle:
-        cols = ",".join("bucket_" + label.replace("-", "_").replace(">", "gt") for label in labels)
-        handle.write(f"fraction_removed,largest_component,removed_density,{cols}\n")
-        for p in curve.points:
-            buckets = ",".join(str(p.component_buckets[label]) for label in labels)
-            handle.write(
-                f"{p.fraction_removed!r},{p.largest_component},{p.removed_density!r},{buckets}\n"
-            )
+    header = ["fraction_removed", "largest_component", "removed_density"]
+    header += ["bucket_" + label.replace("-", "_").replace(">", "gt") for label in labels]
+    write_rows(path, [header] + [
+        [p.fraction_removed, p.largest_component, p.removed_density,
+         *(p.component_buckets[label] for label in labels)]
+        for p in curve.points], ",")
 
 
 def write_communities(communities: CommunitySet, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(f"# modularity={communities.modularity!r}\n")
-        handle.write("user_id,community\n")
-        for node in sorted(communities.assignment):
-            handle.write(f"{node},{communities.assignment[node]}\n")
+    write_rows(path, [(f"# modularity={communities.modularity}",), ("user_id", "community"),
+                      *sorted(communities.assignment.items())], ",")
 
 
 def write_interplay(rows, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("community_id,size,avg_weighted_degree,weighted_size,wcs,small\n")
-        for row in rows:
-            handle.write(
-                f"{row.community_id},{row.size},{row.avg_weighted_degree!r},"
-                f"{row.weighted_size},{row.wcs!r},{str(row.small).lower()}\n"
-            )
+    header = ("community_id", "size", "avg_weighted_degree", "weighted_size", "wcs", "small")
+    write_rows(path, [header] + [
+        (row.community_id, row.size, row.avg_weighted_degree, row.weighted_size, row.wcs,
+         str(row.small).lower())
+        for row in rows], ",")
 
 
 def write_case_study(report: CaseStudyReport, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for field_name in report.__dataclass_fields__:
-            value = getattr(report, field_name)
-            rendered = "unavailable" if value is None else (repr(value) if isinstance(value, float) else str(value))
-            handle.write(f"{field_name}={rendered}\n")
+    write_rows(path, [(name, "unavailable" if value is None else value)
+                      for name, value in asdict(report).items()], "=")

@@ -77,6 +77,7 @@ from .nurse import (
 )
 from .records import ingest, validate, write_dataset
 from .synth import SynthConfig, generate, read_labels, write_labels, write_meta
+from .tables import format_rows, write_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,7 +146,8 @@ OUTPUTS = (
      "key=fraction for each removal order: the first fraction removed at which the "
      "largest component holds under half the remaining nodes, or none"),
     ("communities.csv", ("communities", "interplay", "pipeline"),
-     "'# modularity=' line, then user_id,community"),
+     "'# modularity=' line, then user_id,community; an id holding a comma or quote is "
+     "csv-quoted"),
     ("interplay_seed<N>.csv", ("interplay", "pipeline"),
      "community_id,size,avg_weighted_degree,weighted_size,wcs,small; Louvain "
      "seeds seed, seed+1, seed+2"),
@@ -339,8 +341,8 @@ def _do_breakage(graph, keys, step, out):
         curve = removal_curve(graph, key, step)
         write_removal_curve(curve, out / f"breakage_{key}.csv")
         frac = disintegration_fraction(curve)
-        summary.append(f"{key}={'none' if frac is None else repr(frac)}")
-    (out / "disintegration.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+        summary.append((key, "none" if frac is None else frac))
+    write_rows(out / "disintegration.txt", summary, "=")
 
 
 def _periphery(graph, partition):
@@ -377,10 +379,10 @@ def _do_interplay(graph, partition, seed, out):
         xs = [r.wcs for r in chosen]
         ys = [getattr(r, metric) for r in chosen]
         try:
-            lines.append(f"wcs_vs_{metric}={pearson(xs, ys)!r}")
+            lines.append((f"wcs_vs_{metric}", pearson(xs, ys)))
         except ValueError as exc:
-            lines.append(f"wcs_vs_{metric}=undefined ({exc})")
-    (out / "correlations.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            lines.append((f"wcs_vs_{metric}", f"undefined ({exc})"))
+    write_rows(out / "correlations.txt", lines, "=")
     return first
 
 
@@ -408,13 +410,12 @@ def _do_features(dataset, partition, provider, pair_cap, out):
 def cmd_ingest_check(args, out):
     dataset = _load_dataset(args)
     problems = validate(dataset)
-    report = [
-        f"users={len(dataset.users)}",
-        f"videos={len(dataset.videos)}",
-        f"comments={len(dataset.comments)}",
-        f"violations={len(problems)}",
-    ] + problems
-    text = "\n".join(report) + "\n"
+    text = format_rows([
+        ("users", len(dataset.users)),
+        ("videos", len(dataset.videos)),
+        ("comments", len(dataset.comments)),
+        ("violations", len(problems)),
+    ] + [(problem,) for problem in problems], "=")
     if out is not None:
         (out / "ingest_check.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -481,9 +482,8 @@ def cmd_nurse_train(args, out):
     config = _nurse_config(args, dim=len(labeled[0].tfe))
     model = train(labeled, config)
     save_model(model, out / "model.npz")
-    (out / "train_report.txt").write_text(
-        f"examples={len(labeled)}\nfinal_loss={loss(model, labeled)!r}\n", encoding="utf-8"
-    )
+    write_rows(out / "train_report.txt",
+               [("examples", len(labeled)), ("final_loss", loss(model, labeled))], "=")
     return EXIT_OK
 
 
@@ -498,20 +498,15 @@ def cmd_nurse_eval(args, out):
     feats = sorted(core + comp, key=lambda f: f.user_id)
     scored = score_users(model, feats)
     write_eval_report(summarize_folds([fold_metrics(0, scored)]), out / "eval.csv")
-    with (out / "ranking.tsv").open("w", encoding="utf-8") as handle:
-        for user, score, label in rank_users(scored):
-            handle.write(f"{user}\t{score!r}\t{label}\n")
+    write_rows(out / "ranking.tsv", rank_users(scored), "\t")
     return EXIT_OK
 
 
 def cmd_ablate(args, out):
     feats = _read(read_features, args.features, "features")
     reports = _cross_validate(ablations, args, feats)
-    with (out / "ablation_summary.csv").open("w", encoding="utf-8") as handle:
-        handle.write("method,mean_f1_breakeven,mean_auc\n")
-        for name in sorted(reports):
-            r = reports[name]
-            handle.write(f"{name},{r.mean_break_even_f1!r},{r.mean_auc!r}\n")
+    write_rows(out / "ablation_summary.csv", [("method", "mean_f1_breakeven", "mean_auc")] + [
+        (name, r.mean_break_even_f1, r.mean_auc) for name, r in sorted(reports.items())], ",")
     write_method_curves(reports, out / "curves_f1.csv")
     for name, report in reports.items():
         write_eval_report(report, out / f"eval_{name.replace('+', '_')}.csv")
@@ -521,9 +516,8 @@ def cmd_ablate(args, out):
 def cmd_baseline_wbc(args, out):
     graph = _read(read_edgelist, args.graph, "graph")
     ranked = wbc_baseline(graph, _setting(args, "threshold_k") or None)  # --k 0: every node
-    with (out / "wbc_ranking.tsv").open("w", encoding="utf-8") as handle:
-        for rank, (node, score) in enumerate(ranked, start=1):
-            handle.write(f"{rank}\t{node}\t{score!r}\n")
+    write_rows(out / "wbc_ranking.tsv",
+               [(rank, node, score) for rank, (node, score) in enumerate(ranked, start=1)], "\t")
     return EXIT_OK
 
 
@@ -571,15 +565,15 @@ def cmd_pipeline(args, out):
     wbc_scores = [bc.get(u, 0.0) for u in in_eval]
     wbc_labels = [1 if u in partition.core else 0 for u in in_eval]
     summary = [
-        f"nodes={graph.n_nodes}",
-        f"edges={graph.n_edges}",
-        f"core_size={len(partition.core)}",
-        f"normalized_threshold={partition.normalized_threshold!r}",
-        f"peak_wicci={partition.peak_wicci!r}",
-        f"louvain_modularity={communities.modularity!r}",
-        f"nurse_mean_auc={eval_report.mean_auc!r}",
-        f"nurse_mean_breakeven_f1={eval_report.mean_break_even_f1!r}",
-        f"wbc_auc={auc(wbc_scores, wbc_labels)!r}",
+        ("nodes", graph.n_nodes),
+        ("edges", graph.n_edges),
+        ("core_size", len(partition.core)),
+        ("normalized_threshold", partition.normalized_threshold),
+        ("peak_wicci", partition.peak_wicci),
+        ("louvain_modularity", communities.modularity),
+        ("nurse_mean_auc", eval_report.mean_auc),
+        ("nurse_mean_breakeven_f1", eval_report.mean_break_even_f1),
+        ("wbc_auc", auc(wbc_scores, wbc_labels)),
     ]
     if planted is not None:
         planted_core = {u for u, l in planted.items() if l == "core"}
@@ -587,9 +581,10 @@ def cmd_pipeline(args, out):
         fp = len(partition.core - planted_core)
         fn = len(planted_core - partition.core)
         f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-        summary.append(f"planted_core_f1={f1!r}")
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    sys.stdout.write("\n".join(summary) + "\n")
+        summary.append(("planted_core_f1", f1))
+    text = format_rows(summary, "=")
+    (out / "summary.txt").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tables import write_rows
+
 
 def text_key(text: str) -> str:
     """Stable 64-bit content hash of a text, as 16 hex characters."""
@@ -119,8 +121,5 @@ def write_embedding_file(path, texts, provider) -> None:
         key = text_key(text)
         if key not in seen:
             seen[key] = provider.embed_text(text)
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(f"dim={provider.dim}\n")
-        for key in sorted(seen):
-            values = ",".join(repr(float(x)) for x in seen[key])
-            handle.write(f"{key}\t{values}\n")
+    write_rows(path, [(f"dim={provider.dim}",)] + [
+        (key, ",".join(repr(float(x)) for x in seen[key])) for key in sorted(seen)], "\t")

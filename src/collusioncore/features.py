@@ -221,6 +221,8 @@ def read_features(path) -> list[FeatureVector]:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
                 raise ValueError(f"{where}: expected {len(header)} fields")
+            if "\t" in row[0]:  # ranking.tsv writes ids as tab-separated fields
+                raise ValueError(f"{where}: field 'user_id' holds a tab")
             if row[1] not in ("", "core", "compromised"):
                 raise ValueError(f"{where}: label must be core, compromised or empty")
             if row[0] in seen:

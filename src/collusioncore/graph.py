@@ -7,13 +7,14 @@ smaller of the two users' comment counts.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
 from pathlib import Path
 
-from .records import Dataset
+from .records import ID_RULE, Dataset, valid_id
+from .tables import format_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,9 @@ class Ccn:
     def build(cls, nodes, pair_weights) -> "Ccn":
         """Create a graph from a node iterable and {(a, b): weight} mapping."""
         node_set = frozenset(nodes)
+        bad = sorted(n for n in node_set if not valid_id(n))
+        if bad:
+            raise ValueError(f"node {bad[0]!r} {ID_RULE}")
         edges = {}
         adjacency = {n: [] for n in node_set}
         for (a, b), weight in pair_weights.items():
@@ -233,15 +237,9 @@ def write_edgelist(graph: Ccn, path) -> None:
     The sidecar (:func:`nodes_sidecar`) preserves isolated nodes, which the
     edge-list format alone cannot represent.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(EDGELIST_HEADER + "\n")
-        for (a, b) in sorted(graph.edges):
-            handle.write(f"{a}\t{b}\t{graph.edges[(a, b)]}\n")
-    with nodes_sidecar(path).open("w", encoding="utf-8") as handle:
-        handle.write(NODES_HEADER + "\n")
-        for node in sorted(graph.nodes):
-            handle.write(node + "\n")
+    write_rows(path, [(EDGELIST_HEADER,)] + [
+        (a, b, w) for (a, b), w in sorted(graph.edges.items())], "\t")
+    write_rows(nodes_sidecar(path), [(NODES_HEADER,)] + [(n,) for n in sorted(graph.nodes)], "\t")
 
 
 def read_edgelist(path) -> Ccn:
@@ -284,10 +282,5 @@ def read_edgelist(path) -> Ccn:
 
 def format_stats(stats: GraphStats) -> str:
     """Render statistics as ``name=value`` lines; undefined values are omitted."""
-    lines = []
-    for field_name in stats.__dataclass_fields__:
-        value = getattr(stats, field_name)
-        if value is None:
-            continue
-        lines.append(f"{field_name}={value!r}" if isinstance(value, float) else f"{field_name}={value}")
-    return "\n".join(lines) + "\n"
+    return format_rows([(name, value) for name, value in asdict(stats).items()
+                        if value is not None], "=")

@@ -5,9 +5,9 @@ whose coreness reaches k (Batagelj & Zaversnik 2003).
 """
 
 import heapq
-from pathlib import Path
 
 from .graph import Ccn
+from .tables import write_rows
 
 MODES = ("weighted", "unweighted")
 
@@ -50,7 +50,4 @@ def coreness(graph: Ccn, mode: str = "weighted") -> dict:
 
 def write_coreness(values: dict, path) -> None:
     """Export ``user_id<TAB>coreness`` sorted by descending value, then id."""
-    rows = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for node, value in rows:
-            handle.write(f"{node}\t{value}\n")
+    write_rows(path, sorted(values.items(), key=lambda kv: (-kv[1], kv[0])), "\t")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .graph import Ccn, density
 from .kcore import coreness
+from .tables import write_rows
 
 
 def _wicci(core_size: int, weight_fraction: float, density: float, beta: float) -> float:
@@ -113,7 +114,7 @@ def _distinct_candidates(partition: CorePartition):
 # ---------------------------------------------------------------------------
 
 def write_partition(partition: CorePartition, path) -> None:
-    """Summary block (comment lines) followed by ``user_id<TAB>role`` rows.
+    """Summary block (``# key=value`` lines, no tab) then ``user_id<TAB>role`` rows.
 
     ``core_density`` is that of the chosen sweep point, so the partition must
     come from :func:`korse`, not from :func:`read_partition`.
@@ -121,15 +122,16 @@ def write_partition(partition: CorePartition, path) -> None:
     chosen = [p for p in partition.sweep_trace if p.threshold == partition.core_threshold]
     if not chosen:
         raise ValueError("write_partition needs the sweep trace of a korse run")
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(f"# core_threshold={partition.core_threshold}\n")
-        handle.write(f"# normalized_threshold={partition.normalized_threshold!r}\n")
-        handle.write(f"# peak_wicci={partition.peak_wicci!r}\n")
-        handle.write(f"# core_size={len(partition.core)}\n")
-        handle.write(f"# core_density={chosen[0].density!r}\n")
-        for node in sorted(partition.core | partition.periphery):
-            role = "core" if node in partition.core else "periphery"
-            handle.write(f"{node}\t{role}\n")
+    rows = [
+        (f"# core_threshold={partition.core_threshold}",),
+        (f"# normalized_threshold={partition.normalized_threshold}",),
+        (f"# peak_wicci={partition.peak_wicci}",),
+        (f"# core_size={len(partition.core)}",),
+        (f"# core_density={chosen[0].density}",),
+    ]
+    rows += [(node, "core" if node in partition.core else "periphery")
+             for node in sorted(partition.core | partition.periphery)]
+    write_rows(path, rows, "\t")
 
 
 def read_partition(path) -> CorePartition:
@@ -142,7 +144,7 @@ def read_partition(path) -> CorePartition:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("# "):
+            if line.startswith("# ") and "\t" not in line:  # a user id may start with "# "
                 key, _, value = line[2:].partition("=")
                 meta[key] = value
                 continue
@@ -168,11 +170,7 @@ def write_sweep(partition: CorePartition, path, beta: float) -> None:
     writes, byte for byte, the sweep of every ``beta``."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("norm_threshold,core_size,density,weight_fraction,wicci\n")
-        for norm, point in _distinct_candidates(partition):
-            wicci_score = _wicci(point.core_size, point.weight_fraction, point.density, beta)
-            handle.write(
-                f"{norm!r},{point.core_size},{point.density!r},"
-                f"{point.weight_fraction!r},{wicci_score!r}\n"
-            )
+    write_rows(path, [("norm_threshold", "core_size", "density", "weight_fraction", "wicci")] + [
+        (norm, point.core_size, point.density, point.weight_fraction,
+         _wicci(point.core_size, point.weight_fraction, point.density, beta))
+        for norm, point in _distinct_candidates(partition)], ",")

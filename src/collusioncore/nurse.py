@@ -46,11 +46,11 @@ import json
 import zipfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from .features import MFE_SIZE, SFE_SIZE
+from .tables import write_rows
 
 BRANCH_ORDER = ("tfe", "sfe", "mfe")  # concatenation order of branch outputs
 CORE = 1  # class index of the core label in softmax outputs
@@ -812,19 +812,12 @@ def load_model(path) -> NurseModel:
 
 def write_eval_report(report: EvalReport, path) -> None:
     """CSV with one row per fold and cutoff, plus a break-even summary row."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("fold,k,precision,recall,f1,auc\n")
-        for fm in report.folds:
-            for k in range(1, fm.n + 1):
-                handle.write(
-                    f"{fm.fold},{k},{fm.precision_at[k - 1]!r},"
-                    f"{fm.recall_at[k - 1]!r},{fm.f1_at[k - 1]!r},{fm.auc!r}\n"
-                )
-        handle.write(
-            f"mean,breakeven,{report.mean_break_even_precision!r},"
-            f"{report.mean_break_even_recall!r},{report.mean_break_even_f1!r},"
-            f"{report.mean_auc!r}\n"
-        )
+    rows = [("fold", "k", "precision", "recall", "f1", "auc")]
+    rows += [(fm.fold, k, fm.precision_at[k - 1], fm.recall_at[k - 1], fm.f1_at[k - 1], fm.auc)
+             for fm in report.folds for k in range(1, fm.n + 1)]
+    rows.append(("mean", "breakeven", report.mean_break_even_precision,
+                 report.mean_break_even_recall, report.mean_break_even_f1, report.mean_auc))
+    write_rows(path, rows, ",")
 
 
 def write_method_curves(reports: dict, path) -> None:
@@ -832,8 +825,6 @@ def write_method_curves(reports: dict, path) -> None:
 
     A method's mean AUC does not depend on k; ``ablation_summary.csv`` holds it.
     """
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("method,k,f1\n")
-        for method in sorted(reports):
-            for k, f1 in enumerate(reports[method].mean_f1_at, 1):
-                handle.write(f"{method},{k},{f1!r}\n")
+    write_rows(path, [("method", "k", "f1")] + [
+        (method, k, f1)
+        for method in sorted(reports) for k, f1 in enumerate(reports[method].mean_f1_at, 1)], ",")

@@ -101,15 +101,21 @@ class Dataset:
 # Parsing helpers
 # ---------------------------------------------------------------------------
 
+ID_RULE = "must be non-empty, without tab, CR or LF"  # outputs write ids into tab-separated lines
+
+
+def valid_id(value: str) -> bool:
+    return value != "" and "\t" not in value and "\r" not in value and "\n" not in value
+
+
 def _require_str(row: dict, field: str, origin: str, is_id: bool = False) -> str:
     if field not in row or row[field] is None:
         raise IngestError(f"{origin}: missing required field '{field}'")
     value = row[field]
     if not isinstance(value, str):
         raise IngestError(f"{origin}: field '{field}' must be a string")
-    if is_id and (value == "" or "\t" in value or "\r" in value or "\n" in value):
-        # outputs write ids as fields of tab-separated lines
-        raise IngestError(f"{origin}: field '{field}' must be non-empty, without tab, CR or LF")
+    if is_id and not valid_id(value):
+        raise IngestError(f"{origin}: field '{field}' {ID_RULE}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate from a JSON escape

@@ -10,12 +10,13 @@ are returned separately and never stored inside the dataset.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .records import CommentRecord, Dataset, UserRecord, VideoRecord
+from .tables import write_rows
 
 # Behavioral contrast of planted core channels: fewer and shorter uploads,
 # and, per user relative to compromised users, more comments in total, more
@@ -343,9 +344,7 @@ def generate(config: SynthConfig):
 
 
 def write_labels(labels: dict, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for user in sorted(labels):
-            handle.write(f"{user}\t{labels[user]}\n")
+    write_rows(path, sorted(labels.items()), "\t")
 
 
 def read_labels(path) -> dict:
@@ -365,7 +364,4 @@ def read_labels(path) -> dict:
 
 
 def write_meta(config: SynthConfig, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for name in sorted(config.__dataclass_fields__):
-            value = getattr(config, name)
-            handle.write(f"{name}={value!r}\n" if isinstance(value, float) else f"{name}={value}\n")
+    write_rows(path, sorted(asdict(config).items()), "=")

@@ -1,0 +1,28 @@
+"""The one rule for how an output value becomes text.
+
+A row is one ``\\n``-ended line: its cells' ``str`` joined by a separator. A
+float's ``str`` is its shortest round-trip ``repr``. Comma-separated rows are
+quoted minimally, as the ``csv`` module does, so an id holding a comma or a
+quote stays one cell; no id holds a tab, so other rows need no quoting.
+What a file writes for an undefined value stays with its writer. So does
+text that is not one cell per value: ``features.csv`` (CRLF lines and a row
+join tuned for its thousands of floats), the embeddings file's comma-joined
+value list, the ``sweep_beta_<b>.csv`` file name, the JSON files and
+``model.npz``.
+"""
+
+import csv
+import io
+from pathlib import Path
+
+
+def format_rows(rows, sep: str) -> str:
+    if sep == ",":
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(map(str, row) for row in rows)
+        return text.getvalue()
+    return "".join(sep.join(map(str, row)) + "\n" for row in rows)
+
+
+def write_rows(path, rows, sep: str) -> None:
+    Path(path).write_text(format_rows(rows, sep), encoding="utf-8")

@@ -1,9 +1,12 @@
+import csv
 import time
 
 import numpy as np
 import pytest
 
 from collusioncore.analysis import (
+    SIZE_BUCKETS,
+    CommunitySet,
     _removal_counts,
     case_study_report,
     disintegration_fraction,
@@ -13,6 +16,7 @@ from collusioncore.analysis import (
     pearson,
     periphery_largest_component,
     removal_curve,
+    write_communities,
     write_removal_curve,
 )
 from collusioncore.korse import CorePartition, korse
@@ -319,5 +323,21 @@ def test_write_removal_curve(tmp_path, synth_graph):
     curve = removal_curve(g, "weighted_degree", 0.05)
     path = tmp_path / "curve.csv"
     write_removal_curve(curve, path)
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header.startswith("fraction_removed,largest_component,removed_density,bucket_1,")
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == ("fraction_removed,largest_component,removed_density,"
+                      "bucket_1,bucket_2_10,bucket_11_100,bucket_101_1000,bucket_gt1000")
+    # each float is its repr, so it reads back bit for bit
+    assert [row.split(",") for row in rows] == [
+        [repr(p.fraction_removed), str(p.largest_component), repr(p.removed_density)]
+        + [str(p.component_buckets[label]) for _, _, label in SIZE_BUCKETS]
+        for p in curve.points]
+
+
+def test_communities_csv_quotes_an_id_with_a_comma_or_quote(tmp_path):
+    path = tmp_path / "communities.csv"
+    write_communities(CommunitySet(assignment={"u0000,x": 0, 'a"b': 1, "u1": 1},
+                                   modularity=0.25), path)
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["# modularity=0.25"], ["user_id", "community"],
+                    ['a"b', "1"], ["u0000,x", "0"], ["u1", "1"]]

@@ -568,6 +568,9 @@ REJECTED = {
         lambda p: ["ablate", "--features", with_value(p.features, p.tmp, 2, -1, "-inf")]),
     "nurse-train-features-non-numeric": (
         lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 3, 7, "0.5x")]),
+    "nurse-eval-tab-in-features-id": (
+        lambda p: ["nurse-eval", "--model", p.model, "--mode", "complete",
+                   "--features", with_value(p.features, p.tmp, 3, 0, '"a\tb"')]),
     "features-repeated-embedding": (
         lambda p: ["features", *p.data, "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
@@ -620,6 +623,7 @@ REJECTED_MESSAGE = {
     "ablate-features-nan": "bad.csv:3: non-finite value",
     "ablate-features-inf": "bad.csv:2: non-finite value",
     "nurse-train-features-non-numeric": "bad.csv:3: non-numeric value",
+    "nurse-eval-tab-in-features-id": "bad.csv:3: field 'user_id' holds a tab",
     "features-dim-1": "dim must be >= 2, got 1",
     "pipeline-dim-1": "dim must be >= 2, got 1",
     "nurse-train-one-embedding-column": "embedding_dim must be >= 2",

@@ -338,6 +338,7 @@ BAD_ROWS = {
     "minus-inf": ([f"u1,,{VALUES[:-3]}-inf"], 2, "non-finite value"),
     "non-numeric": ([f"u1,,{VALUES[:-3]}abc"], 2, "non-numeric value"),
     "empty-cell": ([f"u1,,{VALUES[:-3]}"], 2, "non-numeric value"),
+    "tab-in-id": ([f"u1,core,{VALUES}", f'"a\tb",,{VALUES}'], 3, "field 'user_id' holds a tab"),
     # a quoted id spanning two lines moves the next row to line 4
     "after-multiline-id": ([f'"a\nb",core,{VALUES}', f"c,compromised,{VALUES[:-3]}x"], 4,
                            "non-numeric value"),

@@ -244,6 +244,12 @@ def test_edgelist_roundtrip_keeps_spaces_around_ids(tmp_path):
     assert again.edges == g.edges
 
 
+@pytest.mark.parametrize("node", ["", "a\tb", "a\rb", "a\nb"])
+def test_build_refuses_an_id_a_tab_separated_output_cannot_hold(node):
+    with pytest.raises(ValueError, match="must be non-empty, without tab, CR or LF"):
+        Ccn.build([node, "c"], {(node, "c"): 1})
+
+
 def test_components_of_node_subsets_match_union_find():
     rng = np.random.default_rng(31)
     for _ in range(150):

@@ -135,3 +135,6 @@ def test_write_coreness_sorted(tmp_path, triangle):
     write_coreness(cm, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["a\t2", "b\t2", "c\t2"]
+    # descending coreness first, then id; one LF-ended line per user
+    write_coreness({"b": 1, "a": 1, "z": 5, "# c": 3}, path)
+    assert path.read_bytes() == b"z\t5\n# c\t3\na\t1\nb\t1\n"

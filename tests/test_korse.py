@@ -175,6 +175,24 @@ def test_write_sweep_header(tmp_path, triangle):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "norm_threshold,core_size,density,weight_fraction,wicci"
     assert len(lines) >= 2
+    # each float is its repr, so it reads back bit for bit
+    assert [line.split(",") for line in lines[1:]] == [
+        [repr(norm), str(p.core_size), repr(p.density), repr(p.weight_fraction),
+         repr(_wicci(p.core_size, p.weight_fraction, p.density, 1.0))]
+        for norm, p in _distinct_candidates(part)]
+
+
+def test_partition_roundtrips_ids_that_start_like_a_summary_line(tmp_path):
+    g = graph_from_edges([("# a", "# core_threshold=9", 3), ("# a", "b", 3),
+                          ("# core_threshold=9", "b", 3), ("b", "c", 1)])
+    part = korse(g)
+    path = tmp_path / "partition.tsv"
+    write_partition(part, path)
+    again = read_partition(path)
+    assert (again.core, again.periphery) == (part.core, part.periphery)
+    assert part.core == {"# a", "# core_threshold=9", "b"}
+    assert again.core_threshold == part.core_threshold
+    assert again.peak_wicci == part.peak_wicci
 
 
 def test_one_korse_run_writes_the_sweep_of_every_beta(tmp_path, synth_graph):

@@ -121,6 +121,5 @@ def test_meta_file_lists_config(tmp_path):
     cfg = SynthConfig(seed=3)
     path = tmp_path / "synth_meta"
     write_meta(cfg, path)
-    assert path.read_text(encoding="utf-8").splitlines() == [
-        "n_compromised=200", "n_core=20", "n_videos=400", "peripheral_community_count=8",
-        "seed=3"]
+    assert path.read_bytes() == (b"n_compromised=200\nn_core=20\nn_videos=400\n"
+                                 b"peripheral_community_count=8\nseed=3\n")
