@@ -7,11 +7,10 @@ contain only finite values.
 """
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 
-from .tables import write_rows
+from .tables import read_rows, write_rows
 
 
 def text_key(text: str) -> str:
@@ -72,28 +71,28 @@ class FileEmbedder:
 
     @classmethod
     def load(cls, path) -> "FileEmbedder":
-        path = Path(path)
+        rows = read_rows(path)
+        lineno, cells = next(rows, (1, []))
+        header = "\t".join(cells).strip()
+        if lineno != 1 or not header.startswith("dim=") or not header[4:].isdecimal():
+            raise ValueError(f"{path}:1: expected 'dim=<d>' header")
+        dim = int(header[4:])
+        if dim < 2:
+            raise ValueError(f"{path}: dim must be >= 2")
         table: dict[str, np.ndarray] = {}
-        with path.open(encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if not header.startswith("dim="):
-                raise ValueError(f"{path}: expected 'dim=<d>' header")
-            dim = int(header[4:])
-            if dim < 2:
-                raise ValueError(f"{path}: dim must be >= 2")
-            for lineno, line in enumerate(handle, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                key, _, values = line.partition("\t")
+        for lineno, cells in rows:
+            try:
+                key, values = cells
                 vec = np.array([float(x) for x in values.split(",")])
-                if vec.shape != (dim,):
-                    raise ValueError(f"{path}:{lineno}: expected {dim} values")
-                if not np.all(np.isfinite(vec)):
-                    raise ValueError(f"{path}:{lineno}: non-finite entry")
-                if key in table:
-                    raise ValueError(f"{path}:{lineno}: hash '{key}' listed twice")
-                table[key] = vec
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'hash<TAB>n,n,...'") from None
+            if vec.shape != (dim,):
+                raise ValueError(f"{path}:{lineno}: expected {dim} values")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{path}:{lineno}: non-finite entry")
+            if key in table:
+                raise ValueError(f"{path}:{lineno}: hash '{key}' listed twice")
+            table[key] = vec
         if not table:
             raise ValueError(f"{path}: no embedding vectors")
         return cls(dim=dim, table=table)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .records import Dataset
+from .records import ID_RULE, Dataset, valid_id
 
 MFE_SIZE = 26
 SFE_SIZE = 25
@@ -221,8 +221,8 @@ def read_features(path) -> list[FeatureVector]:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
                 raise ValueError(f"{where}: expected {len(header)} fields")
-            if "\t" in row[0]:  # ranking.tsv writes ids as tab-separated fields
-                raise ValueError(f"{where}: field 'user_id' holds a tab")
+            if not valid_id(row[0]):  # ranking.tsv writes ids into tab-separated lines
+                raise ValueError(f"{where}: field 'user_id' {ID_RULE}")
             if row[1] not in ("", "core", "compromised"):
                 raise ValueError(f"{where}: label must be core, compromised or empty")
             if row[0] in seen:

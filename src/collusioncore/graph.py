@@ -14,7 +14,7 @@ from operator import or_
 from pathlib import Path
 
 from .records import ID_RULE, Dataset, valid_id
-from .tables import format_rows, write_rows
+from .tables import format_rows, read_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -247,36 +247,24 @@ def read_edgelist(path) -> Ccn:
 
     Without the node sidecar only edge endpoints become nodes.
     """
-    path = Path(path)
     weights = {}
-    nodes: set = set()
-    with path.open(encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != EDGELIST_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            a, b, w = parts
-            if (a, b) in weights or (b, a) in weights:
-                raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) listed twice")
+    for lineno, cells in read_rows(path, EDGELIST_HEADER):
+        if len(cells) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        a, b, w = cells
+        if (a, b) in weights or (b, a) in weights:
+            raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) listed twice")
+        try:
             weights[(a, b)] = int(w)
-            nodes.add(a)
-            nodes.add(b)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: weight {w!r} is not an integer") from None
+    nodes = {node for pair in weights for node in pair}
     sidecar = nodes_sidecar(path)
     if sidecar.exists():
-        with sidecar.open(encoding="utf-8") as handle:
-            header = handle.readline().rstrip("\n")
-            if header != NODES_HEADER:
-                raise ValueError(f"{sidecar}: unexpected header {header!r}")
-            for line in handle:
-                line = line.rstrip("\n")
-                if line:
-                    nodes.add(line)
+        for lineno, cells in read_rows(sidecar, NODES_HEADER):
+            if len(cells) != 1:
+                raise ValueError(f"{sidecar}:{lineno}: expected 1 field")
+            nodes.add(cells[0])
     return Ccn.build(nodes, weights)
 
 

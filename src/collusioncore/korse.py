@@ -9,11 +9,11 @@ the smaller core).
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .graph import Ccn, density
 from .kcore import coreness
-from .tables import write_rows
+from .records import ID_RULE, valid_id
+from .tables import read_rows, write_rows
 
 
 def _wicci(core_size: int, weight_fraction: float, density: float, beta: float) -> float:
@@ -138,30 +138,27 @@ def read_partition(path) -> CorePartition:
     """Read a partition file; the sweep trace is not round-tripped."""
     core: set = set()
     periphery: set = set()
-    meta: dict = {}
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# ") and "\t" not in line:  # a user id may start with "# "
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in ("core", "periphery"):
-                raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|periphery'")
-            if parts[0] in core or parts[0] in periphery:
-                raise ValueError(f"{path}:{lineno}: user '{parts[0]}' listed twice")
-            (core if parts[1] == "core" else periphery).add(parts[0])
-    return CorePartition(
-        core=frozenset(core),
-        periphery=frozenset(periphery),
-        core_threshold=int(meta.get("core_threshold", 0)),
-        normalized_threshold=float(meta.get("normalized_threshold", 0.0)),
-        peak_wicci=float(meta.get("peak_wicci", 0.0)),
-        sweep_trace=(),
-    )
+    # the summary values read back, each parsed like its default
+    summary = {"core_threshold": 0, "normalized_threshold": 0.0, "peak_wicci": 0.0}
+    for lineno, cells in read_rows(path):
+        if len(cells) == 1 and cells[0].startswith("# "):  # a user id may start with "# "
+            key, _, value = cells[0][2:].partition("=")
+            if key in summary:
+                try:
+                    summary[key] = type(summary[key])(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad {key} value {value!r}") from None
+            continue
+        if len(cells) != 2 or cells[1] not in ("core", "periphery"):
+            raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|periphery'")
+        user, role = cells
+        if not valid_id(user):
+            raise ValueError(f"{path}:{lineno}: user id {ID_RULE}")
+        if user in core or user in periphery:
+            raise ValueError(f"{path}:{lineno}: user '{user}' listed twice")
+        (core if role == "core" else periphery).add(user)
+    return CorePartition(core=frozenset(core), periphery=frozenset(periphery),
+                         sweep_trace=(), **summary)
 
 
 def write_sweep(partition: CorePartition, path, beta: float) -> None:

@@ -11,12 +11,11 @@ are returned separately and never stored inside the dataset.
 
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .records import CommentRecord, Dataset, UserRecord, VideoRecord
-from .tables import write_rows
+from .records import ID_RULE, CommentRecord, Dataset, UserRecord, VideoRecord, valid_id
+from .tables import read_rows, write_rows
 
 # Behavioral contrast of planted core channels: fewer and shorter uploads,
 # and, per user relative to compromised users, more comments in total, more
@@ -349,17 +348,15 @@ def write_labels(labels: dict, path) -> None:
 
 def read_labels(path) -> dict:
     labels = {}
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in ("core", "compromised"):
-                raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|compromised'")
-            if parts[0] in labels:
-                raise ValueError(f"{path}:{lineno}: user '{parts[0]}' listed twice")
-            labels[parts[0]] = parts[1]
+    for lineno, cells in read_rows(path):
+        if len(cells) != 2 or cells[1] not in ("core", "compromised"):
+            raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|compromised'")
+        user, role = cells
+        if not valid_id(user):
+            raise ValueError(f"{path}:{lineno}: user id {ID_RULE}")
+        if user in labels:
+            raise ValueError(f"{path}:{lineno}: user '{user}' listed twice")
+        labels[user] = role
     return labels
 
 

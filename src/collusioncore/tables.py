@@ -1,4 +1,5 @@
-"""The one rule for how an output value becomes text.
+"""The one rule for how an output value becomes text, and the one for how a
+line of a tab-separated file read back becomes cells.
 
 A row is one ``\\n``-ended line: its cells' ``str`` joined by a separator. A
 float's ``str`` is its shortest round-trip ``repr``. Comma-separated rows are
@@ -8,7 +9,10 @@ What a file writes for an undefined value stays with its writer. So does
 text that is not one cell per value: ``features.csv`` (CRLF lines and a row
 join tuned for its thousands of floats), the embeddings file's comma-joined
 value list, the ``sweep_beta_<b>.csv`` file name, the JSON files and
-``model.npz``.
+``model.npz``. What a cell read back must hold stays with its reader. Other
+inputs keep their own rules: ``features.csv`` has csv quoting, the record
+files follow ingest, the ``--config`` file allows whitespace and ``#``
+comments, and ``model.npz`` is a numpy archive.
 """
 
 import csv
@@ -26,3 +30,16 @@ def format_rows(rows, sep: str) -> str:
 
 def write_rows(path, rows, sep: str) -> None:
     Path(path).write_text(format_rows(rows, sep), encoding="utf-8")
+
+
+def read_rows(path, header=None):
+    """``(line number, cells)`` of each non-empty line, split on tab; a line
+    loses only its ``\\n``. A given ``header`` must be the first line."""
+    numbered = enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1)
+    if header is not None:
+        _, first = next(numbered)
+        if first != header:
+            raise ValueError(f"{path}: unexpected header {first!r}")
+    for lineno, line in numbered:
+        if line:
+            yield lineno, line.split("\t")

@@ -571,6 +571,29 @@ REJECTED = {
     "nurse-eval-tab-in-features-id": (
         lambda p: ["nurse-eval", "--model", p.model, "--mode", "complete",
                    "--features", with_value(p.features, p.tmp, 3, 0, '"a\tb"')]),
+    "nurse-eval-lf-in-features-id": (
+        lambda p: ["nurse-eval", "--model", p.model, "--mode", "complete",
+                   "--features", with_value(p.features, p.tmp, 3, 0, '"a\nb"')]),
+    "features-empty-id-in-partition": (
+        lambda p: ["features", *p.data, "--dim", "8", "--partition",
+                   write(p.tmp / "partition.tsv", "u0001\tcore\n\tcore\n")]),
+    "pipeline-empty-id-in-labels": (
+        lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2",
+                   "--labels", write(p.tmp / "labels.tsv", "\tcompromised\n")]),
+    "korse-fractional-weight": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1.5\n")]),
+    "communities-non-numeric-core-threshold": (
+        lambda p: ["communities", "--graph", p.graph, "--partition",
+                   write(p.tmp / "partition.tsv", "# core_threshold=x\nu0001\tcore\n")]),
+    "features-embeddings-dim-x": (
+        lambda p: ["features", *p.data, "--embeddings",
+                   write(p.tmp / "emb.txt", f"dim=x\n{text_key('a')}\t0.5,0.5\n")]),
+    "features-embeddings-line-without-tab": (
+        lambda p: ["features", *p.data, "--embeddings",
+                   write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')} 0.5,0.5\n")]),
+    "features-embeddings-non-numeric-value": (
+        lambda p: ["features", *p.data, "--embeddings",
+                   write(p.tmp / "emb.txt", f"dim=2\n\n{text_key('a')}\t0.5,x\n")]),
     "features-repeated-embedding": (
         lambda p: ["features", *p.data, "--embeddings",
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
@@ -623,7 +646,20 @@ REJECTED_MESSAGE = {
     "ablate-features-nan": "bad.csv:3: non-finite value",
     "ablate-features-inf": "bad.csv:2: non-finite value",
     "nurse-train-features-non-numeric": "bad.csv:3: non-numeric value",
-    "nurse-eval-tab-in-features-id": "bad.csv:3: field 'user_id' holds a tab",
+    "nurse-eval-tab-in-features-id":
+        "bad.csv:3: field 'user_id' must be non-empty, without tab, CR or LF",
+    # the quoted id spans lines 3 and 4, and csv names the line a record ends on
+    "nurse-eval-lf-in-features-id":
+        "bad.csv:4: field 'user_id' must be non-empty, without tab, CR or LF",
+    "features-empty-id-in-partition":
+        "partition.tsv:2: user id must be non-empty, without tab, CR or LF",
+    "pipeline-empty-id-in-labels":
+        "labels.tsv:1: user id must be non-empty, without tab, CR or LF",
+    "korse-fractional-weight": "ccn.tsv:2: weight '1.5' is not an integer",
+    "communities-non-numeric-core-threshold": "partition.tsv:1: bad core_threshold value 'x'",
+    "features-embeddings-dim-x": "emb.txt:1: expected 'dim=<d>' header",
+    "features-embeddings-line-without-tab": "emb.txt:2: expected 'hash<TAB>n,n,...'",
+    "features-embeddings-non-numeric-value": "emb.txt:3: expected 'hash<TAB>n,n,...'",
     "features-dim-1": "dim must be >= 2, got 1",
     "pipeline-dim-1": "dim must be >= 2, got 1",
     "nurse-train-one-embedding-column": "embedding_dim must be >= 2",

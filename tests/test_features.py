@@ -23,6 +23,7 @@ from collusioncore.features import (
 )
 from collusioncore.graph import build_ccn
 from collusioncore.korse import CorePartition, korse
+from collusioncore.records import ID_RULE
 
 from conftest import make_comment, make_dataset, make_user, make_video
 from oracles import cosine, oracle_sfe, oracle_stat5, oracle_tfe, oracle_write_features
@@ -338,10 +339,11 @@ BAD_ROWS = {
     "minus-inf": ([f"u1,,{VALUES[:-3]}-inf"], 2, "non-finite value"),
     "non-numeric": ([f"u1,,{VALUES[:-3]}abc"], 2, "non-numeric value"),
     "empty-cell": ([f"u1,,{VALUES[:-3]}"], 2, "non-numeric value"),
-    "tab-in-id": ([f"u1,core,{VALUES}", f'"a\tb",,{VALUES}'], 3, "field 'user_id' holds a tab"),
-    # a quoted id spanning two lines moves the next row to line 4
-    "after-multiline-id": ([f'"a\nb",core,{VALUES}', f"c,compromised,{VALUES[:-3]}x"], 4,
-                           "non-numeric value"),
+    "tab-in-id": ([f"u1,core,{VALUES}", f'"a\tb",,{VALUES}'], 3, f"field 'user_id' {ID_RULE}"),
+    # a quoted id holding a line end spans lines 2 and 3; csv names the line a record ends on
+    "lf-in-id": ([f'"a\nb",core,{VALUES}'], 3, f"field 'user_id' {ID_RULE}"),
+    "cr-in-id": ([f'"a\rb",core,{VALUES}'], 3, f"field 'user_id' {ID_RULE}"),
+    "empty-id": ([f",core,{VALUES}"], 2, f"field 'user_id' {ID_RULE}"),
 }
 
 
@@ -357,8 +359,7 @@ def test_read_features_rejects_bad_rows(tmp_path, case):
 
 def odd_features(dim):
     """Feature vectors whose ids need csv quoting and whose values test repr."""
-    ids = ["a,b", 'say "hi"', "line\nbreak", "car\rriage", "crlf\r\nid", " leading",
-           "trailing ", "plain"]
+    ids = ["a,b", 'say "hi"', '"quoted"', ",", " leading", "trailing ", "# hash", "plain"]
     rng = np.random.default_rng(dim)
     special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, -1 / 3, 2.0 ** 52 + 1]
     out = []

@@ -1,6 +1,17 @@
-"""The one rule every output table is written by."""
+"""The one rule every output table is written by, and the one every
+tab-separated file is read back by."""
 
-from collusioncore.tables import format_rows, write_rows
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from collusioncore.embeddings import FileEmbedder, HashEmbedder, write_embedding_file
+from collusioncore.graph import Ccn, read_edgelist, write_edgelist
+from collusioncore.korse import korse, read_partition, write_partition
+from collusioncore.records import valid_id
+from collusioncore.synth import read_labels, write_labels
+from collusioncore.tables import format_rows, read_rows, write_rows
 
 
 def test_rows_are_each_cells_str_and_floats_read_back_bit_for_bit(tmp_path):
@@ -15,3 +26,82 @@ def test_rows_are_each_cells_str_and_floats_read_back_bit_for_bit(tmp_path):
     assert format_rows([("n", 3), ("x", 0.1)], "=") == "n=3\nx=0.1\n"
     # comma rows quote only a cell holding a comma or a quote
     assert format_rows([("a,b", 'a"b', 2.5, "plain")], ",") == '"a,b","a""b",2.5,plain\n'
+
+
+def write_bytes(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+def test_read_rows_numbers_every_line_and_skips_blank_ones(tmp_path):
+    path = write_bytes(tmp_path / "t.tsv", b"# v1\na\tb\n\n\nc\n\t\n")
+    assert list(read_rows(path)) == [(1, ["# v1"]), (2, ["a", "b"]), (5, ["c"]), (6, ["", ""])]
+    assert list(read_rows(path, "# v1")) == [(2, ["a", "b"]), (5, ["c"]), (6, ["", ""])]
+    assert list(read_rows(write_bytes(tmp_path / "h.tsv", b"# v1\n"), "# v1")) == []
+
+
+@pytest.mark.parametrize("data", [b"# v2\na\n", b"", b"\n# v1\n", b"# v1 \n"],
+                         ids=["other", "empty", "blank-first", "trailing-space"])
+def test_read_rows_refuses_a_first_line_other_than_the_header(tmp_path, data):
+    path = write_bytes(tmp_path / "t.tsv", data)
+    first = data.decode("utf-8").partition("\n")[0]
+    message = f"{path}: unexpected header {first!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        list(read_rows(path, "# v1"))
+
+
+def test_read_rows_reads_crlf_as_lf(tmp_path):
+    lf = write_bytes(tmp_path / "lf.tsv", b"# v1\na\tb\n\nc\td\n")
+    crlf = write_bytes(tmp_path / "crlf.tsv", b"# v1\r\na\tb\r\n\r\nc\td\r\n")
+    assert list(read_rows(crlf, "# v1")) == list(read_rows(lf, "# v1"))
+
+
+def test_read_rows_gives_cells_back_unchanged(tmp_path):
+    cells = [" lead", "trail ", "# hash", "k=v", "a,b", 'q"t', "'", "ü x", "\x0b"]
+    path = tmp_path / "t.tsv"
+    write_rows(path, [cells], "\t")
+    assert list(read_rows(path)) == [(1, cells)]
+
+
+# ids an output can hold: the prefixes and suffixes a reader might trim or
+# take for a summary line, around text without tab, CR, LF or a surrogate
+ids = st.builds(
+    lambda pre, body, post: pre + body + post,
+    st.sampled_from(["", " ", "# ", "# core_threshold=", '"', ","]),
+    st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\t\r\n"),
+            max_size=8),
+    st.sampled_from(["", " ", ",", "'", "=1"]),
+).filter(valid_id)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nodes=st.lists(ids, min_size=2, max_size=8, unique=True))
+def test_every_file_read_back_round_trips(tmp_path_factory, data, nodes):
+    tmp = tmp_path_factory.mktemp("rows")
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    graph = Ccn.build(nodes, {pair: data.draw(st.integers(1, 9)) for pair in chosen})
+
+    write_edgelist(graph, tmp / "ccn.tsv")  # isolated nodes live in the sidecar
+    again = read_edgelist(tmp / "ccn.tsv")
+    assert (again.nodes, again.edges) == (graph.nodes, graph.edges)
+
+    part = korse(graph)
+    write_partition(part, tmp / "partition.tsv")
+    again = read_partition(tmp / "partition.tsv")
+    assert (again.core, again.periphery) == (part.core, part.periphery)
+    assert (again.core_threshold, again.normalized_threshold, again.peak_wicci) == (
+        part.core_threshold, part.normalized_threshold, part.peak_wicci)
+
+    labels = {node: data.draw(st.sampled_from(["core", "compromised"])) for node in nodes}
+    write_labels(labels, tmp / "labels.tsv")
+    assert read_labels(tmp / "labels.tsv") == labels
+
+    stub = HashEmbedder(dim=data.draw(st.integers(2, 6)), seed=1)
+    texts = [node for node in nodes if node.strip()]  # blank texts embed to zero, unwritten
+    if texts:
+        write_embedding_file(tmp / "emb.txt", texts, stub)
+        loaded = FileEmbedder.load(tmp / "emb.txt")
+        for text in texts:
+            assert loaded.embed_text(text).tobytes() == stub.embed_text(text).tobytes()
+
