@@ -30,6 +30,7 @@ import textwrap
 from pathlib import Path
 
 from . import __version__
+from . import embeddings, features, nurse, synth  # numpy layers, loaded on first use
 from .analysis import (
     ORDER_KEYS,
     case_study_report,
@@ -45,8 +46,6 @@ from .analysis import (
     write_removal_curve,
 )
 from .centrality import wbc_baseline, weighted_betweenness
-from .embeddings import FileEmbedder, HashEmbedder
-from .features import extract_all, read_features, write_features
 from .graph import (
     build_ccn,
     format_stats,
@@ -57,26 +56,7 @@ from .graph import (
 )
 from .kcore import MODES, coreness, write_coreness
 from .korse import korse, read_partition, write_partition, write_sweep
-from .nurse import (
-    NurseConfig,
-    ablations,
-    auc,
-    class_split,
-    evaluate,
-    fold_metrics,
-    load_model,
-    loss,
-    min_class_size,
-    rank_users,
-    save_model,
-    score_users,
-    summarize_folds,
-    train,
-    write_eval_report,
-    write_method_curves,
-)
 from .records import ingest, validate, write_dataset
-from .synth import SynthConfig, generate, read_labels, write_labels, write_meta
 from .tables import format_rows, write_rows
 
 EXIT_OK = 0
@@ -268,8 +248,8 @@ def _load_dataset(args):
 
 def _provider(args):
     if args.embeddings is not None:
-        return _read(FileEmbedder.load, args.embeddings, "embeddings")
-    return HashEmbedder(dim=_setting(args, "dim"), seed=_setting(args, "seed"))
+        return _read(embeddings.FileEmbedder.load, args.embeddings, "embeddings")
+    return embeddings.HashEmbedder(dim=_setting(args, "dim"), seed=_setting(args, "seed"))
 
 
 def _labeled(feats, per_class: int) -> list:
@@ -284,9 +264,9 @@ def _labeled(feats, per_class: int) -> list:
     return labeled
 
 
-def _nurse_config(args, dim) -> NurseConfig:
+def _nurse_config(args, dim):
     try:
-        return NurseConfig(
+        return nurse.NurseConfig(
             embedding_dim=dim,
             learning_rate=_setting(args, "learning_rate"),
             momentum=_setting(args, "momentum"),
@@ -302,7 +282,7 @@ def _cross_validate(run, args, feats):
     """``run`` (evaluate or ablations) on the labelled ``feats``, once they
     are known to fill every fold."""
     folds = _setting(args, "folds")
-    feats = _labeled(feats, min_class_size(folds))
+    feats = _labeled(feats, nurse.min_class_size(folds))
     config = _nurse_config(args, dim=len(feats[0].tfe))
     return run(feats, config, mode=args.mode, folds=folds)
 
@@ -394,12 +374,13 @@ def _do_case_study(dataset, partition, out):
 
 def _do_features(dataset, partition, provider, pair_cap, out):
     try:
-        feats = extract_all(dataset, partition=partition, provider=provider, pair_cap=pair_cap)
+        feats = features.extract_all(dataset, partition=partition, provider=provider,
+                                     pair_cap=pair_cap)
     except KeyError as exc:  # a text the embeddings file lacks
         raise InputError(f"embeddings: {exc.args[0]}") from None
     if not feats:
         raise InputError("no users to extract features for")
-    write_features(feats, out / "features.csv")
+    features.write_features(feats, out / "features.csv")
     return feats
 
 
@@ -478,38 +459,40 @@ def cmd_features(args, out):
 
 
 def cmd_nurse_train(args, out):
-    labeled = _labeled(_read(read_features, args.features, "features"), 2)
+    labeled = _labeled(_read(features.read_features, args.features, "features"), 2)
     config = _nurse_config(args, dim=len(labeled[0].tfe))
-    model = train(labeled, config)
-    save_model(model, out / "model.npz")
+    model = nurse.train(labeled, config)
+    nurse.save_model(model, out / "model.npz")
     write_rows(out / "train_report.txt",
-               [("examples", len(labeled)), ("final_loss", loss(model, labeled))], "=")
+               [("examples", len(labeled)), ("final_loss", nurse.loss(model, labeled))], "=")
     return EXIT_OK
 
 
 def cmd_nurse_eval(args, out):
-    model = _read(load_model, args.model, "model")
-    feats = _labeled(_read(read_features, args.features, "features"), 1)
+    model = _read(nurse.load_model, args.model, "model")
+    feats = _labeled(_read(features.read_features, args.features, "features"), 1)
     if "tfe" in model.config.branches and len(feats[0].tfe) != model.config.embedding_dim:
         raise InputError(f"features have {len(feats[0].tfe)} embedding values, "
                          f"the model expects {model.config.embedding_dim}")
     feats = sorted(feats, key=lambda f: f.user_id)
-    core, comp = class_split(feats, _setting(args, "seed") if args.mode == "balanced" else None)
+    seed = _setting(args, "seed") if args.mode == "balanced" else None
+    core, comp = nurse.class_split(feats, seed)
     feats = sorted(core + comp, key=lambda f: f.user_id)
-    scored = score_users(model, feats)
-    write_eval_report(summarize_folds([fold_metrics(0, scored)]), out / "eval.csv")
-    write_rows(out / "ranking.tsv", rank_users(scored), "\t")
+    scored = nurse.score_users(model, feats)
+    report = nurse.summarize_folds([nurse.fold_metrics(0, scored)])
+    nurse.write_eval_report(report, out / "eval.csv")
+    write_rows(out / "ranking.tsv", nurse.rank_users(scored), "\t")
     return EXIT_OK
 
 
 def cmd_ablate(args, out):
-    feats = _read(read_features, args.features, "features")
-    reports = _cross_validate(ablations, args, feats)
+    feats = _read(features.read_features, args.features, "features")
+    reports = _cross_validate(nurse.ablations, args, feats)
     write_rows(out / "ablation_summary.csv", [("method", "mean_f1_breakeven", "mean_auc")] + [
         (name, r.mean_break_even_f1, r.mean_auc) for name, r in sorted(reports.items())], ",")
-    write_method_curves(reports, out / "curves_f1.csv")
+    nurse.write_method_curves(reports, out / "curves_f1.csv")
     for name, report in reports.items():
-        write_eval_report(report, out / f"eval_{name.replace('+', '_')}.csv")
+        nurse.write_eval_report(report, out / f"eval_{name.replace('+', '_')}.csv")
     return EXIT_OK
 
 
@@ -523,25 +506,25 @@ def cmd_baseline_wbc(args, out):
 
 def cmd_synth(args, out):
     try:
-        config = SynthConfig(
+        config = synth.SynthConfig(
             n_core=args.n_core,
             n_compromised=args.n_compromised,
             n_videos=args.n_videos,
             peripheral_community_count=args.communities,
             seed=_setting(args, "seed"),
         )
-        dataset, labels = generate(config)
+        dataset, labels = synth.generate(config)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     write_dataset(dataset, out / "comments.jsonl", out / "videos.jsonl", out / "users.jsonl")
-    write_labels(labels, out / "labels.tsv")
-    write_meta(config, out / "synth_meta")
+    synth.write_labels(labels, out / "labels.tsv")
+    synth.write_meta(config, out / "synth_meta")
     return EXIT_OK
 
 
 def cmd_pipeline(args, out):
     dataset = _load_dataset(args)
-    planted = _read(read_labels, args.labels, "labels") if args.labels else None
+    planted = _read(synth.read_labels, args.labels, "labels") if args.labels else None
     seed = _setting(args, "seed")
     provider = _provider(args)
 
@@ -557,8 +540,8 @@ def cmd_pipeline(args, out):
 
     feats = _do_features(dataset, partition, provider, _setting(args, "pair_cap"), out)
 
-    eval_report = _cross_validate(evaluate, args, feats)
-    write_eval_report(eval_report, out / "eval.csv")
+    eval_report = _cross_validate(nurse.evaluate, args, feats)
+    nurse.write_eval_report(eval_report, out / "eval.csv")
 
     bc = weighted_betweenness(graph)
     in_eval = sorted({f.user_id for f in feats})
@@ -573,7 +556,7 @@ def cmd_pipeline(args, out):
         ("louvain_modularity", communities.modularity),
         ("nurse_mean_auc", eval_report.mean_auc),
         ("nurse_mean_breakeven_f1", eval_report.mean_break_even_f1),
-        ("wbc_auc", auc(wbc_scores, wbc_labels)),
+        ("wbc_auc", nurse.auc(wbc_scores, wbc_labels)),
     ]
     if planted is not None:
         planted_core = {u for u, l in planted.items() if l == "core"}

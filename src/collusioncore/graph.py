@@ -32,7 +32,11 @@ class Ccn:
 
     @classmethod
     def build(cls, nodes, pair_weights) -> "Ccn":
-        """Create a graph from a node iterable and {(a, b): weight} mapping."""
+        """Create a graph from a node iterable and {(a, b): weight} mapping.
+
+        :func:`read_edgelist` makes the weight and empty-id checks too, at
+        the line, so keep the two in step.
+        """
         node_set = frozenset(nodes)
         bad = sorted(n for n in node_set if not valid_id(n))
         if bad:
@@ -252,12 +256,17 @@ def read_edgelist(path) -> Ccn:
         if len(cells) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
         a, b, w = cells
+        if not a or not b:  # the only id fault a tab-split line can hold
+            raise ValueError(f"{path}:{lineno}: node id {ID_RULE}")
         if (a, b) in weights or (b, a) in weights:
             raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) listed twice")
         try:
-            weights[(a, b)] = int(w)
+            weight = int(w)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: weight {w!r} is not an integer") from None
+        if weight < 1:
+            raise ValueError(f"{path}:{lineno}: weight {w!r} must be a positive integer")
+        weights[(a, b)] = weight
     nodes = {node for pair in weights for node in pair}
     sidecar = nodes_sidecar(path)
     if sidecar.exists():

@@ -11,14 +11,18 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 
 class IngestError(ValueError):
     """Raised when an input file cannot be parsed into records."""
 
 
-@dataclass(frozen=True)
-class CommentRecord:
+# The record types are named tuples: immutable, with attribute access, and
+# about as cheap to build as a plain tuple, which matters for ingest. Being
+# tuples, they also index, unpack and compare as tuples; ``_replace`` makes a
+# changed copy.
+class CommentRecord(NamedTuple):
     """A single comment posted by a user on a video."""
 
     comment_id: str
@@ -28,8 +32,7 @@ class CommentRecord:
     timestamp: int | None = None
 
 
-@dataclass(frozen=True)
-class VideoRecord:
+class VideoRecord(NamedTuple):
     """A video together with its uploader and engagement counters."""
 
     video_id: str
@@ -44,8 +47,7 @@ class VideoRecord:
     is_collusive: bool
 
 
-@dataclass(frozen=True)
-class UserRecord:
+class UserRecord(NamedTuple):
     """A channel owner; profile counters are optional."""
 
     user_id: str
@@ -280,13 +282,7 @@ def validate(dataset: Dataset) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _record_dict(record) -> dict:
-    out = {}
-    for field_name in record.__dataclass_fields__:
-        value = getattr(record, field_name)
-        if value is None:
-            continue
-        out[field_name] = value
-    return out
+    return {name: value for name, value in zip(record._fields, record) if value is not None}
 
 
 def write_dataset(dataset: Dataset, comments_path, videos_path, users_path) -> None:

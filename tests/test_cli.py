@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collusioncore
-from collusioncore import cli
+from collusioncore import cli, nurse
 from collusioncore.cli import main
 from collusioncore.embeddings import HashEmbedder, text_key, write_embedding_file
 from collusioncore.features import feature_header
@@ -582,6 +582,15 @@ REJECTED = {
                    "--labels", write(p.tmp / "labels.tsv", "\tcompromised\n")]),
     "korse-fractional-weight": (
         lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1.5\n")]),
+    "korse-zero-weight": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t0\n")]),
+    "kcore-negative-weight": (
+        lambda p: ["kcore", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t2\nb\tc\t-1\n")]),
+    "korse-empty-first-endpoint": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\n\tb\t1\n")]),
+    "breakage-empty-second-endpoint": (
+        lambda p: ["breakage", "--graph",
+                   write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1\nc\t\t1\n")]),
     "communities-non-numeric-core-threshold": (
         lambda p: ["communities", "--graph", p.graph, "--partition",
                    write(p.tmp / "partition.tsv", "# core_threshold=x\nu0001\tcore\n")]),
@@ -656,6 +665,11 @@ REJECTED_MESSAGE = {
     "pipeline-empty-id-in-labels":
         "labels.tsv:1: user id must be non-empty, without tab, CR or LF",
     "korse-fractional-weight": "ccn.tsv:2: weight '1.5' is not an integer",
+    "korse-zero-weight": "ccn.tsv:2: weight '0' must be a positive integer",
+    "kcore-negative-weight": "ccn.tsv:3: weight '-1' must be a positive integer",
+    "korse-empty-first-endpoint": "ccn.tsv:2: node id must be non-empty, without tab, CR or LF",
+    "breakage-empty-second-endpoint":
+        "ccn.tsv:3: node id must be non-empty, without tab, CR or LF",
     "communities-non-numeric-core-threshold": "partition.tsv:1: bad core_threshold value 'x'",
     "features-embeddings-dim-x": "emb.txt:1: expected 'dim=<d>' header",
     "features-embeddings-line-without-tab": "emb.txt:2: expected 'hash<TAB>n,n,...'",
@@ -709,17 +723,18 @@ def test_rejected_input_exits_3(case, synth_dir, ccn_dir, features_dir, model_di
     assert REJECTED_MESSAGE.get(case, "") in err
 
 
-# id: (the cli name of a late stage made to raise, argv before --out over the fixture paths)
+# id: (the module the handler calls a late stage through, the stage's name there, made
+# to raise, argv before --out over the fixture paths)
 FAULTS = {
     "pipeline-weighted_betweenness": (
-        "weighted_betweenness",
+        cli, "weighted_betweenness",
         lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2"]),
     "nurse-train-train": (
-        "train", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+        nurse, "train", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
     "nurse-train-loss": (  # raises after model.npz is written
-        "loss", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+        nurse, "loss", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
     "nurse-train-_sha256": (  # raises in the manifest write, after the handler returns
-        "_sha256", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
+        cli, "_sha256", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
 }
 
 
@@ -727,7 +742,7 @@ FAULTS = {
 @pytest.mark.parametrize("case", sorted(FAULTS))
 def test_failed_run_leaves_out_as_it_was(case, existing, synth_dir, features_dir, tmp_path,
                                          monkeypatch, capsys):
-    name, argv = FAULTS[case]
+    module, name, argv = FAULTS[case]
     argv = argv(type("Paths", (), dict(data=dataset_args(synth_dir),
                                        features=str(features_dir / "features.csv"))))
     out = tmp_path / "out"
@@ -740,7 +755,7 @@ def test_failed_run_leaves_out_as_it_was(case, existing, synth_dir, features_dir
     def fault(*args, **kwargs):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(cli, name, fault)
+    monkeypatch.setattr(module, name, fault)
     assert main(argv + ["--out", str(out)]) == 5
     assert "internal error: RuntimeError: injected fault" in capsys.readouterr().err
     if existing:
