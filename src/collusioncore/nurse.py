@@ -40,9 +40,17 @@ subtract, add to the parameters). They are the elementwise operations of
 a step per tensor on the same operands, so the results are the same bit
 for bit; what they save is per-tensor dispatch, which is most of a step's
 cost at these layer sizes.
+
+Cross-validation folds are independent (each trains from its own seed), so
+``evaluate`` trains them in a pool of forked worker processes, one per CPU
+the process may run on, at most one per fold. Every fold computes what it
+would serially, and the results are collected in fold order, so the report
+does not depend on the number of workers.
 """
 
 import json
+import multiprocessing
+import os
 import zipfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -706,6 +714,13 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced",
     (training seed = config.seed + 7919 * (fold + 1)) and the
     held-out users are ranked by core probability. The break-even cutoff
     per fold equals its number of true core users.
+
+    The folds run in a ``fork`` pool of ``min(folds, usable CPUs)`` worker
+    processes, where the usable CPUs are ``os.sched_getaffinity(0)``; so
+    ``taskset -c 0`` gives one worker. Results are taken in fold order:
+    the report is the same at any worker count, a failure raises the
+    exception of the lowest failing fold, and no worker outlives the call.
+    Forked workers see the module as the caller left it, patches included.
     """
     if mode not in ("balanced", "complete"):
         raise ValueError("mode must be 'balanced' or 'complete'")
@@ -724,16 +739,23 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced",
     for group in (core, comp):
         for position, index in enumerate(rng.permutation(len(group))):
             assignments[group[index].user_id] = position % folds
-    pool = sorted(core + comp, key=lambda fv: fv.user_id)
+    users = sorted(core + comp, key=lambda fv: fv.user_id)
 
     fold_config = config if mode == "balanced" else replace(config, class_weight="balanced")
-    per_fold = []
-    for fold in range(folds):
-        train_set = [fv for fv in pool if assignments[fv.user_id] != fold]
-        test_set = [fv for fv in pool if assignments[fv.user_id] == fold]
-        model = train(train_set, replace(fold_config, seed=config.seed + 7919 * (fold + 1)))
-        per_fold.append(fold_metrics(fold, score_users(model, test_set)))
-    return summarize_folds(per_fold)
+    jobs = [(fold,
+             [fv for fv in users if assignments[fv.user_id] != fold],
+             [fv for fv in users if assignments[fv.user_id] == fold],
+             replace(fold_config, seed=config.seed + 7919 * (fold + 1)))
+            for fold in range(folds)]
+    workers = min(folds, len(os.sched_getaffinity(0)))
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return summarize_folds(list(pool.imap(_fold_job, jobs, chunksize=1)))
+
+
+def _fold_job(job) -> FoldMetrics:
+    """Metrics of one cross-validation fold: train, then rank the held-out set."""
+    fold, train_set, test_set, config = job
+    return fold_metrics(fold, score_users(train(train_set, config), test_set))
 
 
 ABLATION_SUBSETS = (

@@ -729,6 +729,9 @@ FAULTS = {
     "pipeline-weighted_betweenness": (
         cli, "weighted_betweenness",
         lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2"]),
+    "pipeline-train": (  # raises in a cross-validation worker process
+        nurse, "train", lambda p: ["pipeline", *p.data, "--labels", p.labels, "--dim", "8",
+                                   "--epochs", "1", "--folds", "2"]),
     "nurse-train-train": (
         nurse, "train", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),
     "nurse-train-loss": (  # raises after model.npz is written
@@ -744,7 +747,8 @@ def test_failed_run_leaves_out_as_it_was(case, existing, synth_dir, features_dir
                                          monkeypatch, capsys):
     module, name, argv = FAULTS[case]
     argv = argv(type("Paths", (), dict(data=dataset_args(synth_dir),
-                                       features=str(features_dir / "features.csv"))))
+                                       features=str(features_dir / "features.csv"),
+                                       labels=str(synth_dir / "labels.tsv"))))
     out = tmp_path / "out"
     before = {}
     if existing:

@@ -1,7 +1,8 @@
 """Rules read off each library module's source: every name it imports is
-used in it, only the modules that own a file format open files, and no
-graph layer imports numpy. And what the package loads: every public name,
-and no numpy in a process that runs only graph commands."""
+used in it, only the modules that own a file format open files, no graph
+layer imports numpy, and only ``nurse`` imports a concurrency module. And
+what the package loads: every public name, and no numpy in a process that
+runs only graph commands."""
 
 import ast
 import json
@@ -124,6 +125,28 @@ def test_an_import_chain_is_followed():
                "c": "import numpy.linalg\n", "d": "import scipy\n"}
     assert reachable(sources, "a") == {".b", "json", ".c", "numpy"}
     assert reachable(sources, "c") == {"numpy"}
+
+
+# nurse trains cross-validation folds in a process pool; every other layer
+# runs in the caller's thread
+CONCURRENT_MODULES = {"nurse"}
+CONCURRENCY = {"multiprocessing", "concurrent", "threading", "subprocess"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in CONCURRENT_MODULES],
+                         ids=lambda p: p.name)
+def test_only_nurse_imports_a_concurrency_module(path):
+    assert imported_modules(path.read_text(encoding="utf-8")) & CONCURRENCY == set()
+
+
+@pytest.mark.parametrize("source,module", [
+    ("import multiprocessing.pool\n", "multiprocessing"),
+    ("from concurrent import futures\n", "concurrent"),
+    ("def f():\n    import threading as t\n", "threading"),
+    ("from subprocess import run\n", "subprocess"),
+])
+def test_a_concurrency_import_is_found(source, module):
+    assert imported_modules(source) & CONCURRENCY == {module}
 
 
 # Every name ``collusioncore`` exports, by the layer that defines it.

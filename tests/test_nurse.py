@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -430,11 +433,9 @@ def test_evaluate_matches_oracle_kernels(monkeypatch, mode):
     assert repr(got) == repr(evaluate(feats, config, mode=mode, folds=3))
 
 
-def test_trained_parameters_are_separate_arrays(monkeypatch, tmp_path):
-    models = []
-    monkeypatch.setattr(nurse, "train", lambda *a: models.append(train(*a)) or models[-1])
-    evaluate(blob_features(6, seed=7), replace(TINY, epochs=3), folds=2)
-    assert len(models) == 2
+def test_trained_parameters_are_separate_arrays(tmp_path):
+    feats = blob_features(6, seed=7)
+    models = [train(feats, replace(TINY, epochs=3, seed=seed)) for seed in (3, 4)]
     for model in models:
         shapes = nurse._param_shapes(model.config)
         assert {k: v.shape for k, v in model.params.items()} == shapes
@@ -686,6 +687,117 @@ def test_ablation_noise_branch_scores_lower():
     cfg = replace(TINY, epochs=30)
     reports = ablations(feats, cfg, folds=4)
     assert reports["all"].mean_auc > reports["mfe"].mean_auc
+
+
+# ------------------------------------------------------------------ fold workers
+
+CPUS = sorted(os.sched_getaffinity(0))  # the CPUs this process may run on
+
+
+def use_cpus(monkeypatch, n):
+    """Let ``evaluate`` see only the first ``n`` of :data:`CPUS`, so it
+    starts at most ``n`` workers; never more than there are CPUs."""
+    if len(CPUS) < n:
+        pytest.skip(f"needs {n} usable CPUs, has {len(CPUS)}")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(CPUS[:n]))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every fork pool asked for while the test runs; a
+    pool of more workers than :data:`CPUS` fails the test unstarted."""
+    sizes = []
+    context = type(multiprocessing.get_context("fork"))
+    make = context.Pool
+
+    def pool(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        assert processes <= len(CPUS), f"a pool of {processes} workers on {len(CPUS)} CPUs"
+        return make(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(context, "Pool", pool)
+    return sizes
+
+
+def fold_of(config, base=TINY):
+    """The fold whose training seed ``config`` holds (see ``evaluate``)."""
+    return (config.seed - base.seed) // 7919 - 1
+
+
+@pytest.mark.parametrize("mode", ["balanced", "complete"])
+def test_evaluate_is_the_same_at_one_and_two_workers(monkeypatch, pool_sizes, mode):
+    feats = blob_features(9, seed=31)[:-2]  # 9 compromised, 7 core
+    config = replace(TINY, epochs=5)
+    reports = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        reports.append(repr(evaluate(feats, config, mode=mode, folds=3)))
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+    assert pool_sizes == [1, 2]
+
+
+def test_ablations_are_the_same_at_one_and_two_workers(monkeypatch, pool_sizes):
+    feats = blob_features(6, seed=32)
+    reports = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        reports.append(repr(ablations(feats, replace(TINY, epochs=3), folds=2)))
+    assert reports[0] == reports[1]
+    assert pool_sizes == [1] * 7 + [2] * 7
+
+
+def test_workers_are_capped_at_the_folds(monkeypatch, pool_sizes):
+    folds = len(CPUS)
+    if folds < 2:
+        pytest.skip("needs 2 usable CPUs, has 1")
+    # one CPU more than there are: only the cap keeps the pool at the folds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(folds + 1)))
+    evaluate(blob_features(6, seed=33), replace(TINY, epochs=2), folds=folds)
+    assert pool_sizes == [folds]
+
+
+def test_report_keeps_fold_order_when_fold_0_finishes_last(monkeypatch, tmp_path):
+    feats = blob_features(6, seed=34)
+    config = replace(TINY, epochs=4)
+    use_cpus(monkeypatch, 1)
+    want = repr(evaluate(feats, config, folds=3))
+    finished = tmp_path / "finished.txt"
+    finished.touch()
+
+    def fold_0_last(train_set, fold_config):
+        deadline = time.monotonic() + 30
+        while (fold_of(fold_config) == 0 and time.monotonic() < deadline
+               and len(finished.read_text(encoding="utf-8").split()) < 2):
+            time.sleep(0.01)  # the other worker trains folds 1 and 2 meanwhile
+        model = train(train_set, fold_config)
+        with open(finished, "a", encoding="utf-8") as handle:
+            handle.write(f"{fold_of(fold_config)}\n")
+        return model
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(nurse, "train", fold_0_last)
+    assert repr(evaluate(feats, config, folds=3)) == want
+    assert finished.read_text(encoding="utf-8").split() == ["1", "2", "0"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failure_raises_the_lowest_failing_folds_exception(monkeypatch, cpus):
+    def faulty(train_set, fold_config):
+        fold = fold_of(fold_config)
+        if fold == 1:
+            time.sleep(0.5)  # at two workers, fold 2 fails first
+            raise LookupError("injected fault in fold 1")
+        if fold == 2:
+            raise RuntimeError("injected fault in fold 2")
+        return train(train_set, fold_config)
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(nurse, "train", faulty)
+    with pytest.raises(Exception) as raised:
+        evaluate(blob_features(6, seed=35), replace(TINY, epochs=2), folds=3)
+    assert (raised.type, str(raised.value)) == (LookupError, "injected fault in fold 1")
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------------ model io
