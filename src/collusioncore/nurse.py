@@ -816,7 +816,10 @@ def load_model(path) -> NurseModel:
         cfg_dict = dict(meta["config"])
         cfg_dict["branches"] = tuple(cfg_dict["branches"])
         config = NurseConfig(**cfg_dict)
-    except (AttributeError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+    # zipfile raises NotImplementedError for an unknown compression method, and
+    # json raises RecursionError for a meta nested too deeply
+    except (AttributeError, EOFError, KeyError, NotImplementedError, RecursionError, TypeError,
+            zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from None
     shapes = {f"param_{k}": shape for k, shape in _param_shapes(config).items()}
     for branch, size in _input_sizes(config).items():

@@ -4,6 +4,17 @@ Input files are line-delimited JSON (one object per line) or, when the file
 extension is ``.csv``, CSV files with the same column names. Unknown fields
 are ignored. A :class:`Dataset` is immutable after ingestion and safe to
 share between readers.
+
+Each line is decoded once. A line that starts with ``{`` and that json's
+scanner reads as one object, with nothing but JSON whitespace after it, is
+that object; every other line (blank, with a BOM or leading whitespace,
+with trailing data, not an object, or one the scanner refuses) goes through
+``json.loads`` itself, so every message is the one ``json.loads`` gives. A
+line nested too deeply for the decoder is a malformed line too. Then a row
+whose fields already have their final types and values becomes its record
+after one check; any other row, such as a CSV row with its string counters,
+goes through the field validators, which name the file, line and field of a
+fault.
 """
 
 import csv
@@ -197,38 +208,115 @@ def _parse_user(row: dict, origin: str) -> UserRecord:
     )
 
 
-def _iter_rows(path: Path):
-    """Yield (line_number, row dict) for a .jsonl or .csv file."""
-    if path.suffix == ".csv":
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                yield reader.line_num, {k: v for k, v in row.items() if k is not None}
-        return
+# A plain row is one that json.loads or csv has already put in its final form:
+# every field of its exact type, each id printable (which also rules out tab,
+# CR, LF and a lone surrogate) and non-empty, each text ASCII (so free of lone
+# surrogates) and each counter not below 0. One expression per record type
+# checks that and builds the record positionally; every other row goes to the
+# ``_parse_*`` validators above, which alone define what a field accepts and
+# what each fault says. So ``_plain_*`` returns None rather than raising.
+_new = tuple.__new__  # a record from its fields in order, skipping NamedTuple's __new__
+
+
+def _plain_comment(row):
+    get = row.get
+    cid, uid, vid, text, ts = (get("comment_id"), get("user_id"), get("video_id"), get("text"),
+                               get("timestamp"))
+    if (type(cid) is type(uid) is type(vid) is type(text) is str and cid and uid and vid
+            and cid.isprintable() and uid.isprintable() and vid.isprintable() and text.isascii()
+            and (ts is None or type(ts) is int)):
+        return _new(CommentRecord, (cid, uid, vid, text, ts))
+    return None
+
+
+def _plain_video(row):
+    get = row.get
+    vid, uid, title, description, genre = (get("video_id"), get("uploader_user_id"), get("title"),
+                                           get("description"), get("genre"))
+    duration, likes, dislikes, views, collusive = (get("duration_sec"), get("likes"),
+                                                   get("dislikes"), get("views"),
+                                                   get("is_collusive"))
+    if (type(vid) is type(uid) is type(title) is type(description) is type(genre) is str
+            and vid and uid and vid.isprintable() and uid.isprintable() and title.isascii()
+            and description.isascii() and genre.isascii()
+            and type(duration) is type(likes) is type(dislikes) is type(views) is int
+            and duration >= 0 and likes >= 0 and dislikes >= 0 and views >= 0
+            and type(collusive) is bool):
+        return _new(VideoRecord, (vid, uid, title, description, genre, duration, likes, dislikes,
+                                  views, collusive))
+    return None
+
+
+def _plain_user(row):
+    get = row.get
+    uid, subscribers, created = (get("user_id"), get("channel_subscriber_count"),
+                                 get("channel_created_at"))
+    if (type(uid) is str and uid and uid.isprintable()
+            and (subscribers is None or type(subscribers) is int and subscribers >= 0)
+            and (created is None or type(created) is int)):
+        return _new(UserRecord, (uid, subscribers, created))
+    return None
+
+
+_scan = json.JSONDecoder().scan_once  # what json.loads runs after its own checks
+
+
+def _decode_line(path: Path, lineno: int, line: str) -> dict | None:
+    """``json.loads`` of one line: the object, or None for a blank line."""
+    if not line.strip():
+        return None
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}:{lineno}: malformed line: {exc.msg}") from None
+    except RecursionError:
+        raise IngestError(f"{path}:{lineno}: malformed line: nested too deeply") from None
+    if not isinstance(row, dict):
+        raise IngestError(f"{path}:{lineno}: malformed line: expected an object")
+    return row
+
+
+def _jsonl_rows(path: Path):
+    """Yield (line_number, row dict) for a .jsonl file.
+
+    A line that the scanner reads as an object from its first character, with
+    only JSON whitespace after it, is the object ``json.loads`` would return;
+    every other line goes through :func:`_decode_line`, so each message is
+    that of ``json.loads``.
+    """
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: malformed line: {exc.msg}") from None
-            if not isinstance(row, dict):
-                raise IngestError(f"{path}:{lineno}: malformed line: expected an object")
+                row, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):  # _decode_line names it
+                row = None
+            if type(row) is not dict or line[end:].strip(" \t\n\r"):
+                row = _decode_line(path, lineno, line)
+                if row is None:
+                    continue
             yield lineno, row
 
 
-def _read_records(path: Path, parse, id_field: str) -> list:
+def _csv_rows(path: Path):
+    """Yield (line_number, row dict) for a .csv file; every cell is a string."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for row in reader:
+            yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+
+
+def _read_records(path: Path, plain, parse) -> list:
     if not path.exists():
         raise IngestError(f"{path}: file does not exist")
     records = []
     seen: set[str] = set()
-    for lineno, row in _iter_rows(path):
-        origin = f"{path}:{lineno}"
-        record = parse(row, origin)
-        record_id = getattr(record, id_field)
+    for lineno, row in (_csv_rows if path.suffix == ".csv" else _jsonl_rows)(path):
+        record = plain(row)
+        if record is None:
+            record = parse(row, f"{path}:{lineno}")
+        record_id = record[0]  # each record type's first field is its id
         if record_id in seen:
-            raise IngestError(f"{origin}: duplicate {id_field} '{record_id}'")
+            raise IngestError(f"{path}:{lineno}: duplicate {record._fields[0]} '{record_id}'")
         seen.add(record_id)
         records.append(record)
     return records
@@ -245,9 +333,9 @@ def ingest(comments_path, videos_path, users_path) -> Dataset:
     ids within a file, or missing required fields. Referential integrity
     is *not* checked here; see :func:`validate`.
     """
-    users = _read_records(Path(users_path), _parse_user, "user_id")
-    videos = _read_records(Path(videos_path), _parse_video, "video_id")
-    comments = _read_records(Path(comments_path), _parse_comment, "comment_id")
+    users = _read_records(Path(users_path), _plain_user, _parse_user)
+    videos = _read_records(Path(videos_path), _plain_video, _parse_video)
+    comments = _read_records(Path(comments_path), _plain_comment, _parse_comment)
     return Dataset(users=tuple(users), videos=tuple(videos), comments=tuple(comments))
 
 

@@ -11,11 +11,14 @@ kernels are the dense conv-gradient versions the library used before its
 pooled-position rewrite, the training loop keeps one array per parameter
 and recomputes every conv and one-hot label block, the conv pool is the
 conv at every position, and convex-hull boundaries come from supporting
-lines tested in rational arithmetic.
+lines tested in rational arithmetic. The record reader is ``json.loads`` of
+every line, then the field validators, as ingest read each line before its
+scanner shortcut.
 """
 
 import csv
 import heapq
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -36,7 +39,9 @@ from collusioncore.graph import Ccn
 from collusioncore.nurse import (
     BRANCH_WIDTHS, DROPOUT, FoldMetrics, NurseConfig, NurseModel, auc, rank_users,
 )
-from collusioncore.records import Dataset
+from collusioncore.records import (
+    Dataset, IngestError, _parse_comment, _parse_user, _parse_video,
+)
 
 
 def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_nodes=4):
@@ -53,6 +58,52 @@ def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_n
 def comment_count(dataset: Dataset, user_id: str, video_id: str) -> int:
     """Number of comments by ``user_id`` on ``video_id`` (0 for unknown ids)."""
     return sum(1 for c in dataset.comments if (c.user_id, c.video_id) == (user_id, video_id))
+
+
+def _oracle_rows(path: Path):
+    """(line number, row) of a .csv file by ``csv.DictReader``, of any other
+    file by ``json.loads`` of each line that is not blank."""
+    if path.suffix == ".csv":
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            for row in reader:
+                yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+        return
+    with path.open(encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{path}:{lineno}: malformed line: {exc.msg}") from None
+            except RecursionError:
+                raise IngestError(f"{path}:{lineno}: malformed line: nested too deeply") from None
+            if not isinstance(row, dict):
+                raise IngestError(f"{path}:{lineno}: malformed line: expected an object")
+            yield lineno, row
+
+
+def _oracle_records(path: Path, parse, id_field: str) -> tuple:
+    if not path.exists():
+        raise IngestError(f"{path}: file does not exist")
+    records, seen = [], set()
+    for lineno, row in _oracle_rows(path):
+        record = parse(row, f"{path}:{lineno}")
+        record_id = getattr(record, id_field)
+        if record_id in seen:
+            raise IngestError(f"{path}:{lineno}: duplicate {id_field} '{record_id}'")
+        seen.add(record_id)
+        records.append(record)
+    return tuple(records)
+
+
+def oracle_ingest(comments_path, videos_path, users_path) -> Dataset:
+    """``records.ingest`` with every row read by the field validators."""
+    users = _oracle_records(Path(users_path), _parse_user, "user_id")
+    videos = _oracle_records(Path(videos_path), _parse_video, "video_id")
+    comments = _oracle_records(Path(comments_path), _parse_comment, "comment_id")
+    return Dataset(users=users, videos=videos, comments=comments)
 
 
 def iucc(dataset: Dataset, user_a: str, user_b: str, video_id: str) -> int:

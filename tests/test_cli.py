@@ -456,6 +456,25 @@ def format_1_model(model, tmp) -> str:
     return write(tmp / "model.npz", npz_bytes(tmp, **arrays))
 
 
+def unknown_compression_model(model, tmp) -> str:
+    """A copy of a saved model whose first entry names zip compression method 99,
+    in its local header and in the central directory."""
+    data = bytearray(Path(model).read_bytes())
+    eocd = data.rfind(b"PK\x05\x06")
+    central = int.from_bytes(data[eocd + 16:eocd + 20], "little")
+    assert data[:4] == b"PK\x03\x04" and data[central:central + 4] == b"PK\x01\x02"
+    data[8:10] = data[central + 10:central + 12] = (99).to_bytes(2, "little")
+    return write(tmp / "model.npz", bytes(data))
+
+
+def deeply_nested_meta_model(model, tmp) -> str:
+    """A copy of a saved model whose meta is 100,000 '['."""
+    with np.load(model) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["meta"] = np.frombuffer(b"[" * 100_000, dtype=np.uint8)
+    return write(tmp / "model.npz", npz_bytes(tmp, **arrays))
+
+
 def dataset_texts(data_dir) -> list:
     """Every comment text and video text of a dataset."""
     dataset = ingest(data_dir / "comments.jsonl", data_dir / "videos.jsonl",
@@ -490,6 +509,15 @@ def with_first_row(data, tmp, flag, field, value) -> list:
     return args
 
 
+def with_second_line(data, tmp, flag, line) -> list:
+    """Dataset arguments whose ``flag`` file is its first line and then ``line``."""
+    args = list(data)
+    i = args.index(flag) + 1
+    first = Path(args[i]).read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    args[i] = write(tmp / Path(args[i]).name, first + line + "\n")
+    return args
+
+
 # id: argv before --out over the fixture paths
 REJECTED = {
     "pipeline-beta": lambda p: ["pipeline", *p.data, "--beta", "-1"],
@@ -511,6 +539,15 @@ REJECTED = {
     "nurse-eval-format-1-model": (
         lambda p: ["nurse-eval", "--model", format_1_model(p.model, p.tmp),
                    "--features", p.features]),
+    "nurse-eval-unknown-compression-model": (
+        lambda p: ["nurse-eval", "--model", unknown_compression_model(p.model, p.tmp),
+                   "--features", p.features]),
+    "nurse-eval-deeply-nested-meta-model": (
+        lambda p: ["nurse-eval", "--model", deeply_nested_meta_model(p.model, p.tmp),
+                   "--features", p.features]),
+    "ingest-check-deeply-nested-comment": (
+        lambda p: ["ingest-check", *with_second_line(p.data, p.tmp, "--comments",
+                                                     "[" * 100_000)]),
     "synth-no-videos": lambda p: ["synth", "--n-videos", "0"],
     "synth-no-communities": lambda p: ["synth", "--communities", "0"],
     "synth-negative-core": lambda p: ["synth", "--n-core", "-1"],
@@ -679,6 +716,11 @@ REJECTED_MESSAGE = {
     "nurse-train-one-embedding-column": "embedding_dim must be >= 2",
     "ablate-one-embedding-column": "embedding_dim must be >= 2",
     "nurse-eval-format-1-model": "unsupported model format 1",
+    "nurse-eval-unknown-compression-model":
+        "model.npz: not a model file (NotImplementedError: That compression method is not "
+        "supported)",
+    "nurse-eval-deeply-nested-meta-model": "model.npz: not a model file (RecursionError: ",
+    "ingest-check-deeply-nested-comment": "comments.jsonl:2: malformed line: nested too deeply",
     "synth-no-videos": "zero videos",
     "synth-no-communities": "peripheral community",
     "synth-negative-core": "counts must be >= 0",

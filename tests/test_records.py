@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collusioncore import records
 from collusioncore.records import (
     CommentRecord,
     Dataset,
@@ -15,7 +18,7 @@ from collusioncore.records import (
 )
 
 from conftest import make_comment, make_dataset, make_user, make_video
-from oracles import comment_count
+from oracles import comment_count, oracle_ingest
 
 
 def write_jsonl(path, rows):
@@ -321,3 +324,184 @@ def test_written_records_ingest_to_equal_records(tmp_path_factory, dataset):
     for kind in ("users", "videos", "comments"):
         assert getattr(again, kind) == getattr(dataset, kind)
         assert repr(getattr(again, kind)) == repr(getattr(dataset, kind))  # bool stays bool
+
+
+# ---------------------------------------------------------------------------
+# The reader against the oracle: json.loads of every line, then the validators
+# ---------------------------------------------------------------------------
+
+def outcome(reader, paths):
+    """What ``reader`` makes of the files: the records' repr (so a bool stays
+    a bool), or the exception's type and text."""
+    try:
+        dataset = reader(*paths)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc).__name__, str(exc)
+    return repr((dataset.users, dataset.videos, dataset.comments))
+
+
+FIELDS = {"comments": CommentRecord._fields, "videos": VideoRecord._fields,
+          "users": UserRecord._fields}
+
+
+def read_kind_text(tmp, kind, suffix, text):
+    """Both readers' outcome on a ``kind`` file of ``text`` beside empty files."""
+    paths = []
+    for name in FIELDS:
+        path = tmp / f"{name}{suffix if name == kind else '.jsonl'}"
+        # a lone surrogate is written as the invalid UTF-8 it encodes to
+        path.write_bytes(text.encode("utf-8", "surrogatepass") if name == kind else b"")
+        paths.append(path)
+    return outcome(ingest, paths), outcome(oracle_ingest, paths)
+
+
+U1, U2 = '{"user_id": "u1"}', '{"user_id": "u2"}'
+
+# (users file text, the users read or the error's text after "path:1: ")
+EDGE_LINES = [
+    (f"  {U1}  \n", [UserRecord("u1")]),
+    (f"{U1}\t\r\n \n", [UserRecord("u1")]),
+    (f"\ufeff{U1}\n", "malformed line: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (f"{U1}\x0b\n", "malformed line: Extra data"),
+    (f"{U1}\u3000\n", "malformed line: Extra data"),
+    ("\u3000\n", []),
+    ("\u3000\x0b \n", []),
+    ('{"user_id": "u1", "channel_created_at": NaN}\n',
+     "field 'channel_created_at' must be an integer"),
+    ('{"user_id": "u0", "user_id": "u1"}\n', [UserRecord("u1")]),
+    (f"{U1} {U2}\n", "malformed line: Extra data"),
+    (f"{U1}{U2}", "malformed line: Extra data"),
+    ("[]\n", "malformed line: expected an object"),
+    ('"x"\n', "malformed line: expected an object"),
+    ('{"user_id": "u1"\n', "malformed line: Expecting ',' delimiter"),
+    ('{"user_id": "u1\n', "malformed line: Invalid control character at"),
+    (f"{U1}\r\n{U2}\r\n", [UserRecord("u1"), UserRecord("u2")]),
+    (f"{U1}\r{U2}", [UserRecord("u1"), UserRecord("u2")]),
+    ('{"user_id": "u\u20281"}\n', [UserRecord("u\u20281")]),  # U+2028 ends no line
+    ('{"user_id": "u\\u20281"}\n', [UserRecord("u\u20281")]),
+    ('{"user_id": "u\\u00e91"}\n', [UserRecord("u\u00e91")]),
+    ("[" * 100_000 + "\n", "malformed line: nested too deeply"),
+    ('{"user_id": ' + "[" * 100_000 + "\n", "malformed line: nested too deeply"),
+]
+
+
+@pytest.mark.parametrize("text,expected", EDGE_LINES)
+def test_an_edge_line_reads_as_json_loads_reads_it(tmp_path, text, expected):
+    got, oracle = read_kind_text(tmp_path, "users", ".jsonl", text)
+    assert got == oracle
+    if isinstance(expected, str):
+        assert got == ("IngestError", f"{tmp_path / 'users.jsonl'}:1: {expected}")
+    else:
+        assert got == repr(((*expected,), (), ()))
+
+
+def test_every_row_the_library_writes_takes_the_plain_path(tmp_path, monkeypatch,
+                                                           synth_default):
+    dataset, _ = synth_default
+    paths = [tmp_path / name for name in ("c.jsonl", "v.jsonl", "u.jsonl")]
+    write_dataset(dataset, *paths)
+
+    def refuse(row, origin):
+        raise AssertionError(f"{origin}: a written row reached the field validators")
+
+    for name in ("_parse_comment", "_parse_video", "_parse_user"):
+        monkeypatch.setattr(records, name, refuse)
+    again = ingest(*paths)
+    assert repr((again.users, again.videos, again.comments)) == repr(
+        (dataset.users, dataset.videos, dataset.comments))
+
+
+MISSING = object()
+# a valid value of each field, by the name's last word; ids repeat across rows
+GOOD_JSON = {"id": ["u1", "u2", "c1"], "count": [0, 7, 2**70], "at": [MISSING, None, -5],
+             "timestamp": [MISSING, None, 12], "collusive": [True, False],
+             "text": ["hi", "a\tb", "\u00e9t\u00e9"]}
+GOOD_CSV = {"id": ["u1", "u2", "c1"], "count": ["0", "7"], "at": ["", "-5"],
+            "timestamp": ["", "12"], "collusive": ["true", "0"], "text": ["hi", "a\tb", "x,y"]}
+# any value a field may hold instead
+ODD_JSON = [MISSING, None, "", True, False, 1.0, 1.5, "12", "-3", "true", "0", -1, 0, 7,
+            2**70, "u1", "\u00e9t\u00e9", "\u65e5", "\ud800", "x\udfffy", "a\tb", "a\rb",
+            "a\nb", "a b", "a\u2028b", " ", "\x01", "\x7f", [], {}]
+ODD_CSV = ["", "12", "-3", " 7", "1.5", "true", "FALSE", "0", "1", "u1", "\u00e9t\u00e9",
+           "a\tb", "a\nb", "a\r\nb", "x,y", '"q"', "\x01"]
+JUNK_LINES = ["", "  ", "\u3000", "{", "[1]", "x", '{"a": 1} 2', "\ufeff{}", "{}",
+              '{"user_id": NaN}', "[" * 10_000]
+
+
+def good_values(table, field):
+    word = field.rsplit("_", 1)[-1]
+    if word in ("sec", "likes", "dislikes", "views", "count"):
+        word = "count"
+    return table.get(word, table["text"])
+
+
+def jsonl_line(row) -> str:
+    return json.dumps({k: v for k, v in row.items() if v is not MISSING}, ensure_ascii=False)
+
+
+def csv_lines(header, rows) -> str:
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerows([header, *rows])
+    return handle.getvalue()
+
+
+def test_one_odd_field_reads_as_the_oracle_reads_it(tmp_path):
+    for kind, fields in FIELDS.items():
+        good = {name: good_values(GOOD_JSON, name)[0] for name in fields}
+        good_cells = [good_values(GOOD_CSV, name)[0] for name in fields]
+        for i, field in enumerate(fields):
+            for value in ODD_JSON:
+                text = jsonl_line(dict(good, **{field: value})) + "\n"
+                got, oracle = read_kind_text(tmp_path, kind, ".jsonl", text)
+                assert got == oracle, (kind, field, value)
+            for cell in ODD_CSV:
+                text = csv_lines(fields, [good_cells[:i] + [cell] + good_cells[i + 1:]])
+                got, oracle = read_kind_text(tmp_path, kind, ".csv", text)
+                assert got == oracle, (kind, field, cell)
+
+
+@st.composite
+def rows(draw, kind, good, odd):
+    """A row of valid values but for one field in three quarters of rows."""
+    row = {name: draw(st.sampled_from(good_values(good, name))) for name in FIELDS[kind]}
+    if draw(st.integers(0, 3)):
+        row[draw(st.sampled_from(FIELDS[kind]))] = draw(st.sampled_from(odd))
+    return row
+
+
+@st.composite
+def jsonl_text(draw, kind):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(JUNK_LINES)))
+            continue
+        row = draw(rows(kind, GOOD_JSON, ODD_JSON))
+        if draw(st.booleans()):
+            row["extra"] = draw(st.sampled_from(ODD_JSON))
+        keys = draw(st.permutations(list(row)))
+        lines.append(jsonl_line({k: row[k] for k in keys}))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def csv_text(draw, kind):
+    header = draw(st.permutations(FIELDS[kind]))[:draw(st.integers(1, len(FIELDS[kind])))]
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([[], ["a"], ["a"] * 11])))  # blank, short, long
+            continue
+        row = draw(rows(kind, GOOD_CSV, ODD_CSV))
+        lines.append([row[name] for name in header])
+    return csv_lines(header, lines)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(list(FIELDS)),
+       suffix=st.sampled_from([".jsonl", ".csv"]))
+def test_ingest_reads_any_file_as_the_oracle_reads_it(tmp_path_factory, data, kind, suffix):
+    text = data.draw(jsonl_text(kind) if suffix == ".jsonl" else csv_text(kind))
+    got, oracle = read_kind_text(tmp_path_factory.mktemp("fuzz"), kind, suffix, text)
+    assert got == oracle
