@@ -9,8 +9,8 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from .graph import Ccn, components, density
-from .kcore import coreness
+from .graph import Ccn, components, density, prefix_edges
+from .kcore import _degree_map, coreness
 from .korse import CorePartition
 from .records import Dataset
 from .tables import write_rows
@@ -43,15 +43,10 @@ class RemovalCurve:
 
 
 def _order_values(graph: Ccn, order_key: str) -> dict:
-    if order_key == "weighted_degree":
-        return {n: graph.weighted_degree(n) for n in graph.nodes}
-    if order_key == "unweighted_degree":
-        return {n: graph.degree(n) for n in graph.nodes}
-    if order_key == "weighted_coreness":
-        return coreness(graph, "weighted")
-    if order_key == "unweighted_coreness":
-        return coreness(graph, "unweighted")
-    raise ValueError(f"order_key must be one of {ORDER_KEYS}")
+    if order_key not in ORDER_KEYS:
+        raise ValueError(f"order_key must be one of {ORDER_KEYS}")
+    mode, _, measure = order_key.partition("_")
+    return _degree_map(graph, mode) if measure == "degree" else coreness(graph, mode)
 
 
 def _bucket_counts(sizes) -> dict:
@@ -101,22 +96,16 @@ def removal_curve(graph: Ccn, order_key: str, step_fraction: float = 0.05) -> Re
     values = _order_values(graph, order_key)
     order = sorted(graph.nodes, key=lambda n: (-values[n], n))
     n = len(order)
-    if n == 0:
-        return RemovalCurve(order_key=order_key, n_nodes=0, points=())
-
+    removed_edges, _ = prefix_edges(graph, order)
     points = []
     for count in _removal_counts(n, step_fraction):
-        removed = set(order[:count])
         sizes = [len(c) for c in components(graph, set(order[count:]))]
-        removed_edges = sum(
-            1 for (a, b) in graph.edges if a in removed and b in removed
-        )
         points.append(
             RemovalPoint(
                 fraction_removed=count / n,
                 largest_component=max(sizes, default=0),
                 component_buckets=_bucket_counts(sizes),
-                removed_density=density(count, removed_edges),
+                removed_density=density(count, removed_edges[count]),
             )
         )
     return RemovalCurve(order_key=order_key, n_nodes=n, points=tuple(points))

@@ -9,7 +9,7 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import or_
 from pathlib import Path
 
@@ -123,6 +123,19 @@ def density(n_nodes: int, n_edges: int) -> float:
     if n_nodes < 2:
         return 0.0
     return 2.0 * n_edges / (n_nodes * (n_nodes - 1))
+
+
+def prefix_edges(graph: Ccn, order) -> tuple[list, list]:
+    """Edge count and edge weight of the subgraph induced by each prefix
+    ``order[:k]`` of an order of every node, k = 0 .. n: each edge is tallied
+    at the later of its endpoints' positions, then summed down the order."""
+    position = {node: k for k, node in enumerate(order, start=1)}
+    counts, weights = [0] * (len(order) + 1), [0] * (len(order) + 1)
+    for (a, b), w in graph.edges.items():
+        k = max(position[a], position[b])
+        counts[k] += 1
+        weights[k] += w
+    return list(accumulate(counts)), list(accumulate(weights))
 
 
 def components(graph: Ccn, nodes=None) -> list[set]:

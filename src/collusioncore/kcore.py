@@ -26,8 +26,17 @@ def coreness(graph: Ccn, mode: str = "weighted") -> dict:
 
     Ties on the minimum degree are broken by lexicographic node id, which
     fixes the peel order but not the resulting values (those are
-    order-independent). Integer weights keep every degree integral.
+    order-independent). Integer weights keep every degree integral. A graph
+    never changes, so each mode is peeled once per graph and kept on it, like
+    ``Ccn.total_weight``; each call returns a fresh copy.
     """
+    peeled = vars(graph).setdefault("_coreness", {})
+    if mode not in peeled:
+        peeled[mode] = _peel(graph, mode)
+    return dict(peeled[mode])
+
+
+def _peel(graph: Ccn, mode: str) -> dict:
     degrees = _degree_map(graph, mode)
     heap = [(d, n) for n, d in degrees.items()]
     heapq.heapify(heap)

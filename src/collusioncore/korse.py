@@ -10,7 +10,7 @@ the smaller core).
 
 from dataclasses import dataclass
 
-from .graph import Ccn, density
+from .graph import Ccn, density, prefix_edges
 from .kcore import coreness
 from .records import ID_RULE, valid_id
 from .tables import read_rows, write_rows
@@ -46,9 +46,9 @@ def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
     """Sweep coreness thresholds and return the best-scoring partition.
 
     Candidates are nested (threshold t includes every node of coreness >= t),
-    so the sweep accumulates edges incrementally while walking thresholds
-    downward. The recorded trace has one row per integer threshold from the
-    maximum coreness down to 0.
+    so each is a prefix of one descending-coreness order, whose edges
+    :func:`prefix_edges` counts. The recorded trace has one row per integer
+    threshold from the maximum coreness down to 0.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
@@ -57,32 +57,23 @@ def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
     values = coreness(graph, "weighted")
     max_c = max(values.values())
     order = sorted(graph.nodes, key=lambda n: (-values[n], n))
+    edges, weights = prefix_edges(graph, order)
     total = graph.total_weight
 
     trace = []
-    in_core: set = set()
-    core_weight = 0
-    core_edges = 0
-    idx = 0
+    size = 0
     best: SweepPoint | None = None
     for threshold in range(max_c, -1, -1):
-        while idx < len(order) and values[order[idx]] >= threshold:
-            node = order[idx]
-            idx += 1
-            for nbr, w in graph.adjacency[node]:
-                if nbr in in_core:
-                    core_edges += 1
-                    core_weight += w
-            in_core.add(node)
-        d = density(len(in_core), core_edges)
-        fraction = core_weight / total
-        point = SweepPoint(threshold, len(in_core), d, fraction,
-                           _wicci(len(in_core), fraction, d, beta))
+        while size < len(order) and values[order[size]] >= threshold:
+            size += 1
+        d = density(size, edges[size])
+        fraction = weights[size] / total
+        point = SweepPoint(threshold, size, d, fraction, _wicci(size, fraction, d, beta))
         trace.append(point)
         if best is None or point.wicci > best.wicci:  # strict: ties keep the higher threshold
             best = point
 
-    core = frozenset(n for n in graph.nodes if values[n] >= best.threshold)
+    core = frozenset(order[:best.core_size])
     periphery = frozenset(graph.nodes - core)
     return CorePartition(
         core=core,

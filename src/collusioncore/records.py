@@ -24,6 +24,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
+from .tables import not_utf8
+
 
 class IngestError(ValueError):
     """Raised when an input file cannot be parsed into records."""
@@ -310,15 +312,18 @@ def _read_records(path: Path, plain, parse) -> list:
         raise IngestError(f"{path}: file does not exist")
     records = []
     seen: set[str] = set()
-    for lineno, row in (_csv_rows if path.suffix == ".csv" else _jsonl_rows)(path):
-        record = plain(row)
-        if record is None:
-            record = parse(row, f"{path}:{lineno}")
-        record_id = record[0]  # each record type's first field is its id
-        if record_id in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate {record._fields[0]} '{record_id}'")
-        seen.add(record_id)
-        records.append(record)
+    try:
+        for lineno, row in (_csv_rows if path.suffix == ".csv" else _jsonl_rows)(path):
+            record = plain(row)
+            if record is None:
+                record = parse(row, f"{path}:{lineno}")
+            record_id = record[0]  # each record type's first field is its id
+            if record_id in seen:
+                raise IngestError(f"{path}:{lineno}: duplicate {record._fields[0]} '{record_id}'")
+            seen.add(record_id)
+            records.append(record)
+    except UnicodeDecodeError:  # both readers end lines at LF, CR or CRLF
+        raise IngestError(not_utf8(path)) from None
     return records
 
 

@@ -32,10 +32,24 @@ def write_rows(path, rows, sep: str) -> None:
     Path(path).write_text(format_rows(rows, sep), encoding="utf-8")
 
 
+def not_utf8(path) -> str:
+    """``path:line: not valid UTF-8``, for a file a text read refused: the
+    line of its first bad byte, lines ending at LF, CR or CRLF as in that read."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    return f"{path}:{len((data + b'.').splitlines())}: not valid UTF-8"
+
+
 def read_rows(path, header=None):
     """``(line number, cells)`` of each non-empty line, split on tab; a line
     loses only its ``\\n``. A given ``header`` must be the first line."""
-    numbered = enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1)
+    try:
+        numbered = enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1)
+    except UnicodeDecodeError:
+        raise ValueError(not_utf8(path)) from None
     if header is not None:
         _, first = next(numbered)
         if first != header:

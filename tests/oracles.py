@@ -13,13 +13,17 @@ and recomputes every conv and one-hot label block, the conv pool is the
 conv at every position, and convex-hull boundaries come from supporting
 lines tested in rational arithmetic. The record reader is ``json.loads`` of
 every line, then the field validators, as ingest read each line before its
-scanner shortcut.
+scanner shortcut; a file that is not UTF-8 is named at the first line that
+does not decode on its own. The edges a prefix of an order induces come from a scan of
+every edge at each checkpoint, and KORSE's sweep from its first loop, which
+walked each joining node's neighbours against the nodes already in the core.
 """
 
 import csv
 import heapq
 import json
 import math
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +39,9 @@ from collusioncore.features import (
     stat5,
 )
 from collusioncore import nurse
+from collusioncore.analysis import SIZE_BUCKETS, RemovalPoint
 from collusioncore.graph import Ccn
+from collusioncore.korse import SweepPoint
 from collusioncore.nurse import (
     BRANCH_WIDTHS, DROPOUT, FoldMetrics, NurseConfig, NurseModel, auc, rank_users,
 )
@@ -84,17 +90,30 @@ def _oracle_rows(path: Path):
             yield lineno, row
 
 
+def _first_line_not_utf8(path: Path) -> int:
+    """The number of the first line, split at LF, CR or CRLF, whose bytes do
+    not decode as UTF-8 on their own."""
+    for lineno, line in enumerate(re.split(rb"\r\n|\r|\n", path.read_bytes()), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+
+
 def _oracle_records(path: Path, parse, id_field: str) -> tuple:
     if not path.exists():
         raise IngestError(f"{path}: file does not exist")
     records, seen = [], set()
-    for lineno, row in _oracle_rows(path):
-        record = parse(row, f"{path}:{lineno}")
-        record_id = getattr(record, id_field)
-        if record_id in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate {id_field} '{record_id}'")
-        seen.add(record_id)
-        records.append(record)
+    try:
+        for lineno, row in _oracle_rows(path):
+            record = parse(row, f"{path}:{lineno}")
+            record_id = getattr(record, id_field)
+            if record_id in seen:
+                raise IngestError(f"{path}:{lineno}: duplicate {id_field} '{record_id}'")
+            seen.add(record_id)
+            records.append(record)
+    except UnicodeDecodeError:
+        raise IngestError(f"{path}:{_first_line_not_utf8(path)}: not valid UTF-8") from None
     return tuple(records)
 
 
@@ -248,6 +267,65 @@ def oracle_diameter(graph):
         key = (-len(dist), min(dist))
         far[key] = max(far.get(key, 0), max(dist.values()))
     return far[min(far)] if far else None
+
+
+def oracle_induced_edges(graph, nodes):
+    """(count, weight) of the edges of the subgraph induced by ``nodes``, by a
+    scan of every edge, as ``removal_curve`` counted them at each checkpoint."""
+    nodes = set(nodes)
+    inside = [w for (a, b), w in graph.edges.items() if a in nodes and b in nodes]
+    return len(inside), sum(inside)
+
+
+def oracle_korse_sweep(graph, values, beta=1.0):
+    """KORSE's sweep over the weighted coreness ``values``, by its first loop:
+    walking thresholds down, each node that joins adds its edges to the nodes
+    already in the core. Density and WICCI are written out as the paper gives
+    them."""
+    order = sorted(graph.nodes, key=lambda n: (-values[n], n))
+    trace, in_core, core_edges, core_weight, idx = [], set(), 0, 0, 0
+    for threshold in range(max(values.values()), -1, -1):
+        while idx < len(order) and values[order[idx]] >= threshold:
+            node = order[idx]
+            idx += 1
+            for nbr, w in graph.adjacency[node]:
+                if nbr in in_core:
+                    core_edges += 1
+                    core_weight += w
+            in_core.add(node)
+        size = len(in_core)
+        d = 2.0 * core_edges / (size * (size - 1)) if size >= 2 else 0.0
+        fraction = core_weight / graph.total_weight
+        trace.append(SweepPoint(threshold, size, d, fraction,
+                                fraction * d ** beta if size >= 2 else 0.0))
+    return tuple(trace)
+
+
+def oracle_removal_points(graph, order_key, step_fraction):
+    """``removal_curve``'s points: the order from a scan of every edge (the
+    degrees) or from subset enumeration (the coreness), union-find components
+    of what remains and a scan of every edge for what was removed."""
+    if not graph.nodes:
+        return ()
+    mode, _, measure = order_key.partition("_")
+    if measure == "coreness":
+        values = oracle_coreness(graph, mode)
+    else:
+        values = dict.fromkeys(graph.nodes, 0)
+        for (a, b), w in graph.edges.items():
+            values[a] += w if mode == "weighted" else 1
+            values[b] += w if mode == "weighted" else 1
+    order = sorted(graph.nodes, key=lambda n: (-values[n], n))
+    n = len(order)
+    points = []
+    for count in oracle_removal_counts(n, step_fraction):
+        sizes = oracle_component_sizes(graph, set(order[count:]))
+        buckets = {label: sum(1 for s in sizes if s >= low and (high is None or s <= high))
+                   for low, high, label in SIZE_BUCKETS}
+        edges, _ = oracle_induced_edges(graph, order[:count])
+        points.append(RemovalPoint(count / n, sizes[0] if sizes else 0, buckets,
+                                   2.0 * edges / (count * (count - 1)) if count >= 2 else 0.0))
+    return tuple(points)
 
 
 def oracle_removal_counts(n, step_fraction):

@@ -1,10 +1,13 @@
 import csv
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collusioncore.analysis import (
+    ORDER_KEYS,
     SIZE_BUCKETS,
     CommunitySet,
     _removal_counts,
@@ -19,13 +22,18 @@ from collusioncore.analysis import (
     write_communities,
     write_removal_curve,
 )
+from collusioncore.graph import Ccn, prefix_edges
 from collusioncore.korse import CorePartition, korse
 
 from conftest import clique, graph_from_edges, make_comment, make_dataset, make_user, make_video
 from oracles import (
     oracle_component_sizes,
+    oracle_coreness,
+    oracle_induced_edges,
+    oracle_korse_sweep,
     oracle_pearson,
     oracle_removal_counts,
+    oracle_removal_points,
     random_weighted_graph,
 )
 
@@ -96,6 +104,34 @@ def test_removal_checkpoints_match_one_step_per_multiple(step):
         n = g.n_nodes
         assert [p.fraction_removed for p in curve.points] == [
             c / n for c in oracle_removal_counts(n, step)]
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 9 nodes and edge weights 1-3, so order keys tie; isolated nodes
+    and the empty graph included."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(0, 9)))]
+    pairs = list(combinations(nodes, 2))
+    weights = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return Ccn.build(nodes, {pair: w for pair, w in zip(pairs, weights) if w})
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), graph=small_graphs(), step=st.floats(1e-3, 0.05))
+def test_prefix_tallies_match_the_edge_scans(data, graph, step):
+    order = data.draw(st.permutations(sorted(graph.nodes)))
+    edges, weights = prefix_edges(graph, order)
+    assert list(zip(edges, weights)) == [
+        oracle_induced_edges(graph, order[:k]) for k in range(len(order) + 1)]
+    for key in ORDER_KEYS:
+        assert removal_curve(graph, key, step).points == oracle_removal_points(graph, key, step)
+    if graph.n_edges:
+        beta = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        values = oracle_coreness(graph, "weighted")
+        partition = korse(graph, beta)
+        assert partition.sweep_trace == oracle_korse_sweep(graph, values, beta)
+        assert partition.core == {n for n, c in values.items() if c >= partition.core_threshold}
 
 
 @pytest.mark.parametrize("n", [1, 3, 1603])

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -309,6 +310,19 @@ def test_korse_command_peels_and_sweeps_once(ccn_dir, tmp_path, monkeypatch):
         "sweep_beta_0.5.csv", "sweep_beta_1.5.csv", "sweep_beta_1.csv", "sweep_beta_2.csv"]
 
 
+def test_pipeline_peels_each_mode_once(synth_dir, tmp_path, monkeypatch):
+    kcore = importlib.import_module("collusioncore.kcore")
+    degree_map, peels = kcore._degree_map, []
+
+    def counted(graph, mode):  # inside kcore, one degree map starts each peel
+        peels.append(mode)
+        return degree_map(graph, mode)
+    monkeypatch.setattr(kcore, "_degree_map", counted)
+    assert main(["pipeline", *dataset_args(synth_dir), "--dim", "8", "--epochs", "1",
+                 "--folds", "2", "--out", str(tmp_path / "pipe")]) == 0
+    assert sorted(peels) == ["unweighted", "weighted"]
+
+
 def test_korse_sweep_files_name_each_beta_once(ccn_dir, korse_dir, tmp_path):
     out = tmp_path / "korse"
     assert main(["korse", "--graph", str(ccn_dir / "ccn.tsv"), "--beta", "1.0000001",
@@ -518,6 +532,13 @@ def with_second_line(data, tmp, flag, line) -> list:
     return args
 
 
+def with_file(data, tmp, flag, name, content) -> list:
+    """Dataset arguments whose ``flag`` file is ``content``, written as ``name``."""
+    args = list(data)
+    args[args.index(flag) + 1] = write(tmp / name, content)
+    return args
+
+
 # id: argv before --out over the fixture paths
 REJECTED = {
     "pipeline-beta": lambda p: ["pipeline", *p.data, "--beta", "-1"],
@@ -548,6 +569,15 @@ REJECTED = {
     "ingest-check-deeply-nested-comment": (
         lambda p: ["ingest-check", *with_second_line(p.data, p.tmp, "--comments",
                                                      "[" * 100_000)]),
+    "ingest-check-not-utf8-jsonl": (  # ED A0 80: a surrogate, encoded
+        lambda p: ["ingest-check", *with_file(p.data, p.tmp, "--users", "users.jsonl",
+                                              b'{"user_id": "u1"}\n{"user_id": "u\xed\xa0\x80"}\n')]),
+    "ingest-check-not-utf8-csv": (
+        lambda p: ["ingest-check", *with_file(p.data, p.tmp, "--users", "users.csv",
+                                              b"user_id\nu1\nu\xed\xa0\x80\n")]),
+    "korse-not-utf8-graph": (
+        lambda p: ["korse", "--graph",
+                   write(p.tmp / "ccn.tsv", b"# ccn v1\na\tb\t1\nb\tc\xed\xa0\x80\t1\n")]),
     "synth-no-videos": lambda p: ["synth", "--n-videos", "0"],
     "synth-no-communities": lambda p: ["synth", "--communities", "0"],
     "synth-negative-core": lambda p: ["synth", "--n-core", "-1"],
@@ -721,6 +751,9 @@ REJECTED_MESSAGE = {
         "supported)",
     "nurse-eval-deeply-nested-meta-model": "model.npz: not a model file (RecursionError: ",
     "ingest-check-deeply-nested-comment": "comments.jsonl:2: malformed line: nested too deeply",
+    "ingest-check-not-utf8-jsonl": "users.jsonl:2: not valid UTF-8",
+    "ingest-check-not-utf8-csv": "users.csv:3: not valid UTF-8",
+    "korse-not-utf8-graph": "ccn.tsv:3: not valid UTF-8",
     "synth-no-videos": "zero videos",
     "synth-no-communities": "peripheral community",
     "synth-negative-core": "counts must be >= 0",
@@ -1047,3 +1080,61 @@ def test_fuzzed_input_file_never_exits_5(fuzz_inputs, tmp_path_factory, target):
         assert main(argv(fuzz_inputs, str(path)) + ["--out", str(out)]) in (0, 3, 4)
 
     run()
+
+
+# what a seeded mutation may insert: control and separator characters, a
+# comment mark, numbers that are not finite, and bytes that are not UTF-8
+INSERTS = [b"\x00", b"\r", b"\n", b"\t", b"#", b"nan", b"1e999", b"\xed\xa0\x80", b"\xff",
+           b"\xc3"]
+
+
+def mutant(valid: bytes, rng) -> bytes:
+    """``valid`` after one to three seeded byte flips, deletions, truncations
+    or insertions."""
+    data = bytearray(valid)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(data) + 1)
+        op = rng.choice(("flip", "delete", "truncate", "insert"))
+        if op == "flip" and at < len(data):
+            data[at] ^= 1 << rng.randrange(8)
+        elif op == "delete":
+            del data[at:at + rng.randint(1, 8)]
+        elif op == "truncate":
+            del data[at:]
+        else:
+            data[at:at] = rng.choice(INSERTS)
+    return bytes(data)
+
+
+# argv before --out, given the graph and partition paths
+GRAPH_COMMANDS = {
+    "kcore": lambda graph, partition: ["kcore", "--graph", graph],
+    "korse": lambda graph, partition: ["korse", "--graph", graph],
+    "breakage": lambda graph, partition: ["breakage", "--graph", graph],
+    "interplay": lambda graph, partition: ["interplay", "--graph", graph,
+                                           "--partition", partition],
+}
+GRAPH_MUTANTS = 20
+
+
+@pytest.mark.parametrize("seed, name", [(1, "ccn.tsv"), (2, "ccn.tsv.nodes"),
+                                        (3, "partition.tsv")])
+def test_mutated_graph_inputs_exit_0_3_or_4_and_leave_out_as_it_was(fuzz_inputs, tmp_path,
+                                                                   seed, name):
+    graph = Path(fuzz_inputs["graph"])
+    valid = {"ccn.tsv": graph.read_bytes(), "ccn.tsv.nodes": nodes_sidecar(graph).read_bytes(),
+             "partition.tsv": Path(fuzz_inputs["partition"]).read_bytes()}
+    commands = ["interplay"] if name == "partition.tsv" else sorted(GRAPH_COMMANDS)
+    rng = random.Random(seed)
+    out = tmp_path / "out"
+    for _ in range(GRAPH_MUTANTS):
+        for file, content in valid.items():
+            (tmp_path / file).write_bytes(mutant(content, rng) if file == name else content)
+        for command in commands:
+            argv = GRAPH_COMMANDS[command](str(tmp_path / "ccn.tsv"),
+                                           str(tmp_path / "partition.tsv"))
+            code = main(argv + ["--out", str(out)])
+            assert code in (0, 3, 4), (command, (tmp_path / name).read_bytes())
+            assert code == 0 or not out.exists()
+            shutil.rmtree(out, ignore_errors=True)
+            assert subdirs(tmp_path) == []  # no staging directory left behind

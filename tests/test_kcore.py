@@ -25,6 +25,17 @@ def test_k_core_triangle(triangle):
     assert k_core(triangle, 0, "unweighted") == {"a", "b", "c"}
 
 
+def test_coreness_is_a_fresh_copy_of_one_peel_per_mode():
+    g = graph_from_edges([("a", "b", 2), ("b", "c", 1), ("a", "c", 3), ("c", "d", 1)])
+    for mode in ("weighted", "unweighted"):
+        first = coreness(g, mode)
+        assert first == oracle_coreness(g, mode)
+        first["a"] = 99
+        del first["d"]
+        assert coreness(g, mode) == oracle_coreness(g, mode)
+        assert coreness(g, mode) is not coreness(g, mode)
+
+
 def test_coreness_rejects_an_unknown_mode(triangle):
     with pytest.raises(ValueError):
         coreness(triangle, "nope")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from collusioncore.embeddings import FileEmbedder, HashEmbedder, write_embedding_file
 from collusioncore.graph import Ccn, read_edgelist, write_edgelist
 from collusioncore.korse import korse, read_partition, write_partition
-from collusioncore.records import valid_id
+from collusioncore.records import ingest, valid_id
 from collusioncore.synth import read_labels, write_labels
 from collusioncore.tables import format_rows, read_rows, write_rows
 
@@ -105,3 +105,35 @@ def test_every_file_read_back_round_trips(tmp_path_factory, data, nodes):
         for text in texts:
             assert loaded.embed_text(text).tobytes() == stub.embed_text(text).tobytes()
 
+
+
+# the lines before a fault, ending at LF, CR or CRLF, blank ones included
+BEFORE = {
+    "users.jsonl": b'{"user_id": "u1"}\n\r{"user_id": "u2"}\r\n\n',
+    "users.csv": b"user_id\r\nu1\ru2\n\r\nu3\r\n",
+    "ccn.tsv": b"# ccn v1\ra\tb\t1\r\n\nb\tc\t2\r",
+}
+FAULT = {"users.jsonl": b"!", "users.csv": b"u1", "ccn.tsv": b"x"}  # malformed, repeated, short
+
+
+def read(path):
+    if path.suffix == ".tsv":
+        return read_edgelist(path)
+    empty = path.with_name("empty.jsonl")
+    empty.write_bytes(b"")
+    return ingest(empty, empty, path)
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE))
+@pytest.mark.parametrize("bad", [b"\xed\xa0\x80", b"\xff", b"\xc3("],
+                         ids=["surrogate", "never-utf8", "cut-sequence"])
+def test_a_bad_byte_is_named_at_the_line_the_reader_names_a_fault_at(tmp_path, name, bad):
+    path = tmp_path / name
+    path.write_bytes(BEFORE[name] + FAULT[name] + b"\nu9\n")
+    with pytest.raises(ValueError) as fault:
+        read(path)
+    line = re.match(rf"{re.escape(str(path))}:(\d+): ", str(fault.value)).group(1)
+    path.write_bytes(BEFORE[name] + b"z" + bad + b"\nu9\n")
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:{line}: not valid UTF-8"
