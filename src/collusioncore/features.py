@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .records import ID_RULE, Dataset, valid_id
+from .tables import not_utf8
 
 MFE_SIZE = 26
 SFE_SIZE = 25
@@ -207,35 +208,38 @@ def write_features(features, path) -> None:
 
 
 def read_features(path) -> list[FeatureVector]:
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
-        if dim < 1 or header != feature_header(dim):
-            raise ValueError(f"{path}: unexpected feature header")
-        out = []
-        seen = set()
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: expected {len(header)} fields")
-            if not valid_id(row[0]):  # ranking.tsv writes ids into tab-separated lines
-                raise ValueError(f"{where}: field 'user_id' {ID_RULE}")
-            if row[1] not in ("", "core", "compromised"):
-                raise ValueError(f"{where}: label must be core, compromised or empty")
-            if row[0] in seen:
-                raise ValueError(f"{where}: duplicate user '{row[0]}'")
-            seen.add(row[0])
-            try:
-                values = np.array(row[2:], dtype=float)
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric value") from None
-            if not np.isfinite(values).all():
-                raise ValueError(f"{where}: non-finite value")
-            out.append(FeatureVector(user_id=row[0], label=row[1] or None,
-                                     mfe=values[:MFE_SIZE],
-                                     sfe=values[MFE_SIZE:MFE_SIZE + SFE_SIZE],
-                                     tfe=values[MFE_SIZE + SFE_SIZE:]))
+    try:
+        with Path(path).open(encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
+            if dim < 1 or header != feature_header(dim):
+                raise ValueError(f"{path}: unexpected feature header")
+            out = []
+            seen = set()
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise ValueError(f"{where}: expected {len(header)} fields")
+                if not valid_id(row[0]):  # ranking.tsv writes ids into tab-separated lines
+                    raise ValueError(f"{where}: field 'user_id' {ID_RULE}")
+                if row[1] not in ("", "core", "compromised"):
+                    raise ValueError(f"{where}: label must be core, compromised or empty")
+                if row[0] in seen:
+                    raise ValueError(f"{where}: duplicate user '{row[0]}'")
+                seen.add(row[0])
+                try:
+                    values = np.array(row[2:], dtype=float)
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric value") from None
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{where}: non-finite value")
+                out.append(FeatureVector(user_id=row[0], label=row[1] or None,
+                                         mfe=values[:MFE_SIZE],
+                                         sfe=values[MFE_SIZE:MFE_SIZE + SFE_SIZE],
+                                         tfe=values[MFE_SIZE + SFE_SIZE:]))
+    except UnicodeDecodeError:  # a bad byte is named at its line
+        raise ValueError(not_utf8(path)) from None
     return out

@@ -1,9 +1,9 @@
 """Core/periphery split via a coreness-threshold sweep scored by WICCI.
 
 WICCI (weighted internal core collusive index) scores a candidate core as
-``(core weight / total weight) * core_density ** beta``. The sweep walks
-integer thresholds from the maximum weighted coreness down to zero; the
-candidate at each threshold is every node whose coreness reaches it, and the
+``(core weight / total weight) * core_density ** beta``. The sweep has one
+point per distinct weighted coreness value, from the largest down; the
+candidate at each value is every node whose coreness reaches it, and the
 partition with the highest score wins (ties go to the higher threshold, i.e.
 the smaller core).
 """
@@ -43,35 +43,32 @@ class CorePartition:
 
 
 def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
-    """Sweep coreness thresholds and return the best-scoring partition.
+    """Sweep the weighted k-cores and return the best-scoring partition.
 
-    Candidates are nested (threshold t includes every node of coreness >= t),
-    so each is a prefix of one descending-coreness order, whose edges
-    :func:`prefix_edges` counts. The recorded trace has one row per integer
-    threshold from the maximum coreness down to 0.
+    Candidates are nested (the core at value c holds every node of coreness
+    >= c), so each is a prefix of one descending-coreness order, whose edges
+    :func:`prefix_edges` counts. The recorded trace has one point per
+    distinct coreness value, largest first: every threshold between two such
+    values selects the same candidate, so the sweep's cost is set by the
+    graph, not by its weights.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if graph.n_edges == 0:
         raise ValueError("korse requires a graph with at least one edge")
     values = coreness(graph, "weighted")
-    max_c = max(values.values())
     order = sorted(graph.nodes, key=lambda n: (-values[n], n))
     edges, weights = prefix_edges(graph, order)
     total = graph.total_weight
 
     trace = []
-    size = 0
-    best: SweepPoint | None = None
-    for threshold in range(max_c, -1, -1):
-        while size < len(order) and values[order[size]] >= threshold:
-            size += 1
+    for size, node in enumerate(order, start=1):
+        if size < len(order) and values[order[size]] == values[node]:
+            continue  # the candidate ends where the coreness next falls
         d = density(size, edges[size])
         fraction = weights[size] / total
-        point = SweepPoint(threshold, size, d, fraction, _wicci(size, fraction, d, beta))
-        trace.append(point)
-        if best is None or point.wicci > best.wicci:  # strict: ties keep the higher threshold
-            best = point
+        trace.append(SweepPoint(values[node], size, d, fraction, _wicci(size, fraction, d, beta)))
+    best = max(trace, key=lambda p: p.wicci)  # the first maximum: ties keep the higher threshold
 
     core = frozenset(order[:best.core_size])
     periphery = frozenset(graph.nodes - core)
@@ -79,25 +76,10 @@ def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
         core=core,
         periphery=periphery,
         core_threshold=best.threshold,
-        normalized_threshold=best.threshold / max_c,
+        normalized_threshold=best.threshold / trace[0].threshold,
         peak_wicci=best.wicci,
         sweep_trace=tuple(trace),
     )
-
-
-def _distinct_candidates(partition: CorePartition):
-    """(normalized threshold, point) per distinct candidate of the sweep.
-
-    Consecutive thresholds selecting the same candidate collapse into the
-    point with the largest threshold.
-    """
-    max_threshold = max(p.threshold for p in partition.sweep_trace)
-    last_size = None
-    for point in partition.sweep_trace:
-        if point.core_size == last_size:
-            continue
-        last_size = point.core_size
-        yield (point.threshold / max_threshold if max_threshold else 0.0), point
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +135,15 @@ def read_partition(path) -> CorePartition:
 
 
 def write_sweep(partition: CorePartition, path, beta: float) -> None:
-    """CSV of the deduplicated sweep, one row per distinct candidate, scored
-    at ``beta``; only the score depends on it, so one :func:`korse` run
-    writes, byte for byte, the sweep of every ``beta``."""
+    """CSV of the sweep, one row per candidate, scored at ``beta``; only the
+    score depends on it, so one :func:`korse` run writes, byte for byte, the
+    sweep of every ``beta``."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
+    if not partition.sweep_trace:
+        raise ValueError("write_sweep needs the sweep trace of a korse run")
+    top = partition.sweep_trace[0].threshold
     write_rows(path, [("norm_threshold", "core_size", "density", "weight_fraction", "wicci")] + [
-        (norm, point.core_size, point.density, point.weight_fraction,
+        (point.threshold / top, point.core_size, point.density, point.weight_fraction,
          _wicci(point.core_size, point.weight_fraction, point.density, beta))
-        for norm, point in _distinct_candidates(partition)], ",")
+        for point in partition.sweep_trace], ",")

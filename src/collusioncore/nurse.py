@@ -808,7 +808,8 @@ def load_model(path) -> NurseModel:
     raises ValueError.
     """
     try:
-        with np.load(path) as data:
+        # np.load leaves a file it opened unclosed when it refuses it as a zip
+        with open(path, "rb") as handle, np.load(handle) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
         if meta.get("format") != MODEL_FORMAT:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import importlib
 import json
@@ -452,6 +453,14 @@ def with_value(features, tmp, line, cell, value) -> str:
     return write(tmp / "bad.csv", "".join(lines))
 
 
+def with_byte_ff(features, tmp, line) -> str:
+    """A copy of a features file whose line ``line`` starts with the byte FF,
+    which is not UTF-8."""
+    lines = Path(features).read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    return write(tmp / "bad.csv", b"".join(lines))
+
+
 def one_embedding_column(features, tmp) -> str:
     """A copy of a features file cut to its first embedding column."""
     width = len(feature_header(1))
@@ -578,6 +587,14 @@ REJECTED = {
     "korse-not-utf8-graph": (
         lambda p: ["korse", "--graph",
                    write(p.tmp / "ccn.tsv", b"# ccn v1\na\tb\t1\nb\tc\xed\xa0\x80\t1\n")]),
+    "nurse-train-not-utf8-features": (
+        lambda p: ["nurse-train", "--features", with_byte_ff(p.features, p.tmp, 2)]),
+    "nurse-eval-not-utf8-features": (
+        lambda p: ["nurse-eval", "--model", p.model,
+                   "--features", with_byte_ff(p.features, p.tmp, 4)]),
+    "config-not-utf8": (
+        lambda p: ["--config", write(p.tmp / "run.cfg", b"epochs=2\n\xff=3\n"),
+                   "korse", "--graph", p.graph]),
     "synth-no-videos": lambda p: ["synth", "--n-videos", "0"],
     "synth-no-communities": lambda p: ["synth", "--communities", "0"],
     "synth-negative-core": lambda p: ["synth", "--n-core", "-1"],
@@ -754,6 +771,9 @@ REJECTED_MESSAGE = {
     "ingest-check-not-utf8-jsonl": "users.jsonl:2: not valid UTF-8",
     "ingest-check-not-utf8-csv": "users.csv:3: not valid UTF-8",
     "korse-not-utf8-graph": "ccn.tsv:3: not valid UTF-8",
+    "nurse-train-not-utf8-features": "bad.csv:2: not valid UTF-8",
+    "nurse-eval-not-utf8-features": "bad.csv:4: not valid UTF-8",
+    "config-not-utf8": "run.cfg:2: not valid UTF-8",
     "synth-no-videos": "zero videos",
     "synth-no-communities": "peripheral community",
     "synth-negative-core": "counts must be >= 0",
@@ -1013,11 +1033,31 @@ def fuzz_inputs(tmp_path_factory):
         "embeddings": write_all_embeddings(data, d / "emb.txt", dim=4),
         "config": write(d / "run.cfg", "seed=3\nepochs=2\n"),
     }
+    records = ("comments", "videos", "users")
+    for name in records:
+        paths[f"{name}.csv"] = jsonl_as_csv(paths[name], d / f"{name}.csv")
+    assert ingest(*(paths[f"{n}.csv"] for n in records)) == ingest(*(paths[n] for n in records))
     files = {kind: str(path) for kind, path in paths.items()}
     files["data"] = dataset_args(data)
     files["valid"] = {kind: Path(path).read_bytes() for kind, path in paths.items()}
     files["dir"] = d
     return files
+
+
+def jsonl_as_csv(source, path) -> Path:
+    """A .csv copy of a .jsonl record file, columns in its first record's order."""
+    rows = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "" if value is None else str(value)
+
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(rows[0])
+        writer.writerows([cell(row[key]) for key in rows[0]] for row in rows)
+    return path
 
 
 def records_with(valid, kind, path) -> list:
@@ -1135,6 +1175,43 @@ def test_mutated_graph_inputs_exit_0_3_or_4_and_leave_out_as_it_was(fuzz_inputs,
                                            str(tmp_path / "partition.tsv"))
             code = main(argv + ["--out", str(out)])
             assert code in (0, 3, 4), (command, (tmp_path / name).read_bytes())
+            assert code == 0 or not out.exists()
+            shutil.rmtree(out, ignore_errors=True)
+            assert subdirs(tmp_path) == []  # no staging directory left behind
+
+
+# kind of file mutated: argv before --out, given the fixture's files and the
+# mutated file, for each command that reads it
+MUTATED_INPUT_COMMANDS = {
+    "comments": [lambda v, f: ["build-ccn", *records_with(v, "comments", f)]],
+    "videos": [lambda v, f: ["build-ccn", *records_with(v, "videos", f)]],
+    "users": [lambda v, f: ["build-ccn", *records_with(v, "users", f)]],
+    "comments.csv": [lambda v, f: ["build-ccn", *records_with(v, "comments", f)]],
+    "videos.csv": [lambda v, f: ["build-ccn", *records_with(v, "videos", f)]],
+    "users.csv": [lambda v, f: ["build-ccn", *records_with(v, "users", f)]],
+    "labels": [lambda v, f: ["pipeline", *v["data"], "--labels", f, "--dim", "4",
+                             "--epochs", "1", "--folds", "2"]],
+    "features": [lambda v, f: ["nurse-train", "--features", f, "--epochs", "1"],
+                 lambda v, f: ["nurse-eval", "--model", v["model"], "--features", f]],
+    "model": [lambda v, f: ["nurse-eval", "--model", f, "--features", v["features"]]],
+    "embeddings": [lambda v, f: ["features", *v["data"], "--embeddings", f]],
+    "config": [lambda v, f: ["--config", f, "korse", "--graph", v["graph"]],
+               lambda v, f: ["--config", f, "nurse-train", "--features", v["features"]]],
+}
+INPUT_MUTANTS = 20
+
+
+@pytest.mark.parametrize("seed, kind", list(enumerate(MUTATED_INPUT_COMMANDS, start=4)))
+def test_mutated_inputs_exit_0_3_or_4_and_leave_out_as_it_was(fuzz_inputs, tmp_path, seed,
+                                                               kind):
+    path = tmp_path / Path(fuzz_inputs[kind]).name  # the suffix picks the record format
+    rng = random.Random(seed)
+    out = tmp_path / "out"
+    for _ in range(INPUT_MUTANTS):
+        path.write_bytes(mutant(fuzz_inputs["valid"][kind], rng))
+        for argv in MUTATED_INPUT_COMMANDS[kind]:
+            code = main(argv(fuzz_inputs, str(path)) + ["--out", str(out)])
+            assert code in (0, 3, 4), (argv(fuzz_inputs, str(path)), path.read_bytes())
             assert code == 0 or not out.exists()
             shutil.rmtree(out, ignore_errors=True)
             assert subdirs(tmp_path) == []  # no staging directory left behind

@@ -4,7 +4,6 @@ import pytest
 from collusioncore.graph import Ccn, density, graph_stats
 from collusioncore.kcore import coreness
 from collusioncore.korse import (
-    _distinct_candidates,
     _wicci,
     korse,
     read_partition,
@@ -25,7 +24,7 @@ def sweep_rows(partition, path, beta=1.0):
 
 
 def test_wicci_whole_graph_equals_density(triangle):
-    # the sweep's last candidate, at threshold 0, is the whole graph
+    # the sweep's last candidate, at the smallest coreness, is the whole graph
     g = graph_from_edges([("a", "b", 2), ("b", "c", 1), ("c", "d", 5)])
     assert korse(g).sweep_trace[-1].wicci == pytest.approx(graph_stats(g).density, abs=1e-15)
     assert korse(triangle).sweep_trace[-1].wicci == 1.0
@@ -94,10 +93,12 @@ def test_sweep_monotonicity_and_nesting_random():
             continue
         part = korse(g)
         trace = part.sweep_trace
-        # thresholds descend; candidates grow; weight fraction non-decreasing
+        # one point per coreness value, descending; candidates grow; weight
+        # fraction non-decreasing
+        assert [p.threshold for p in trace] == sorted(
+            set(coreness(g, "weighted").values()), reverse=True)
         for earlier, later in zip(trace, trace[1:]):
-            assert earlier.threshold == later.threshold + 1
-            assert earlier.core_size <= later.core_size
+            assert earlier.core_size < later.core_size
             assert earlier.weight_fraction <= later.weight_fraction + 1e-15
         assert part.peak_wicci == max(p.wicci for p in trace)
 
@@ -125,6 +126,20 @@ def test_korse_relabel_invariance():
             {tuple(sorted((rename[a], rename[b]))): w for (a, b), w in g.edges.items()},
         )
         assert {rename[n] for n in korse(g).core} == set(korse(g2).core)
+
+
+def test_a_tie_keeps_the_higher_threshold():
+    # the core {a, c} scores 2/3 * 1 and the whole path 1 * 2/3
+    part = korse(graph_from_edges([("a", "c", 2), ("b", "c", 1)]))
+    assert [p.wicci for p in part.sweep_trace] == [2 / 3, 2 / 3]
+    assert (part.core, part.core_threshold) == ({"a", "c"}, 2)
+
+
+def test_sweep_cost_is_set_by_the_graph_not_its_weights():
+    # one candidate, so one point: not one per integer threshold below 10**5
+    part = korse(graph_from_edges([("a", "b", 10**5)]))
+    assert [(p.threshold, p.core_size) for p in part.sweep_trace] == [(10**5, 2)]
+    assert (part.core, part.normalized_threshold) == ({"a", "b"}, 1.0)
 
 
 def test_sweep_curves_k5_single_row(tmp_path):
@@ -168,18 +183,20 @@ def test_read_partition_rejects_user_listed_twice(tmp_path):
         read_partition(path)
 
 
-def test_write_sweep_header(tmp_path, triangle):
-    part = korse(triangle)
+def test_write_sweep_header(tmp_path):
+    g = graph_from_edges([("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("c", "d", 1)])
+    part = korse(g)
     path = tmp_path / "sweep.csv"
     write_sweep(part, path, 1.0)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "norm_threshold,core_size,density,weight_fraction,wicci"
-    assert len(lines) >= 2
     # each float is its repr, so it reads back bit for bit
+    top = max(coreness(g, "weighted").values())
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "0.5"]
     assert [line.split(",") for line in lines[1:]] == [
-        [repr(norm), str(p.core_size), repr(p.density), repr(p.weight_fraction),
+        [repr(p.threshold / top), str(p.core_size), repr(p.density), repr(p.weight_fraction),
          repr(_wicci(p.core_size, p.weight_fraction, p.density, 1.0))]
-        for norm, p in _distinct_candidates(part)]
+        for p in part.sweep_trace]
 
 
 def test_partition_roundtrips_ids_that_start_like_a_summary_line(tmp_path):
@@ -217,7 +234,7 @@ def test_one_korse_run_writes_the_sweep_of_every_beta(tmp_path, synth_graph):
             assert text == sweep_bytes(run, beta)
             # the scores written are those the sweep at beta chose by
             written = [line.rsplit(",", 1)[1] for line in text.decode().splitlines()[1:]]
-            assert written == [repr(point.wicci) for _, point in _distinct_candidates(run)]
+            assert written == [repr(point.wicci) for point in run.sweep_trace]
 
 
 def test_partition_core_density_is_that_of_the_core_subgraph(tmp_path):
@@ -234,3 +251,5 @@ def test_partition_core_density_is_that_of_the_core_subgraph(tmp_path):
         assert f"# core_density={expected!r}" in path.read_text(encoding="utf-8").splitlines()
     with pytest.raises(ValueError, match="sweep trace"):
         write_partition(read_partition(path), tmp_path / "again.tsv")
+    with pytest.raises(ValueError, match="write_sweep needs the sweep trace of a korse run"):
+        write_sweep(read_partition(path), tmp_path / "sweep.csv", 1.0)
