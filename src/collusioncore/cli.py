@@ -169,7 +169,7 @@ def _read_config(path) -> dict:
     except UnicodeDecodeError:
         raise ValueError(not_utf8(path)) from None
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):  # the lines of read_rows
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -14,16 +14,16 @@ the AUC.
 
 The conv pre-activation at position l is linear in the point
 (T[l], T[l+1]), so its maximum over l lies on the convex hull of the
-user's points. Each ``train`` call therefore finds, once per user, the
-positions on the two outer convex layers (exact orientation tests,
-Akl-Toussaint pruning, Andrew's monotone chain), and every step evaluates
-the conv at those candidates only. Only training builds them, because only
-its many steps pay the build back: ``predict_proba`` makes one pass, and
-runs the dense kernel over blocks of users instead. A (user, channel)
-cell is certified when the second layer's maximum, plus a rounding bound,
-stays below the first layer's: then the dense kernel's first-index argmax
-lies on layer 1, whose values are the dense values bit for bit. A user
-with any uncertified cell takes the dense kernel over all positions. The
+user's points. Training therefore finds, once per user, the positions on
+the two outer convex layers (exact orientation tests, Akl-Toussaint
+pruning, Andrew's monotone chain), and every step evaluates the conv at
+those candidates only. Only training builds them, because only its many
+steps pay the build back: ``predict_proba`` makes one pass, and runs the
+dense kernel over blocks of users instead. A (user, channel) cell is
+certified when the second layer's maximum, plus a rounding bound, stays
+below the first layer's: then the dense kernel's first-index argmax lies
+on layer 1, whose values are the dense values bit for bit. A user with
+any uncertified cell takes the dense kernel over all positions. The
 forward pass keeps just the pooled value and the two inputs at the pooled
 position of each channel, and the conv gradient flows through that
 position alone. Training evaluates the full-set objective after every
@@ -31,24 +31,29 @@ epoch under exactly the parameters the next epoch's first batch uses, so
 that batch takes its conv rows from the objective's pass instead of
 recomputing them.
 
-Training keeps its state in four flat float64 vectors: the parameters,
-their velocity, the batch gradient and the best checkpoint. The model's
-parameters and the gradients are reshaped views of theirs, so the backward
-pass writes every gradient in place, and a momentum step is four in-place
-operations over whole vectors (scale the velocity, scale the gradient,
-subtract, add to the parameters). They are the elementwise operations of
-a step per tensor on the same operands, so the results are the same bit
-for bit; what they save is per-tensor dispatch, which is most of a step's
-cost at these layer sizes.
+Training runs a stack of models at once: ``train`` is a stack of one, and
+cross-validation stacks the folds whose training sets are equally large.
+The parameters, their velocity, the batch gradient and the best
+checkpoint are (models, P) float64 arrays; the parameters and gradients
+the passes see are reshaped views of theirs with a leading model axis, so
+the backward pass writes every gradient in place, a momentum step is four
+in-place operations over whole arrays, and each step pays numpy's per-call
+cost once for the whole stack. The conv candidates of all the stack's
+rows are laid out (channel, candidate, row) in two buffers allocated once,
+so its elementwise passes run along long contiguous rows. Every operation
+is elementwise, a reduction each model takes along its own axis in the
+same order, or one BLAS call per model on the arguments of a one-model
+pass, so each model is the same bit for bit as trained alone.
 
 Cross-validation folds are independent (each trains from its own seed), so
-``evaluate`` trains them in a pool of forked worker processes, one per CPU
-the process may run on, at most one per fold. Every fold computes what it
-would serially, and the results are collected in fold order, so the report
-does not depend on the number of workers.
+``evaluate`` splits them into contiguous runs, one per forked worker
+process, one worker per CPU the process may run on, at most one per fold.
+Each worker trains its run as stacks and the results are collected in
+fold order, so the report does not depend on the number of workers.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import zipfile
@@ -64,6 +69,7 @@ BRANCH_ORDER = ("tfe", "sfe", "mfe")  # concatenation order of branch outputs
 CORE = 1  # class index of the core label in softmax outputs
 PROB_FLOOR = 1e-12
 PREDICT_BLOCK = 32  # users per dense conv pass in predict_proba
+HULL_BLOCK = 128  # rows per convex-layer search in training
 
 # The paper's fixed architecture (NurseConfig holds the training settings):
 # conv channels, one dense layer per branch, train-time dropout on the
@@ -109,9 +115,9 @@ def _relu(x):
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _param_shapes(config: NurseConfig) -> dict:
@@ -164,8 +170,8 @@ def _raw_inputs(features, config: NurseConfig) -> dict:
 
 
 def _standardize(model: NurseModel, X: dict) -> dict:
-    """Each block z-scored. Only :func:`train` adds the conv candidates of
-    the TFE block, under ``"hull"``: its many steps pay back their build."""
+    """Each block z-scored. Only training adds the conv candidates of the
+    TFE block, under ``"hull"``: its many steps pay back their build."""
     return {b: (X[b] - model.norm_mean[b]) / model.norm_std[b] for b in X}
 
 
@@ -263,22 +269,25 @@ def _padded_positions(mask):
 
 @dataclass(frozen=True)
 class _ConvexLayers:
-    """Conv candidates of a standardized TFE block, one row per user.
+    """Conv candidates of a standardized TFE block, one column per row.
 
-    ``t0``/``t1`` hold the two inputs at the positions of the user's first
-    convex layer (columns before ``split``) and of its second layer (the
-    rest), each layer in ascending position order and padded by repeating
-    its first entry.
+    ``t0``/``t1`` are (candidates, rows): the two inputs at the positions
+    of the row's first convex layer (candidates before ``split``) and of
+    its second layer (the rest), each layer in ascending position order and
+    padded by repeating its first entry. ``work`` is the two flat buffers
+    :func:`_conv_pool` writes its (channel, candidate, row) pre-activation
+    into, sized for every row, so a batch of the rows reuses them.
     """
     t0: np.ndarray
     t1: np.ndarray
     split: int
-    has_inner: np.ndarray  # the user has points off layer 1
+    has_inner: np.ndarray  # the row has points off layer 1
     scale: np.ndarray  # max |T| of the row
+    work: tuple
 
-    def __getitem__(self, idx):
-        return _ConvexLayers(self.t0[idx], self.t1[idx], self.split,
-                            self.has_inner[idx], self.scale[idx])
+    def __getitem__(self, rows):
+        return _ConvexLayers(self.t0.take(rows, axis=1), self.t1.take(rows, axis=1), self.split,
+                            self.has_inner[rows], self.scale[rows], self.work)
 
 
 def _layer_masks(T):
@@ -294,15 +303,20 @@ def _layer_masks(T):
 
 
 def _convex_layers(T) -> _ConvexLayers:
-    outer, inner = _layer_masks(T)
+    """The candidates of every row of ``T``; the masks are found a block of
+    ``HULL_BLOCK`` rows at a time, which bounds their float temporaries."""
+    blocks = [_layer_masks(T[i:i + HULL_BLOCK]) for i in range(0, len(T), HULL_BLOCK)]
+    outer, inner = (np.concatenate(masks) for masks in zip(*blocks))
     outer_idx = _padded_positions(outer)
     idx = np.concatenate([outer_idx, _padded_positions(inner)], axis=1)
+    size = CONV_CHANNELS * idx.size
     return _ConvexLayers(
-        t0=np.take_along_axis(T, idx, axis=1),
-        t1=np.take_along_axis(T, idx + 1, axis=1),
+        t0=np.take_along_axis(T, idx, axis=1).T.copy(),
+        t1=np.take_along_axis(T, idx + 1, axis=1).T.copy(),
         split=outer_idx.shape[1],
         has_inner=inner.any(axis=1),
         scale=np.abs(T).max(axis=1),
+        work=(np.empty(size), np.empty(size)),
     )
 
 
@@ -322,12 +336,20 @@ def _dense_pool(T, conv_w, conv_b):
 
 
 def _conv_pool(T, hull: _ConvexLayers, conv_w, conv_b):
-    """(pooled, t0, t1) per (user, channel): the max-pooled ReLU of the width-2
+    """(pooled, t0, t1) per (row, channel): the max-pooled ReLU of the width-2
     conv over ``T`` and the two inputs at the pooled position, equal to
     :func:`_dense_pool` bit for bit.
 
-    The candidates are evaluated with the dense kernel's multiply, add, add,
-    so layer 1 holds the dense values of its positions. Rounding bound: a
+    ``conv_w``/``conv_b`` are one model's (channels, 2) and (channels,)
+    parameters, or a stack's (models, channels, 2) and (models, channels):
+    then the rows of ``T`` are one equal run per model, in model order.
+
+    The candidates are laid out (channel, candidate, row) in ``hull.work``,
+    so every elementwise pass runs along rows, and evaluated with the dense
+    kernel's multiply, add, add under each row's own parameters, so layer 1
+    holds the dense values of its positions. Its top is the maximum over
+    the candidate axis, at the first candidate equal to it (or the first
+    nan), as the dense argmax takes it. Rounding bound: a
     value is fl(fl(fl(w0 t0) + fl(t1 w1)) + b), within 1.5 eps (R + |b|)
     of the exact w0 t0 + w1 t1 + b, where R = max|T| (|w0| + |w1|). A
     position off layer 1 lies in the hull of layer 2, so its exact value is
@@ -338,25 +360,49 @@ def _conv_pool(T, hull: _ConvexLayers, conv_w, conv_b):
     max(layer 1), every position off layer 1 computes strictly below the
     pooled value, so the dense first-index argmax is layer 1's.
     """
-    z = np.multiply(hull.t0[:, None, :], conv_w[None, :, 0, None])
-    z += hull.t1[:, None, :] * conv_w[None, :, 1, None]
-    z += conv_b[None, :, None]
-    users = np.arange(len(z))[:, None]
-    idx = np.argmax(z[:, :, :hull.split], axis=2)
-    top = z[users, np.arange(z.shape[1]), idx]
-    reach = hull.scale[:, None] * (np.abs(conv_w[:, 0]) + np.abs(conv_w[:, 1]))
-    slack = 8 * EPS * (reach + np.abs(conv_b)) + TINY
-    certified = (z[:, :, hull.split:].max(axis=2) + slack < top) | ~hull.has_inner[:, None]
-    pooled, t0, t1 = _relu(top), hull.t0[users, idx], hull.t1[users, idx]
-    dense = np.flatnonzero(~certified.all(axis=1))
-    if dense.size:
-        pooled[dense], t0[dense], t1[dense] = _dense_pool(T[dense], conv_w, conv_b)
+    conv_w, conv_b = conv_w.reshape(-1, CONV_CHANNELS, 2), conv_b.reshape(-1, CONV_CHANNELS)
+    rows = len(T)
+    run = rows // len(conv_w)
+    # (channel, row) parameters: each model's, repeated over its run of rows
+    w0, w1, b = (np.repeat(a.T, run, axis=1) for a in (conv_w[:, :, 0], conv_w[:, :, 1], conv_b))
+    shape = (CONV_CHANNELS,) + hull.t0.shape
+    z, work = (buf[:math.prod(shape)].reshape(shape) for buf in hull.work)
+    # each weight spread over the candidates first: then every product runs
+    # one channel's (candidate, row) block at a time
+    np.copyto(z, w0[:, None])
+    z *= hull.t0
+    np.copyto(work, w1[:, None])
+    work *= hull.t1
+    z += work
+    z += b[:, None]
+    layer1 = z[:, :hull.split]
+    top = layer1.max(axis=1)
+    first = layer1 == top[:, None]
+    if np.isnan(top).any():
+        first |= np.isnan(layer1)
+    # the first True is the one of the largest rank split - k
+    rank = np.arange(hull.split, 0, -1, dtype=np.min_scalar_type(hull.split))[:, None]
+    idx = hull.split - np.multiply(first, rank).max(axis=1).astype(np.intp)
+    reach = hull.scale * (np.abs(w0) + np.abs(w1))
+    slack = 8 * EPS * (reach + np.abs(b)) + TINY
+    certified = (z[:, hull.split:].max(axis=1) + slack < top) | ~hull.has_inner
+    at = idx.T * rows + np.arange(rows)[:, None]  # (row, channel) into (candidate, row)
+    pooled, t0, t1 = _relu(top.T.copy()), hull.t0.take(at), hull.t1.take(at)
+    dense = np.flatnonzero(~certified.all(axis=0))
+    for m in dict.fromkeys((dense // run).tolist()):
+        mine = dense[dense // run == m]
+        pooled[mine], t0[mine], t1[mine] = _dense_pool(T[mine], conv_w[m], conv_b[m])
     return pooled, t0, t1
 
 
 def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=None,
                    conv=None):
     """Run the network on the inputs of :func:`_standardize`; returns (probs, cache).
+
+    ``model`` may be a stack: parameters with a leading model axis, and the
+    rows of each block one equal run per model, in model order. Every array
+    of the pass then has that leading axis, and in train mode ``rng`` is one
+    generator per model, each drawing its model's dropout masks.
 
     ``conv`` may give the :func:`_conv_pool` rows of ``X["tfe"]`` under the
     current conv parameters, computed by an earlier pass or by the dense
@@ -366,30 +412,35 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
     p = model.params
     if train_mode and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout")
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    lead = p["out_b"].shape[:-1]  # (models,) for a stack, () for one model
     cache: dict = {}
     parts = []
     for branch in (b for b in BRANCH_ORDER if b in cfg.branches):
         if branch == "tfe":
             if conv is None:
                 conv = _conv_pool(X["tfe"], X["hull"], p["conv_w"], p["conv_b"])
-            cache["conv"] = conv
+            conv = cache["conv"] = tuple(a.reshape(lead + (-1, CONV_CHANNELS)) for a in conv)
             x = conv[0]
         else:
-            x = X[branch]
-        z = x @ p[f"{branch}_w"].T + p[f"{branch}_b"]
+            x = X[branch].reshape(lead + (-1, X[branch].shape[-1]))
+        z = x @ p[f"{branch}_w"].swapaxes(-1, -2) + p[f"{branch}_b"][..., None, :]
         h = _relu(z)
         rate = DROPOUT.get(branch, 0.0)  # tfe has no dropout
         mask = None
         if train_mode and rate > 0:
-            mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
+            mask = np.empty(h.shape)
+            for gen, draws in zip(rngs, mask.reshape((-1,) + h.shape[-2:])):
+                gen.random(out=draws)
+            mask = (mask >= rate) / (1.0 - rate)
             h = h * mask
         cache[branch] = (x, z, mask)
         parts.append(h)
 
-    fused_in = np.concatenate(parts, axis=1)
-    z_fus = fused_in @ p["fus_w"].T + p["fus_b"]
+    fused_in = np.concatenate(parts, axis=-1)
+    z_fus = fused_in @ p["fus_w"].swapaxes(-1, -2) + p["fus_b"][..., None, :]
     h_fus = _relu(z_fus)
-    logits = h_fus @ p["out_w"].T + p["out_b"]
+    logits = h_fus @ p["out_w"].swapaxes(-1, -2) + p["out_b"][..., None, :]
     probs = _softmax(logits)
     cache.update(fused_in=fused_in, z_fus=z_fus, h_fus=h_fus)
     return probs, cache
@@ -397,33 +448,34 @@ def _forward_batch(model: NurseModel, X: dict, train_mode: bool = False, rng=Non
 
 def _backward_batch(model: NurseModel, cache: dict, d_logits, g: dict) -> None:
     """Gradients of the loss w.r.t. every parameter tensor, written into the
-    arrays of ``g``, one per parameter key, each of its parameter's shape."""
+    arrays of ``g``, one per parameter key, each of its parameter's shape
+    (with the leading model axis of a stack)."""
     cfg = model.config
     p = model.params
-    np.matmul(d_logits.T, cache["h_fus"], out=g["out_w"])
-    d_logits.sum(axis=0, out=g["out_b"])
+    np.matmul(d_logits.swapaxes(-1, -2), cache["h_fus"], out=g["out_w"])
+    d_logits.sum(axis=-2, out=g["out_b"])
     d_hfus = d_logits @ p["out_w"]
     d_zfus = d_hfus * (cache["z_fus"] > 0)
-    np.matmul(d_zfus.T, cache["fused_in"], out=g["fus_w"])
-    d_zfus.sum(axis=0, out=g["fus_b"])
+    np.matmul(d_zfus.swapaxes(-1, -2), cache["fused_in"], out=g["fus_w"])
+    d_zfus.sum(axis=-2, out=g["fus_b"])
     d_fused = d_zfus @ p["fus_w"]
 
     offset = 0
     for branch in (b for b in BRANCH_ORDER if b in cfg.branches):
         x, z, mask = cache[branch]
-        d_h = d_fused[:, offset:offset + z.shape[1]]
-        offset += z.shape[1]
+        d_h = d_fused[..., offset:offset + z.shape[-1]]
+        offset += z.shape[-1]
         if mask is not None:
             d_h = d_h * mask
         d_z = d_h * (z > 0)
-        np.matmul(d_z.T, x, out=g[f"{branch}_w"])
-        d_z.sum(axis=0, out=g[f"{branch}_b"])
+        np.matmul(d_z.swapaxes(-1, -2), x, out=g[f"{branch}_w"])
+        d_z.sum(axis=-2, out=g[f"{branch}_b"])
         if branch == "tfe":
             pooled, t0, t1 = cache["conv"]
             d_zconv = (d_z @ p["tfe_w"]) * (pooled > 0)  # only the pooled position
-            d_zconv.sum(axis=0, out=g["conv_b"])
-            np.einsum("bc,bc->c", d_zconv, t0, out=g["conv_w"][:, 0])
-            np.einsum("bc,bc->c", d_zconv, t1, out=g["conv_w"][:, 1])
+            d_zconv.sum(axis=-2, out=g["conv_b"])
+            np.einsum("...bc,...bc->...c", d_zconv, t0, out=g["conv_w"][..., 0])
+            np.einsum("...bc,...bc->...c", d_zconv, t1, out=g["conv_w"][..., 1])
 
 
 def _labels_array(features) -> np.ndarray:
@@ -436,11 +488,12 @@ def _labels_array(features) -> np.ndarray:
 
 
 def _cross_entropy(probs, y, sample_weight=None):
-    p_core = np.clip(probs[:, CORE], PROB_FLOOR, 1.0 - PROB_FLOOR)
+    """Mean cross-entropy along the last axis: per model for a stack."""
+    p_core = np.clip(probs[..., CORE], PROB_FLOOR, 1.0 - PROB_FLOOR)
     ce = -(y * np.log(p_core) + (1 - y) * np.log(1.0 - p_core))
     if sample_weight is not None:
         ce = ce * sample_weight
-    return float(ce.mean())
+    return ce.mean(axis=-1)
 
 
 def predict_proba(model: NurseModel, features) -> np.ndarray:
@@ -473,15 +526,16 @@ def loss(model: NurseModel, batch) -> float:
         raise ValueError("loss requires a non-empty batch")
     y = _labels_array(batch)
     probs = predict_proba(model, batch)
-    return _cross_entropy(probs, y)
+    return float(_cross_entropy(probs, y))
 
 
 def _views(flat, shapes: dict) -> dict:
-    """Consecutive reshaped views of ``flat``, one per entry of ``shapes``."""
+    """Consecutive reshaped views along the last axis of ``flat``, one per
+    entry of ``shapes``, each with the axes ``flat`` has before its last."""
     views, start = {}, 0
     for name, shape in shapes.items():
-        size = int(np.prod(shape))
-        views[name] = flat[start:start + size].reshape(shape)
+        size = math.prod(shape)
+        views[name] = flat[..., start:start + size].reshape(flat.shape[:-1] + shape)
         start += size
     return views
 
@@ -492,79 +546,108 @@ def train(features, config: NurseConfig) -> NurseModel:
     Deterministic for a fixed seed. The z-scoring constants are fitted on
     the given training features and stored in the model; the checkpoint is
     chosen by the full-set training objective evaluated after every epoch
-    (the untrained state included).
-
-    The parameters, their velocity, the batch gradient and the checkpoint
-    are each one flat vector, so a momentum step is four in-place
-    operations and a checkpoint is one copy. The returned parameters are
-    reshaped views of the checkpoint vector, one per key, none overlapping
-    another; each model owns its vector.
+    (the untrained state included). It is the one-model stack of
+    :func:`_train_stack`.
     """
-    if not features:
-        raise ValueError("train requires a non-empty feature list")
-    features = sorted(features, key=lambda fv: fv.user_id)
-    y = _labels_array(features)
-    n_core = int(y.sum())
-    if n_core < 2 or len(y) - n_core < 2:
-        raise ValueError("train requires at least 2 examples of each class")
+    return _train_stack([features], [config])[0]
 
-    rng = np.random.default_rng(config.seed)
-    model = init_model(config, rng)
-    raw = _raw_inputs(features, config)
-    for branch in config.branches:
-        model.norm_mean[branch] = raw[branch].mean(axis=0)
-        std = raw[branch].std(axis=0)
-        std[std == 0.0] = 1.0
-        model.norm_std[branch] = std
-    X = _standardize(model, raw)
+
+def _stack_inputs(feature_sets, configs) -> tuple:
+    """(models, rngs, X, y, weights) of a stack: each model initialized from
+    its own seed's generator and given its set's z-scoring; the
+    standardized blocks of every set, one run of rows per model in model
+    order; and the (models, users) labels and class weights (or None).
+    Each set's raw and standardized blocks are freed once stacked."""
+    models, rngs, blocks, labels, weights = [], [], [], [], []
+    for features, config in zip(feature_sets, configs):
+        if not features:
+            raise ValueError("train requires a non-empty feature list")
+        features = sorted(features, key=lambda fv: fv.user_id)
+        y = _labels_array(features)
+        n_core = int(y.sum())
+        if n_core < 2 or len(y) - n_core < 2:
+            raise ValueError("train requires at least 2 examples of each class")
+        rng = np.random.default_rng(config.seed)
+        model = init_model(config, rng)
+        raw = _raw_inputs(features, config)
+        for branch in config.branches:
+            model.norm_mean[branch] = raw[branch].mean(axis=0)
+            std = raw[branch].std(axis=0)
+            std[std == 0.0] = 1.0
+            model.norm_std[branch] = std
+        models.append(model)
+        rngs.append(rng)
+        blocks.append(_standardize(model, raw))
+        labels.append(y)
+        if config.class_weight == "balanced":
+            counts = np.bincount(y, minlength=2)
+            weights.append((len(y) / (2.0 * counts))[y])
+    X = {b: np.concatenate([block[b] for block in blocks]) for b in blocks[0]}
     if "tfe" in X:
         X["hull"] = _convex_layers(X["tfe"])
+    return models, rngs, X, np.stack(labels), np.stack(weights) if weights else None
 
-    onehot = np.stack([1 - y, y], axis=1).astype(float)
-    if config.class_weight == "balanced":
-        counts = np.bincount(y, minlength=2)
-        weights = (len(y) / (2.0 * counts))[y]
-    else:
-        weights = None
+
+def _train_stack(feature_sets, configs) -> list:
+    """The models :func:`train` returns for each training set under the
+    matching config, trained as one stack (see the module docstring).
+
+    The sets must be equally large and the configs equal but for their
+    seeds. Each model draws from its own generator in the order of a lone
+    model: the initialization, then per epoch a permutation, then per batch
+    the dropout masks; and each copies its own checkpoint when its loss
+    improves. Each returned model owns its parameter vector.
+    """
+    config = configs[0]
+    assert all(replace(c, seed=config.seed) == config for c in configs), \
+        "a stack's configs differ in more than their seeds"
+    models, rngs, X, y, weights = _stack_inputs(feature_sets, configs)
+    onehot = np.stack([1 - y, y], axis=-1).astype(float).reshape(-1, 2)
 
     def objective():
-        """Full-set loss under the current parameters, and the pass's cache."""
-        probs, cache = _forward_batch(model, X, train_mode=False)
+        """Each model's full-set loss under the current parameters, and the
+        pass's cache."""
+        probs, cache = _forward_batch(stacked, X, train_mode=False)
         return _cross_entropy(probs, y, weights), cache
 
     shapes = _param_shapes(config)
-    params = np.concatenate([model.params[k].ravel() for k in shapes])
-    model.params = _views(params, shapes)
+    params = np.stack([np.concatenate([m.params[k].ravel() for k in shapes]) for m in models])
+    stacked = NurseModel(config, _views(params, shapes), None, None)
     grad = np.empty_like(params)
     grads = _views(grad, shapes)
     velocity = np.zeros_like(params)
     best_loss, full = objective()
     best = params.copy()
-    n = len(features)
+    n = y.shape[1]
+    offsets = np.arange(len(models))[:, None] * n  # each model's first row
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+            batch = order[:, start:start + config.batch_size]
+            rows = batch.ravel()
             # The epoch's first batch runs under the parameters of the last
             # objective pass, and the conv has no dropout: reuse its rows,
             # and gather only the blocks the dense branches read.
-            conv = tuple(a[idx] for a in full["conv"]) if start == 0 and "conv" in full else None
-            batch_X = {b: X[b][idx] for b in X if conv is None or b in ("sfe", "mfe")}
-            probs, cache = _forward_batch(model, batch_X, train_mode=True, rng=rng, conv=conv)
-            d_logits = (probs - onehot[idx]) / len(idx)  # of the mean cross-entropy
+            conv = (tuple(a.reshape(-1, CONV_CHANNELS)[rows] for a in full["conv"])
+                    if start == 0 and "conv" in full else None)
+            batch_X = {b: X[b][rows] for b in X if conv is None or b in ("sfe", "mfe")}
+            probs, cache = _forward_batch(stacked, batch_X, train_mode=True, rng=rngs, conv=conv)
+            # of the mean cross-entropy over each model's batch
+            d_logits = (probs.reshape(-1, 2) - onehot[rows]) / batch.shape[1]
             if weights is not None:
-                d_logits *= weights[idx, None]
-            _backward_batch(model, cache, d_logits, grads)
+                d_logits *= weights.reshape(-1, 1)[rows]
+            _backward_batch(stacked, cache, d_logits.reshape(probs.shape), grads)
             velocity *= config.momentum
             grad *= config.learning_rate
             velocity -= grad
             params += velocity
         epoch_loss, full = objective()
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            np.copyto(best, params)
-    model.params = _views(best, shapes)
-    return model
+        improved = epoch_loss < best_loss
+        best_loss = np.where(improved, epoch_loss, best_loss)
+        np.copyto(best, params, where=improved[:, None])
+    for model, vector in zip(models, best):
+        model.params = _views(vector.copy(), shapes)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +800,13 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced",
 
     The folds run in a ``fork`` pool of ``min(folds, usable CPUs)`` worker
     processes, where the usable CPUs are ``os.sched_getaffinity(0)``; so
-    ``taskset -c 0`` gives one worker. Results are taken in fold order:
-    the report is the same at any worker count, a failure raises the
-    exception of the lowest failing fold, and no worker outlives the call.
-    Forked workers see the module as the caller left it, patches included.
+    ``taskset -c 0`` gives one worker. Each worker takes one contiguous run
+    of folds and trains the folds of its run whose training sets are
+    equally large as one stack (see :func:`_train_stack`), each model the
+    same bit for bit as trained alone. Results are taken in fold order: the
+    report is the same at any worker count, a failure raises the exception
+    of the lowest failing fold, and no worker outlives the call. Forked
+    workers see the module as the caller left it, patches included.
     """
     if mode not in ("balanced", "complete"):
         raise ValueError("mode must be 'balanced' or 'complete'")
@@ -748,14 +834,25 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced",
              replace(fold_config, seed=config.seed + 7919 * (fold + 1)))
             for fold in range(folds)]
     workers = min(folds, len(os.sched_getaffinity(0)))
+    runs = [jobs[run[0]:run[-1] + 1] for run in np.array_split(range(folds), workers)]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return summarize_folds(list(pool.imap(_fold_job, jobs, chunksize=1)))
+        return summarize_folds([fm for run in pool.imap(_fold_run, runs, chunksize=1)
+                                for fm in run])
 
 
-def _fold_job(job) -> FoldMetrics:
-    """Metrics of one cross-validation fold: train, then rank the held-out set."""
-    fold, train_set, test_set, config = job
-    return fold_metrics(fold, score_users(train(train_set, config), test_set))
+def _fold_run(jobs) -> list:
+    """Metrics of a run of cross-validation folds, in fold order: the folds
+    with equally large training sets train as one stack, stacks in the
+    order of their first fold, then each fold ranks its held-out set."""
+    stacks: dict = {}
+    for job in jobs:
+        stacks.setdefault(len(job[1]), []).append(job)
+    models = {}
+    for stack in stacks.values():
+        folds, train_sets, _, configs = zip(*stack)
+        models.update(zip(folds, _train_stack(train_sets, configs)))
+    return [fold_metrics(fold, score_users(models[fold], test_set))
+            for fold, _, test_set, _ in jobs]
 
 
 ABLATION_SUBSETS = (
@@ -807,21 +904,25 @@ def load_model(path) -> NurseModel:
     A file that is not such a model, or whose arrays do not fit its config,
     raises ValueError.
     """
-    try:
-        # np.load leaves a file it opened unclosed when it refuses it as a zip
-        with open(path, "rb") as handle, np.load(handle) as data:
-            arrays = {key: data[key] for key in data.files}
-        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
-        if meta.get("format") != MODEL_FORMAT:
-            raise ValueError(f"unsupported model format {meta.get('format')}")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["branches"] = tuple(cfg_dict["branches"])
-        config = NurseConfig(**cfg_dict)
-    # zipfile raises NotImplementedError for an unknown compression method, and
-    # json raises RecursionError for a meta nested too deeply
-    except (AttributeError, EOFError, KeyError, NotImplementedError, RecursionError, TypeError,
-            zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from None
+    with open(path, "rb") as handle:  # outside the try: a missing file keeps its message
+        try:
+            # np.load leaves a file it opened unclosed when it refuses it as a zip
+            with np.load(handle) as data:
+                arrays = {key: data[key] for key in data.files}
+            meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+            version = meta.get("format")
+            if version == MODEL_FORMAT:
+                cfg_dict = dict(meta["config"])
+                cfg_dict["branches"] = tuple(cfg_dict["branches"])
+                config = NurseConfig(**cfg_dict)
+        # zipfile raises NotImplementedError for an unknown compression method and
+        # OSError for a cut entry, np.load ValueError for a file that is no archive,
+        # and json RecursionError for a meta nested too deeply
+        except (AttributeError, EOFError, KeyError, NotImplementedError, OSError, RecursionError,
+                TypeError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from None
+    if version != MODEL_FORMAT:
+        raise ValueError(f"unsupported model format {version}")
     shapes = {f"param_{k}": shape for k, shape in _param_shapes(config).items()}
     for branch, size in _input_sizes(config).items():
         shapes[f"mean_{branch}"] = shapes[f"std_{branch}"] = (size,)

@@ -426,6 +426,31 @@ def test_outputs_do_not_depend_on_the_hash_seed(synth_dir, ccn_dir, korse_dir, t
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_pipeline_outputs_do_not_depend_on_the_hash_seed_or_the_cpus(synth_dir, tmp_path):
+    """At one usable CPU one worker trains every fold as one stack; at more,
+    each worker trains a run of folds. Every output is the same bytes, the
+    manifest apart from its ``out``."""
+    src = str(Path(collusioncore.__file__).parents[1])
+    argv = ["pipeline", *dataset_args(synth_dir), "--labels", str(synth_dir / "labels.tsv"),
+            "--dim", "8", "--epochs", "20"]
+    one_cpu = min(os.sched_getaffinity(0))
+    runs = {"hash-1": ("1", None), "hash-2": ("2", None),
+            "one-cpu": ("1", lambda: os.sched_setaffinity(0, {one_cpu}))}
+    outputs = {}
+    for name, (hash_seed, preexec) in runs.items():
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "collusioncore.cli", *argv, "--out", str(out)],
+                       env=env, preexec_fn=preexec, check=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["args"]["out"]
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs[name]["manifest.json"] = manifest
+    assert "eval.csv" in outputs["hash-1"]
+    assert outputs["hash-1"] == outputs["hash-2"] == outputs["one-cpu"]
+
+
 def write(path, content) -> str:
     if isinstance(content, str):
         content = content.encode("utf-8")
@@ -488,6 +513,12 @@ def unknown_compression_model(model, tmp) -> str:
     assert data[:4] == b"PK\x03\x04" and data[central:central + 4] == b"PK\x01\x02"
     data[8:10] = data[central + 10:central + 12] = (99).to_bytes(2, "little")
     return write(tmp / "model.npz", bytes(data))
+
+
+def cut_model(model, tmp, offset) -> str:
+    """A copy of a saved model with 6 bytes deleted at ``offset``."""
+    data = Path(model).read_bytes()
+    return write(tmp / "model.npz", data[:offset] + data[offset + 6:])
 
 
 def deeply_nested_meta_model(model, tmp) -> str:
@@ -575,6 +606,12 @@ REJECTED = {
     "nurse-eval-deeply-nested-meta-model": (
         lambda p: ["nurse-eval", "--model", deeply_nested_meta_model(p.model, p.tmp),
                    "--features", p.features]),
+    "nurse-eval-cut-entry-model": (  # zipfile seeks before the file's start
+        lambda p: ["nurse-eval", "--model", cut_model(p.model, p.tmp, 303),
+                   "--features", p.features]),
+    "nurse-eval-cut-header-model": (  # neither a zip nor an array: np.load's ValueError
+        lambda p: ["nurse-eval", "--model", cut_model(p.model, p.tmp, 0),
+                   "--features", p.features]),
     "ingest-check-deeply-nested-comment": (
         lambda p: ["ingest-check", *with_second_line(p.data, p.tmp, "--comments",
                                                      "[" * 100_000)]),
@@ -633,6 +670,9 @@ REJECTED = {
                    "nurse-train", "--features", p.features]),
     "config-repeated-key": (
         lambda p: ["--config", write(p.tmp / "run.cfg", "epochs=2\nepochs=3\n"),
+                   "nurse-train", "--features", p.features]),
+    "config-form-feed-in-value": (  # one line: only LF, CR and CRLF end one
+        lambda p: ["--config", write(p.tmp / "run.cfg", "epochs=2\fx"),
                    "nurse-train", "--features", p.features]),
     "pipeline-repeated-label": (
         lambda p: ["pipeline", *p.data, "--labels",
@@ -730,6 +770,7 @@ REJECTED_MESSAGE = {
     "config-learning-rate-inf": "learning_rate must be finite, got inf",
     "config-momentum-nan": "momentum must be finite, got nan",
     "config-repeated-key": "run.cfg:2: key 'epochs' listed twice",
+    "config-form-feed-in-value": "config: epochs='2\\x0cx' is not a valid int",
     "pipeline-repeated-label": "labels.tsv:2: user 'u1' listed twice",
     "korse-repeated-edge": "ccn.tsv:3: edge (a, b) listed twice",
     "korse-reversed-repeated-edge": "ccn.tsv:3: edge (b, a) listed twice",
@@ -767,6 +808,8 @@ REJECTED_MESSAGE = {
         "model.npz: not a model file (NotImplementedError: That compression method is not "
         "supported)",
     "nurse-eval-deeply-nested-meta-model": "model.npz: not a model file (RecursionError: ",
+    "nurse-eval-cut-entry-model": "model.npz: not a model file (OSError: ",
+    "nurse-eval-cut-header-model": "model.npz: not a model file (ValueError: ",
     "ingest-check-deeply-nested-comment": "comments.jsonl:2: malformed line: nested too deeply",
     "ingest-check-not-utf8-jsonl": "users.jsonl:2: not valid UTF-8",
     "ingest-check-not-utf8-csv": "users.csv:3: not valid UTF-8",
@@ -825,7 +868,7 @@ FAULTS = {
         cli, "weighted_betweenness",
         lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2"]),
     "pipeline-train": (  # raises in a cross-validation worker process
-        nurse, "train", lambda p: ["pipeline", *p.data, "--labels", p.labels, "--dim", "8",
+        nurse, "_train_stack", lambda p: ["pipeline", *p.data, "--labels", p.labels, "--dim", "8",
                                    "--epochs", "1", "--folds", "2"]),
     "nurse-train-train": (
         nurse, "train", lambda p: ["nurse-train", "--features", p.features, "--epochs", "1"]),

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collusioncore import nurse
 from collusioncore.features import FeatureVector
@@ -426,7 +426,8 @@ def test_evaluate_matches_oracle_kernels(monkeypatch, mode):
     feats = blob_features(12, seed=3, separation=0.5)[:-5]  # 12 compromised, 7 core
     config = replace(TINY, epochs=6, batch_size=5)
     got = evaluate(feats, config, mode=mode, folds=3)
-    monkeypatch.setattr(nurse, "train", oracles.train)
+    monkeypatch.setattr(nurse, "_train_stack", lambda train_sets, configs: [
+        oracles.train(train_set, config) for train_set, config in zip(train_sets, configs)])
     monkeypatch.setattr(nurse, "_forward_batch",  # scoring recomputes every conv
                         lambda model, X, train_mode=False, rng=None, conv=None:
                         oracles.forward_batch(model, X, train_mode, rng))
@@ -510,6 +511,69 @@ def test_loss_decreases_on_separable_data():
     before = loss(init_model(replace(TINY, seed=2)), feats)
     after = loss(train(feats, replace(TINY, epochs=5, seed=2)), feats)
     assert after < before
+
+
+# ------------------------------------------------------------------ stacks
+
+def model_bytes(model):
+    """Every array a saved model holds, as bytes, by kind and key."""
+    return {(kind, key): a.tobytes() for kind in ("params", "norm_mean", "norm_std")
+            for key, a in getattr(model, kind).items()}
+
+
+def stack_member(n, dim, seed, twist=None):
+    """``n`` users of both classes (at least 2 each), classes alternating.
+
+    ``"fallback"``: TFE columns 4 and 5 repeat columns 0 and 1, one ulp off
+    in one user, whose conv then takes the dense kernel (layer 2 ties layer
+    1 within the rounding bound). ``"non-finite"``: one TFE value is inf."""
+    comp, core = blob_features(7, dim=dim, seed=seed)[:7], blob_features(7, dim=dim, seed=seed)[7:]
+    users = [fv for pair in zip(comp, core) for fv in pair][:n]
+    if twist == "fallback":
+        for i, fv in enumerate(users):
+            t = np.array(fv.tfe)
+            t[4:6] = t[0:2]
+            if i == 1:
+                t[4] = np.nextafter(t[4], np.inf)
+            users[i] = replace(fv, tfe=t)
+    elif twist == "non-finite":
+        users[0] = replace(users[0], tfe=np.r_[users[0].tfe[:1], np.inf, users[0].tfe[2:]])
+    return users
+
+
+def test_the_fallback_member_takes_the_dense_kernel(monkeypatch):
+    taken = []
+    dense = nurse._dense_pool
+    monkeypatch.setattr(nurse, "_dense_pool",
+                        lambda rows, w, b: taken.append(len(rows)) or dense(rows, w, b))
+    train(stack_member(10, 8, seed=1, twist="fallback"), replace(TINY, epochs=3))
+    assert taken
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(4, 14), batch_size=st.sampled_from([1, 2, 3, 4, 8, 32]),
+       dim=st.sampled_from([2, 8, 33]), branches=st.sampled_from(
+           [("tfe",), ("sfe", "mfe"), nurse.BRANCH_ORDER]),
+       class_weight=st.sampled_from(["none", "balanced"]), size=st.integers(2, 4),
+       twist=st.sampled_from([None, "fallback", "non-finite"]))
+@example(n=9, batch_size=4, dim=8, branches=nurse.BRANCH_ORDER, class_weight="none", size=3,
+         twist=None)  # a tail batch of 1
+@example(n=10, batch_size=1, dim=8, branches=nurse.BRANCH_ORDER, class_weight="balanced",
+         size=2, twist="fallback")
+@example(n=6, batch_size=4, dim=2, branches=("tfe",), class_weight="none", size=4,
+         twist="non-finite")
+def test_a_model_trained_in_a_stack_equals_it_trained_alone(n, batch_size, dim, branches,
+                                                          class_weight, size, twist):
+    config = NurseConfig(embedding_dim=dim, epochs=3, batch_size=batch_size, seed=5,
+                         branches=branches, class_weight=class_weight)
+    twist = None if twist == "fallback" and dim < 8 else twist  # it rewrites TFE columns 4-5
+    sets = [stack_member(n, dim, seed, twist if seed == size - 1 else None)
+            for seed in range(size)]
+    configs = [replace(config, seed=config.seed + 7919 * i) for i in range(size)]
+    with np.errstate(all="ignore"):  # the non-finite member trains to nan
+        alone = [model_bytes(train(s, c)) for s, c in zip(sets, configs)]
+        stacked = [model_bytes(m) for m in nurse._train_stack(sets, configs)]
+    assert stacked == alone
 
 
 # ------------------------------------------------------------------ auc
@@ -758,42 +822,47 @@ def test_workers_are_capped_at_the_folds(monkeypatch, pool_sizes):
 
 
 def test_report_keeps_fold_order_when_fold_0_finishes_last(monkeypatch, tmp_path):
-    feats = blob_features(6, seed=34)
+    feats = blob_features(6, seed=34)  # every training set holds 8 users
     config = replace(TINY, epochs=4)
     use_cpus(monkeypatch, 1)
     want = repr(evaluate(feats, config, folds=3))
     finished = tmp_path / "finished.txt"
     finished.touch()
+    train_stack = nurse._train_stack
 
-    def fold_0_last(train_set, fold_config):
+    def fold_0_last(train_sets, fold_configs):
+        folds = ",".join(str(fold_of(c)) for c in fold_configs)
         deadline = time.monotonic() + 30
-        while (fold_of(fold_config) == 0 and time.monotonic() < deadline
-               and len(finished.read_text(encoding="utf-8").split()) < 2):
-            time.sleep(0.01)  # the other worker trains folds 1 and 2 meanwhile
-        model = train(train_set, fold_config)
+        while (folds.startswith("0") and time.monotonic() < deadline
+               and not finished.read_text(encoding="utf-8")):
+            time.sleep(0.01)  # the other worker trains fold 2 meanwhile
+        models = train_stack(train_sets, fold_configs)
         with open(finished, "a", encoding="utf-8") as handle:
-            handle.write(f"{fold_of(fold_config)}\n")
-        return model
+            handle.write(f"{folds}\n")
+        return models
 
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(nurse, "train", fold_0_last)
+    monkeypatch.setattr(nurse, "_train_stack", fold_0_last)
     assert repr(evaluate(feats, config, folds=3)) == want
-    assert finished.read_text(encoding="utf-8").split() == ["1", "2", "0"]
+    # the two workers take the runs of folds 0-1 and 2, each one stack
+    assert finished.read_text(encoding="utf-8").split() == ["2", "0,1"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failure_raises_the_lowest_failing_folds_exception(monkeypatch, cpus):
-    def faulty(train_set, fold_config):
-        fold = fold_of(fold_config)
-        if fold == 1:
-            time.sleep(0.5)  # at two workers, fold 2 fails first
+    train_stack = nurse._train_stack
+
+    def faulty(train_sets, fold_configs):
+        folds = [fold_of(c) for c in fold_configs]
+        if 1 in folds:
+            time.sleep(0.5)  # at two workers, the stack of fold 2 fails first
             raise LookupError("injected fault in fold 1")
-        if fold == 2:
+        if 2 in folds:
             raise RuntimeError("injected fault in fold 2")
-        return train(train_set, fold_config)
+        return train_stack(train_sets, fold_configs)
 
     use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(nurse, "train", faulty)
+    monkeypatch.setattr(nurse, "_train_stack", faulty)
     with pytest.raises(Exception) as raised:
         evaluate(blob_features(6, seed=35), replace(TINY, epochs=2), folds=3)
     assert (raised.type, str(raised.value)) == (LookupError, "injected fault in fold 1")
