@@ -57,7 +57,7 @@ from .graph import (
 from .kcore import MODES, coreness, write_coreness
 from .korse import korse, read_partition, write_partition, write_sweep
 from .records import ingest, validate, write_dataset
-from .tables import format_rows, not_utf8, write_rows
+from .tables import format_rows, lines, write_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,12 +164,8 @@ def _read(reader, path, what):
 
 
 def _read_config(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(not_utf8(path)) from None
     values = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):  # the lines of read_rows
+    for lineno, line in lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,10 +7,11 @@ contain only finite values.
 """
 
 import hashlib
+import re
 
 import numpy as np
 
-from .tables import read_rows, write_rows
+from .tables import FLOAT, ID, floats, integer, lines, parse, write_rows
 
 
 def text_key(text: str) -> str:
@@ -71,25 +72,24 @@ class FileEmbedder:
 
     @classmethod
     def load(cls, path) -> "FileEmbedder":
-        rows = read_rows(path)
-        lineno, cells = next(rows, (1, []))
-        header = "\t".join(cells).strip()
-        if lineno != 1 or not header.startswith("dim=") or not header[4:].isdecimal():
+        numbered = lines(path)
+        lineno, header = next(numbered, (1, ""))
+        if lineno != 1 or not header.startswith("dim="):
             raise ValueError(f"{path}:1: expected 'dim=<d>' header")
-        dim = int(header[4:])
-        if dim < 2:
-            raise ValueError(f"{path}: dim must be >= 2")
+        dim = parse(path, 1, "dim", integer(2), header[4:])
+        row = re.compile(f"({ID.text})\t({floats(dim)})")
         table: dict[str, np.ndarray] = {}
-        for lineno, cells in rows:
-            try:
-                key, values = cells
-                vec = np.array([float(x) for x in values.split(",")])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'hash<TAB>n,n,...'") from None
-            if vec.shape != (dim,):
-                raise ValueError(f"{path}:{lineno}: expected {dim} values")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: non-finite entry")
+        for lineno, line in numbered:
+            match = row.fullmatch(line)
+            if match and np.isfinite(vec := np.fromstring(match[2], sep=",")).all():
+                key = match[1]
+            else:  # the fault
+                key, tab, values = line.partition("\t")
+                if not tab or len(values := values.split(",")) != dim:
+                    raise ValueError(f"{path}:{lineno}: expected 'hash<TAB>' and {dim} values")
+                key = parse(path, lineno, "hash", ID, key)
+                vec = np.array([parse(path, lineno, f"value_{i}", FLOAT, text)
+                                for i, text in enumerate(values)])
             if key in table:
                 raise ValueError(f"{path}:{lineno}: hash '{key}' listed twice")
             table[key] = vec

@@ -7,14 +7,15 @@ Extraction emits raw values; standardization happens inside the classifier.
 """
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .records import ID_RULE, Dataset, valid_id
-from .tables import not_utf8
+from .records import Dataset
+from .tables import FLOAT, ID_RULE, Kind, choice, floats, lines, parse
 
 MFE_SIZE = 26
 SFE_SIZE = 25
@@ -207,39 +208,42 @@ def write_features(features, path) -> None:
             handle.write(f"{fields},{','.join(map(repr, values))}\r\n")
 
 
+# ranking.tsv writes ids into tab-separated lines, so an id holds no tab even quoted
+USER_ID = Kind(r'"(?:[^"\t]|"")+"|[^",\t]+',
+               lambda text: text[1:-1].replace('""', '"') if text[0] == '"' else text, ID_RULE)
+LABEL = choice("core", "compromised", "")
+_FIRST_CELL = re.compile(r'"(?:[^"]|"")*"(?=,|$)|[^,]*')
+
+
 def read_features(path) -> list[FeatureVector]:
-    try:
-        with Path(path).open(encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, [])
-            dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
-            if dim < 1 or header != feature_header(dim):
-                raise ValueError(f"{path}: unexpected feature header")
-            out = []
-            seen = set()
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(f"{where}: expected {len(header)} fields")
-                if not valid_id(row[0]):  # ranking.tsv writes ids into tab-separated lines
-                    raise ValueError(f"{where}: field 'user_id' {ID_RULE}")
-                if row[1] not in ("", "core", "compromised"):
-                    raise ValueError(f"{where}: label must be core, compromised or empty")
-                if row[0] in seen:
-                    raise ValueError(f"{where}: duplicate user '{row[0]}'")
-                seen.add(row[0])
-                try:
-                    values = np.array(row[2:], dtype=float)
-                except ValueError:
-                    raise ValueError(f"{where}: non-numeric value") from None
-                if not np.isfinite(values).all():
-                    raise ValueError(f"{where}: non-finite value")
-                out.append(FeatureVector(user_id=row[0], label=row[1] or None,
-                                         mfe=values[:MFE_SIZE],
-                                         sfe=values[MFE_SIZE:MFE_SIZE + SFE_SIZE],
-                                         tfe=values[MFE_SIZE + SFE_SIZE:]))
-    except UnicodeDecodeError:  # a bad byte is named at its line
-        raise ValueError(not_utf8(path)) from None
+    """Read a file written by :func:`write_features`. A line that one pattern
+    of its cells' kinds matches has its values parsed at once by numpy."""
+    numbered = lines(path)
+    lineno, first = next(numbered, (1, ""))
+    header = first.split(",")
+    dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
+    if lineno != 1 or dim < 1 or header != feature_header(dim):
+        raise ValueError(f"{path}: unexpected feature header")
+    row = re.compile(f"({USER_ID.text}),({LABEL.text}),({floats(len(header) - 2)})")
+    out = []
+    seen = set()
+    for lineno, line in numbered:
+        match = row.fullmatch(line)
+        if match and np.isfinite(values := np.fromstring(match[3], sep=",")).all():
+            user, label = USER_ID.value(match[1]), match[2]
+        else:  # the fault, named at its cell
+            first = _FIRST_CELL.match(line)[0]
+            user = parse(path, lineno, "user_id", USER_ID, first)  # an open quote holds a line end
+            rest = line[len(first) + 1:].split(",") if line != first else []
+            if 1 + len(rest) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+            label, *values = [parse(path, lineno, *cell)
+                              for cell in zip(header[1:], [LABEL] + [FLOAT] * len(rest), rest)]
+            values = np.array(values)
+        if user in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate user '{user}'")
+        seen.add(user)
+        out.append(FeatureVector(user_id=user, label=label or None, mfe=values[:MFE_SIZE],
+                                 sfe=values[MFE_SIZE:MFE_SIZE + SFE_SIZE],
+                                 tfe=values[MFE_SIZE + SFE_SIZE:]))
     return out

@@ -13,8 +13,8 @@ from itertools import accumulate, combinations
 from operator import or_
 from pathlib import Path
 
-from .records import ID_RULE, Dataset, valid_id
-from .tables import format_rows, read_rows, write_rows
+from .records import Dataset
+from .tables import ID, ID_RULE, format_rows, integer, read_table, valid_id, write_rows
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class Ccn:
     def build(cls, nodes, pair_weights) -> "Ccn":
         """Create a graph from a node iterable and {(a, b): weight} mapping.
 
-        :func:`read_edgelist` makes the weight and empty-id checks too, at
-        the line, so keep the two in step.
+        :func:`read_edgelist` reads only ids and weights these checks pass,
+        so its faults name their line and column.
         """
         node_set = frozenset(nodes)
         bad = sorted(n for n in node_set if not valid_id(n))
@@ -43,14 +43,15 @@ class Ccn:
             raise ValueError(f"node {bad[0]!r} {ID_RULE}")
         edges = {}
         adjacency = {n: [] for n in node_set}
-        for (a, b), weight in pair_weights.items():
+        for pair, weight in pair_weights.items():
+            a, b = pair
             if a == b:
                 raise ValueError(f"self-loop on '{a}'")
             if not isinstance(weight, int) or weight < 1:
                 raise ValueError(f"edge ({a}, {b}) weight must be a positive integer")
             if a not in node_set or b not in node_set:
                 raise ValueError(f"edge ({a}, {b}) references a node outside the node set")
-            key = (a, b) if a < b else (b, a)
+            key = pair if a < b else (b, a)  # the caller's tuple when in order: no new one
             if key in edges:
                 raise ValueError(f"duplicate edge {key}")
             edges[key] = weight
@@ -259,35 +260,38 @@ def write_edgelist(graph: Ccn, path) -> None:
     write_rows(nodes_sidecar(path), [(NODES_HEADER,)] + [(n,) for n in sorted(graph.nodes)], "\t")
 
 
+EDGES = (("source", ID), ("target", ID), ("weight", integer(1)))
+
+
+def _first_repeat(keys) -> int | None:
+    """The index of the first key equal to an earlier one, if any."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
+
+
 def read_edgelist(path) -> Ccn:
     """Read a graph written by :func:`write_edgelist`.
 
     Without the node sidecar only edge endpoints become nodes.
     """
-    weights = {}
-    for lineno, cells in read_rows(path, EDGELIST_HEADER):
-        if len(cells) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        a, b, w = cells
-        if not a or not b:  # the only id fault a tab-split line can hold
-            raise ValueError(f"{path}:{lineno}: node id {ID_RULE}")
-        if (a, b) in weights or (b, a) in weights:
-            raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) listed twice")
-        try:
-            weight = int(w)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: weight {w!r} is not an integer") from None
-        if weight < 1:
-            raise ValueError(f"{path}:{lineno}: weight {w!r} must be a positive integer")
-        weights[(a, b)] = weight
-    nodes = {node for pair in weights for node in pair}
+    linenos, (sources, targets, weights) = read_table(path, EDGES, EDGELIST_HEADER)
+    edges = dict(zip(zip(sources, targets), weights))
+    if len(edges) < len(weights) or not edges.keys().isdisjoint(zip(targets, sources)):
+        i = _first_repeat(map(frozenset, zip(sources, targets)))  # else a self-loop, refused below
+        if i is not None:
+            raise ValueError(f"{path}:{linenos[i]}: edge ({sources[i]}, {targets[i]}) listed twice")
+    nodes = set(sources) | set(targets)
     sidecar = nodes_sidecar(path)
     if sidecar.exists():
-        for lineno, cells in read_rows(sidecar, NODES_HEADER):
-            if len(cells) != 1:
-                raise ValueError(f"{sidecar}:{lineno}: expected 1 field")
-            nodes.add(cells[0])
-    return Ccn.build(nodes, weights)
+        linenos, (listed,) = read_table(sidecar, (("node", ID),), NODES_HEADER)
+        if (i := _first_repeat(listed)) is not None:
+            raise ValueError(f"{sidecar}:{linenos[i]}: node '{listed[i]}' listed twice")
+        nodes.update(listed)
+    return Ccn.build(nodes, edges)
 
 
 def format_stats(stats: GraphStats) -> str:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .graph import Ccn, density, prefix_edges
 from .kcore import coreness
-from .records import ID_RULE, valid_id
-from .tables import read_rows, write_rows
+from .tables import FLOAT, integer, read_roles, write_rows
 
 
 def _wicci(core_size: int, weight_fraction: float, density: float, beta: float) -> float:
@@ -107,31 +106,20 @@ def write_partition(partition: CorePartition, path) -> None:
     write_rows(path, rows, "\t")
 
 
+# the summary lines write_partition writes
+SUMMARY = {"core_threshold": integer(0), "normalized_threshold": FLOAT, "peak_wicci": FLOAT,
+           "core_size": integer(0), "core_density": FLOAT}
+
+
 def read_partition(path) -> CorePartition:
-    """Read a partition file; the sweep trace is not round-tripped."""
-    core: set = set()
-    periphery: set = set()
-    # the summary values read back, each parsed like its default
-    summary = {"core_threshold": 0, "normalized_threshold": 0.0, "peak_wicci": 0.0}
-    for lineno, cells in read_rows(path):
-        if len(cells) == 1 and cells[0].startswith("# "):  # a user id may start with "# "
-            key, _, value = cells[0][2:].partition("=")
-            if key in summary:
-                try:
-                    summary[key] = type(summary[key])(value)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad {key} value {value!r}") from None
-            continue
-        if len(cells) != 2 or cells[1] not in ("core", "periphery"):
-            raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|periphery'")
-        user, role = cells
-        if not valid_id(user):
-            raise ValueError(f"{path}:{lineno}: user id {ID_RULE}")
-        if user in core or user in periphery:
-            raise ValueError(f"{path}:{lineno}: user '{user}' listed twice")
-        (core if role == "core" else periphery).add(user)
-    return CorePartition(core=frozenset(core), periphery=frozenset(periphery),
-                         sweep_trace=(), **summary)
+    """Read a partition file; the sweep trace is not round-tripped, and a file
+    without summary lines reads as threshold 0."""
+    roles, summary = read_roles(path, ("core", "periphery"), SUMMARY)
+    return CorePartition(core=frozenset(u for u, role in roles.items() if role == "core"),
+                         periphery=frozenset(u for u, role in roles.items() if role != "core"),
+                         core_threshold=summary.get("core_threshold", 0),
+                         normalized_threshold=summary.get("normalized_threshold", 0.0),
+                         peak_wicci=summary.get("peak_wicci", 0.0), sweep_trace=())
 
 
 def write_sweep(partition: CorePartition, path, beta: float) -> None:

@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .tables import not_utf8
+from .tables import ID_RULE, not_utf8, valid_id
 
 
 class IngestError(ValueError):
@@ -115,13 +115,6 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # Parsing helpers
 # ---------------------------------------------------------------------------
-
-ID_RULE = "must be non-empty, without tab, CR or LF"  # outputs write ids into tab-separated lines
-
-
-def valid_id(value: str) -> bool:
-    return value != "" and "\t" not in value and "\r" not in value and "\n" not in value
-
 
 def _require_str(row: dict, field: str, origin: str, is_id: bool = False) -> str:
     if field not in row or row[field] is None:

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .records import ID_RULE, CommentRecord, Dataset, UserRecord, VideoRecord, valid_id
-from .tables import read_rows, write_rows
+from .records import CommentRecord, Dataset, UserRecord, VideoRecord
+from .tables import read_roles, write_rows
 
 # Behavioral contrast of planted core channels: fewer and shorter uploads,
 # and, per user relative to compromised users, more comments in total, more
@@ -347,17 +347,7 @@ def write_labels(labels: dict, path) -> None:
 
 
 def read_labels(path) -> dict:
-    labels = {}
-    for lineno, cells in read_rows(path):
-        if len(cells) != 2 or cells[1] not in ("core", "compromised"):
-            raise ValueError(f"{path}:{lineno}: expected 'user<TAB>core|compromised'")
-        user, role = cells
-        if not valid_id(user):
-            raise ValueError(f"{path}:{lineno}: user id {ID_RULE}")
-        if user in labels:
-            raise ValueError(f"{path}:{lineno}: user '{user}' listed twice")
-        labels[user] = role
-    return labels
+    return read_roles(path, ("core", "compromised"))[0]
 
 
 def write_meta(config: SynthConfig, path) -> None:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from collusioncore.features import MFE_SIZE, SFE_SIZE, FeatureVector
 from collusioncore.graph import Ccn, build_ccn
 from collusioncore.records import CommentRecord, Dataset, UserRecord, VideoRecord
 from collusioncore.synth import SynthConfig, generate
@@ -50,6 +52,21 @@ def graph_from_edges(edges, isolated=()):
         nodes.add(b)
         weights[(a, b) if a < b else (b, a)] = w
     return Ccn.build(nodes, weights)
+
+
+def odd_features(dim):
+    """Feature vectors whose ids need csv quoting and whose values test repr."""
+    ids = ["a,b", 'say "hi"', '"quoted"', ",", " leading", "trailing ", "# hash", "plain"]
+    rng = np.random.default_rng(dim)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, -1 / 3, 2.0 ** 52 + 1]
+    out = []
+    for i, user_id in enumerate(ids):
+        values = rng.standard_normal(MFE_SIZE + SFE_SIZE + dim) * 10.0 ** rng.integers(-8, 9)
+        values[:len(special)] = np.roll(special, i)
+        out.append(FeatureVector(user_id=user_id, label=[None, "core", "compromised"][i % 3],
+                                 mfe=values[:MFE_SIZE], sfe=values[MFE_SIZE:-dim],
+                                 tfe=values[-dim:]))
+    return out
 
 
 @pytest.fixture

@@ -543,10 +543,11 @@ def write_all_embeddings(data_dir, path, dim) -> str:
     return str(path)
 
 
-def one_value_embeddings(data_dir, tmp) -> str:
-    """An embeddings file of every text of a dataset, one value per text."""
+def every_text_embeddings(data_dir, tmp, header="dim=1\n", values="0.5") -> str:
+    """An embeddings file of every text of a dataset: ``header``, then
+    ``values`` (one value by default) for each text."""
     keys = sorted({text_key(t) for t in dataset_texts(data_dir) if t.strip()})
-    return write(tmp / "emb.txt", "dim=1\n" + "".join(f"{key}\t0.5\n" for key in keys))
+    return write(tmp / "emb.txt", header + "".join(f"{key}\t{values}\n" for key in keys))
 
 
 def with_first_row(data, tmp, flag, field, value) -> list:
@@ -570,6 +571,20 @@ def with_second_line(data, tmp, flag, line) -> list:
     first = Path(args[i]).read_text(encoding="utf-8").splitlines(keepends=True)[0]
     args[i] = write(tmp / Path(args[i]).name, first + line + "\n")
     return args
+
+
+def with_sidecar(tmp, edges, nodes) -> str:
+    """An edge list ``edges`` whose node sidecar is ``nodes``."""
+    write(tmp / "ccn.tsv.nodes", nodes)
+    return write(tmp / "ccn.tsv", edges)
+
+
+def partition_of(graph, tmp, summary) -> str:
+    """A partition file of every node of ``graph``, its first node the core,
+    after the lines ``summary``."""
+    nodes = Path(graph + ".nodes").read_text(encoding="utf-8").split("\n")[1:-1]
+    return write(tmp / "partition.tsv", summary + "".join(
+        f"{node}\t{'periphery' if i else 'core'}\n" for i, node in enumerate(nodes)))
 
 
 def with_file(data, tmp, flag, name, content) -> list:
@@ -704,6 +719,23 @@ REJECTED = {
     "pipeline-empty-id-in-labels": (
         lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2",
                    "--labels", write(p.tmp / "labels.tsv", "\tcompromised\n")]),
+    "korse-underscore-weight": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1_0\n")]),
+    "korse-spaced-weight": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t3\nb\tc\t 3\n")]),
+    "korse-non-ascii-digit-weight": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t\u0663\n")]),
+    "korse-repeated-sidecar-node": (
+        lambda p: ["korse", "--graph", with_sidecar(p.tmp, "# ccn v1\na\tb\t3\n",
+                                                    "# ccn nodes v1\na\nb\na\n")]),
+    "communities-repeated-summary-key": (
+        lambda p: ["communities", "--graph", p.graph, "--partition",
+                   partition_of(p.graph, p.tmp, "# core_threshold=3\n# core_threshold=1_2\n")]),
+    "features-embeddings-non-ascii-dim": (  # ARABIC-INDIC DIGIT TWO, then a tab
+        lambda p: ["features", *p.data, "--embeddings",
+                   every_text_embeddings(p.dir, p.tmp, "dim=\u0662\t\n", "0.5,0.5")]),
+    "nurse-train-features-underscore-value": (
+        lambda p: ["nurse-train", "--features", with_value(p.features, p.tmp, 2, 2, "1_0")]),
     "korse-fractional-weight": (
         lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1.5\n")]),
     "korse-zero-weight": (
@@ -732,9 +764,9 @@ REJECTED = {
                    write(p.tmp / "emb.txt", f"dim=2\n{text_key('a')}\t0.5,0.5\n"
                                             f"{text_key('a')}\t0.1,0.2\n")]),
     "features-embeddings-dim-1": (
-        lambda p: ["features", *p.data, "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
+        lambda p: ["features", *p.data, "--embeddings", every_text_embeddings(p.dir, p.tmp)]),
     "pipeline-embeddings-dim-1": (
-        lambda p: ["pipeline", *p.data, "--embeddings", one_value_embeddings(p.dir, p.tmp)]),
+        lambda p: ["pipeline", *p.data, "--embeddings", every_text_embeddings(p.dir, p.tmp)]),
     "features-surrogate-text": (
         lambda p: ["features", *with_first_row(p.data, p.tmp, "--comments", "text",
                                                "nice \ud800 video")]),
@@ -775,30 +807,44 @@ REJECTED_MESSAGE = {
     "korse-repeated-edge": "ccn.tsv:3: edge (a, b) listed twice",
     "korse-reversed-repeated-edge": "ccn.tsv:3: edge (b, a) listed twice",
     "features-repeated-embedding": f"emb.txt:3: hash '{text_key('a')}' listed twice",
-    "nurse-train-features-nan": "bad.csv:2: non-finite value",
-    "nurse-eval-features-inf": "bad.csv:4: non-finite value",
-    "ablate-features-nan": "bad.csv:3: non-finite value",
-    "ablate-features-inf": "bad.csv:2: non-finite value",
-    "nurse-train-features-non-numeric": "bad.csv:3: non-numeric value",
+    "nurse-train-features-nan": "bad.csv:2: column 'mfe_0' must be a finite float, got 'nan'",
+    "nurse-eval-features-inf": "bad.csv:4: column 'tfe_31' must be a finite float, got 'inf'",
+    "ablate-features-nan": "bad.csv:3: column 'sfe_2' must be a finite float, got 'nan'",
+    "ablate-features-inf": "bad.csv:2: column 'tfe_31' must be a finite float, got '-inf'",
+    "nurse-train-features-non-numeric":
+        "bad.csv:3: column 'mfe_5' must be a finite float, got '0.5x'",
+    "nurse-train-features-underscore-value":
+        "bad.csv:2: column 'mfe_0' must be a finite float, got '1_0'",
     "nurse-eval-tab-in-features-id":
-        "bad.csv:3: field 'user_id' must be non-empty, without tab, CR or LF",
-    # the quoted id spans lines 3 and 4, and csv names the line a record ends on
+        "bad.csv:3: column 'user_id' must be non-empty, without tab, CR or LF",
+    # the quoted id spans lines 3 and 4; the fault is named where the record starts
     "nurse-eval-lf-in-features-id":
-        "bad.csv:4: field 'user_id' must be non-empty, without tab, CR or LF",
+        "bad.csv:3: column 'user_id' must be non-empty, without tab, CR or LF",
     "features-empty-id-in-partition":
-        "partition.tsv:2: user id must be non-empty, without tab, CR or LF",
+        "partition.tsv:2: column 'user_id' must be non-empty, without tab, CR or LF, got ''",
     "pipeline-empty-id-in-labels":
-        "labels.tsv:1: user id must be non-empty, without tab, CR or LF",
-    "korse-fractional-weight": "ccn.tsv:2: weight '1.5' is not an integer",
-    "korse-zero-weight": "ccn.tsv:2: weight '0' must be a positive integer",
-    "kcore-negative-weight": "ccn.tsv:3: weight '-1' must be a positive integer",
-    "korse-empty-first-endpoint": "ccn.tsv:2: node id must be non-empty, without tab, CR or LF",
+        "labels.tsv:1: column 'user_id' must be non-empty, without tab, CR or LF, got ''",
+    "korse-underscore-weight": "ccn.tsv:2: column 'weight' must be an integer >= 1, got '1_0'",
+    "korse-spaced-weight": "ccn.tsv:3: column 'weight' must be an integer >= 1, got ' 3'",
+    "korse-non-ascii-digit-weight":
+        "ccn.tsv:2: column 'weight' must be an integer >= 1, got '\u0663'",
+    "korse-repeated-sidecar-node": "ccn.tsv.nodes:4: node 'a' listed twice",
+    "korse-fractional-weight": "ccn.tsv:2: column 'weight' must be an integer >= 1, got '1.5'",
+    "korse-zero-weight": "ccn.tsv:2: column 'weight' must be an integer >= 1, got '0'",
+    "kcore-negative-weight": "ccn.tsv:3: column 'weight' must be an integer >= 1, got '-1'",
+    "korse-empty-first-endpoint":
+        "ccn.tsv:2: column 'source' must be non-empty, without tab, CR or LF, got ''",
     "breakage-empty-second-endpoint":
-        "ccn.tsv:3: node id must be non-empty, without tab, CR or LF",
-    "communities-non-numeric-core-threshold": "partition.tsv:1: bad core_threshold value 'x'",
-    "features-embeddings-dim-x": "emb.txt:1: expected 'dim=<d>' header",
-    "features-embeddings-line-without-tab": "emb.txt:2: expected 'hash<TAB>n,n,...'",
-    "features-embeddings-non-numeric-value": "emb.txt:3: expected 'hash<TAB>n,n,...'",
+        "ccn.tsv:3: column 'target' must be non-empty, without tab, CR or LF, got ''",
+    "communities-non-numeric-core-threshold":
+        "partition.tsv:1: column 'core_threshold' must be an integer >= 0, got 'x'",
+    "communities-repeated-summary-key": "partition.tsv:2: key 'core_threshold' listed twice",
+    "features-embeddings-dim-x": "emb.txt:1: column 'dim' must be an integer >= 2, got 'x'",
+    "features-embeddings-non-ascii-dim":
+        "emb.txt:1: column 'dim' must be an integer >= 2, got '\u0662\\t'",
+    "features-embeddings-line-without-tab": "emb.txt:2: expected 'hash<TAB>' and 2 values",
+    "features-embeddings-non-numeric-value":
+        "emb.txt:3: column 'value_1' must be a finite float, got 'x'",
     "features-dim-1": "dim must be >= 2, got 1",
     "pipeline-dim-1": "dim must be >= 2, got 1",
     "nurse-train-one-embedding-column": "embedding_dim must be >= 2",
@@ -821,8 +867,8 @@ REJECTED_MESSAGE = {
     "synth-no-communities": "peripheral community",
     "synth-negative-core": "counts must be >= 0",
     "synth-one-user": "at least 2 users",
-    "features-embeddings-dim-1": "dim must be >= 2",
-    "pipeline-embeddings-dim-1": "dim must be >= 2",
+    "features-embeddings-dim-1": "emb.txt:1: column 'dim' must be an integer >= 2, got '1'",
+    "pipeline-embeddings-dim-1": "emb.txt:1: column 'dim' must be an integer >= 2, got '1'",
     "features-surrogate-text": "comments.jsonl:1: field 'text' is not valid Unicode",
     "build-ccn-tab-in-comment-user-id":
         "comments.jsonl:1: field 'user_id' must be non-empty, without tab, CR or LF",

@@ -23,9 +23,9 @@ from collusioncore.features import (
 )
 from collusioncore.graph import build_ccn
 from collusioncore.korse import CorePartition, korse
-from collusioncore.records import ID_RULE
+from collusioncore.tables import ID_RULE
 
-from conftest import make_comment, make_dataset, make_user, make_video
+from conftest import make_comment, make_dataset, make_user, make_video, odd_features
 from oracles import cosine, oracle_sfe, oracle_stat5, oracle_tfe, oracle_write_features
 
 
@@ -331,19 +331,22 @@ VALUES = ",".join(["0.5"] * (MFE_SIZE + SFE_SIZE + 2))
 
 # id: (rows after the dim-2 header, the line the error names, its message)
 BAD_ROWS = {
-    "unknown-label": ([f"u1,periphery,{VALUES}"], 2, "label must be core"),
+    "unknown-label": ([f"u1,periphery,{VALUES}"], 2,
+                      "column 'label' must be 'core' or 'compromised' or '', got 'periphery'"),
     "duplicate-user": ([f"u1,core,{VALUES}", f"u1,,{VALUES}"], 3, "duplicate user 'u1'"),
     "field-count": ([f"u1,core,{VALUES},0.5"], 2, "expected 55 fields"),
-    "nan": ([f"u1,core,{VALUES[:-3]}nan"], 2, "non-finite value"),
-    "inf": ([f"u1,,inf{VALUES[3:]}"], 2, "non-finite value"),
-    "minus-inf": ([f"u1,,{VALUES[:-3]}-inf"], 2, "non-finite value"),
-    "non-numeric": ([f"u1,,{VALUES[:-3]}abc"], 2, "non-numeric value"),
-    "empty-cell": ([f"u1,,{VALUES[:-3]}"], 2, "non-numeric value"),
-    "tab-in-id": ([f"u1,core,{VALUES}", f'"a\tb",,{VALUES}'], 3, f"field 'user_id' {ID_RULE}"),
-    # a quoted id holding a line end spans lines 2 and 3; csv names the line a record ends on
-    "lf-in-id": ([f'"a\nb",core,{VALUES}'], 3, f"field 'user_id' {ID_RULE}"),
-    "cr-in-id": ([f'"a\rb",core,{VALUES}'], 3, f"field 'user_id' {ID_RULE}"),
-    "empty-id": ([f",core,{VALUES}"], 2, f"field 'user_id' {ID_RULE}"),
+    "nan": ([f"u1,core,{VALUES[:-3]}nan"], 2, "column 'tfe_1' must be a finite float, got 'nan'"),
+    "inf": ([f"u1,,inf{VALUES[3:]}"], 2, "column 'mfe_0' must be a finite float, got 'inf'"),
+    "minus-inf": ([f"u1,,{VALUES[:-3]}-inf"], 2, "column 'tfe_1' must be a finite float, got '-inf'"),
+    "past-the-largest": ([f"u1,,{VALUES[:-3]}1e+309"], 2,
+                         "column 'tfe_1' must be a finite float, got '1e+309'"),
+    "non-numeric": ([f"u1,,{VALUES[:-3]}abc"], 2, "column 'tfe_1' must be a finite float, got 'abc'"),
+    "empty-cell": ([f"u1,,{VALUES[:-3]}"], 2, "column 'tfe_1' must be a finite float, got ''"),
+    "tab-in-id": ([f"u1,core,{VALUES}", f'"a\tb",,{VALUES}'], 3, f"column 'user_id' {ID_RULE}"),
+    # a quoted id holding a line end spans lines 2 and 3; the fault is named where it starts
+    "lf-in-id": ([f'"a\nb",core,{VALUES}'], 2, f"column 'user_id' {ID_RULE}"),
+    "cr-in-id": ([f'"a\rb",core,{VALUES}'], 2, f"column 'user_id' {ID_RULE}"),
+    "empty-id": ([f",core,{VALUES}"], 2, f"column 'user_id' {ID_RULE}"),
 }
 
 
@@ -353,23 +356,8 @@ def test_read_features_rejects_bad_rows(tmp_path, case):
     path = tmp_path / "features.csv"
     path.write_text(",".join(feature_header(2)) + "\n" + "".join(f"{row}\n" for row in rows),
                     encoding="utf-8", newline="")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: {message}"):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {message}")):
         read_features(path)
-
-
-def odd_features(dim):
-    """Feature vectors whose ids need csv quoting and whose values test repr."""
-    ids = ["a,b", 'say "hi"', '"quoted"', ",", " leading", "trailing ", "# hash", "plain"]
-    rng = np.random.default_rng(dim)
-    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, -1 / 3, 2.0 ** 52 + 1]
-    out = []
-    for i, user_id in enumerate(ids):
-        values = rng.standard_normal(MFE_SIZE + SFE_SIZE + dim) * 10.0 ** rng.integers(-8, 9)
-        values[:len(special)] = np.roll(special, i)
-        out.append(FeatureVector(user_id=user_id, label=[None, "core", "compromised"][i % 3],
-                                 mfe=values[:MFE_SIZE], sfe=values[MFE_SIZE:-dim],
-                                 tfe=values[-dim:]))
-    return out
 
 
 @pytest.mark.parametrize("dim", [2, 768])

@@ -1,17 +1,23 @@
-"""The one rule every output table is written by, and the one every
-tab-separated file is read back by."""
+"""The one rule every output table is written by, and the one line rule and
+cell grammar every file is read back by."""
 
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import collusioncore
 from collusioncore.embeddings import FileEmbedder, HashEmbedder, write_embedding_file
+from collusioncore.features import read_features, write_features
 from collusioncore.graph import Ccn, read_edgelist, write_edgelist
 from collusioncore.korse import korse, read_partition, write_partition
 from collusioncore.records import ingest, valid_id
 from collusioncore.synth import read_labels, write_labels
 from collusioncore.tables import format_rows, read_rows, write_rows
+
+from conftest import graph_from_edges, odd_features
 
 
 def test_rows_are_each_cells_str_and_floats_read_back_bit_for_bit(tmp_path):
@@ -104,6 +110,90 @@ def test_every_file_read_back_round_trips(tmp_path_factory, data, nodes):
         loaded = FileEmbedder.load(tmp / "emb.txt")
         for text in texts:
             assert loaded.embed_text(text).tobytes() == stub.embed_text(text).tobytes()
+
+    # csv-quoted ids, and values such as 5e-324, -0.0, 1e300 and 2**52 + 1
+    odd = odd_features(2)
+    feats = odd + [replace(odd[i % len(odd)], user_id=node) for i, node in enumerate(nodes)
+                   if node not in {fv.user_id for fv in odd}]
+    write_features(feats, tmp / "features.csv")
+    again = read_features(tmp / "features.csv")
+    assert [(fv.user_id, fv.label) for fv in again] == [(fv.user_id, fv.label) for fv in feats]
+    for x, y in zip(feats, again):
+        for block in ("mfe", "sfe", "tfe"):
+            assert getattr(x, block).tobytes() == getattr(y, block).tobytes()
+
+
+def comma_cells(line, start, names):
+    """``(column, start, end)`` of each comma-joined cell of ``line`` from ``start``."""
+    out = []
+    for name, text in zip(names, line[start:].rstrip("\r").split(",")):
+        out.append((name, start, start + len(text)))
+        start += len(text) + 1
+    return out
+
+
+def number_cells(tmp):
+    """``(reader, path, line number, column, start, end)`` of every number cell
+    of each file a command reads back, written from a small example."""
+    graph = graph_from_edges([("a", "b", 2), ("b", "c", 3), ("a", "c", 1), ("c", "d", 1)])
+    write_edgelist(graph, tmp / "ccn.tsv")
+    write_partition(korse(graph), tmp / "partition.tsv")
+    write_embedding_file(tmp / "emb.txt", ["x y", "z"], HashEmbedder(dim=2, seed=1))
+    write_features(odd_features(2)[:2], tmp / "features.csv")
+    header = (tmp / "features.csv").read_text(encoding="utf-8").split("\n")[0].split(",")
+    for reader, name in ((read_edgelist, "ccn.tsv"), (read_partition, "partition.tsv"),
+                         (FileEmbedder.load, "emb.txt"), (read_features, "features.csv")):
+        path = tmp / name
+        for lineno, line in enumerate(path.read_bytes().decode("utf-8").split("\n"), start=1):
+            if not line:
+                continue
+            if name == "ccn.tsv" and lineno > 1:
+                cells = comma_cells(line, line.rfind("\t") + 1, ["weight"])
+            elif name == "partition.tsv" and line.startswith("# "):
+                cells = comma_cells(line, line.index("=") + 1, [line[2:line.index("=")]])
+            elif name == "emb.txt":
+                cells = (comma_cells(line, 4, ["dim"]) if lineno == 1 else
+                         comma_cells(line, line.find("\t") + 1, ["value_0", "value_1"]))
+            elif name == "features.csv" and lineno > 1:
+                tail = ",".join(line.split(",")[-len(header) + 2:])
+                cells = comma_cells(line, len(line) - len(tail), header[2:])
+            else:
+                continue
+            for column, start, end in cells:
+                yield reader, path, lineno, column, start, end
+
+
+# texts of a number that Python's int or float, or numpy, would take; ARABIC-INDIC
+# DIGIT THREE alone, after an ASCII digit and after a point
+VARIANTS = ["1_0", " 3", "3 ", "+3", "03", "\u0663", "1\u0663", "0.\u0663", "1E5", ".5", "5.",
+            "Infinity", "nan"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=ascii)
+def test_every_number_cell_read_back_refuses_text_its_writer_never_writes(tmp_path, variant):
+    found = set()
+    for reader, path, lineno, column, start, end in number_cells(tmp_path):
+        found.add(path.name)
+        data = path.read_bytes().decode("utf-8")
+        lines = data.split("\n")
+        line = lines[lineno - 1]
+        lines[lineno - 1] = line[:start] + variant + line[end:]
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        with pytest.raises(ValueError) as fault:
+            reader(path)
+        assert str(fault.value).startswith(f"{path}:{lineno}: column '{column}' "), column
+        path.write_bytes(data.encode("utf-8"))
+    assert found == {"ccn.tsv", "partition.tsv", "emb.txt", "features.csv"}
+
+
+def test_only_tables_and_records_decode_a_text_file():
+    """Every other module reads its text through ``tables``, so the line rule
+    has one home."""
+    for module in sorted(Path(collusioncore.__file__).parent.glob("*.py")):
+        if module.stem not in ("tables", "records"):
+            source = module.read_text(encoding="utf-8")
+            for call in ("read_text(", "csv.reader(", ".splitlines("):
+                assert call not in source, f"{module.name} calls {call}"
 
 
 
