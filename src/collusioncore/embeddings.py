@@ -7,16 +7,22 @@ contain only finite values.
 """
 
 import hashlib
-import re
 
 import numpy as np
 
-from .tables import FLOAT, ID, floats, integer, lines, parse, write_rows
+from .tables import ID, floats, integer, parse, read_table, unique, write_rows
 
 
 def text_key(text: str) -> str:
     """Stable 64-bit content hash of a text, as 16 hex characters."""
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def _vector(text: str) -> np.ndarray:
+    """The values of comma-joined finite floats."""
+    if not np.isfinite(vector := np.fromstring(text, sep=",")).all():
+        raise ValueError(text)
+    return vector
 
 
 class HashEmbedder:
@@ -72,30 +78,17 @@ class FileEmbedder:
 
     @classmethod
     def load(cls, path) -> "FileEmbedder":
-        numbered = lines(path)
-        lineno, header = next(numbered, (1, ""))
-        if lineno != 1 or not header.startswith("dim="):
-            raise ValueError(f"{path}:1: expected 'dim=<d>' header")
-        dim = parse(path, 1, "dim", integer(2), header[4:])
-        row = re.compile(f"({ID.text})\t({floats(dim)})")
-        table: dict[str, np.ndarray] = {}
-        for lineno, line in numbered:
-            match = row.fullmatch(line)
-            if match and np.isfinite(vec := np.fromstring(match[2], sep=",")).all():
-                key = match[1]
-            else:  # the fault
-                key, tab, values = line.partition("\t")
-                if not tab or len(values := values.split(",")) != dim:
-                    raise ValueError(f"{path}:{lineno}: expected 'hash<TAB>' and {dim} values")
-                key = parse(path, lineno, "hash", ID, key)
-                vec = np.array([parse(path, lineno, f"value_{i}", FLOAT, text)
-                                for i, text in enumerate(values)])
-            if key in table:
-                raise ValueError(f"{path}:{lineno}: hash '{key}' listed twice")
-            table[key] = vec
-        if not table:
+        def columns(text):  # the 'dim=<d>' header
+            if not text[0].startswith("dim="):
+                raise ValueError(f"{path}:1: expected 'dim=<d>' header")
+            dim = parse(path, 1, "dim", integer(2), text[0][4:])
+            return (("hash", ID), ([f"value_{i}" for i in range(dim)], floats(dim, _vector))), 1
+
+        linenos, (keys, vectors) = read_table(path, header=columns)
+        if not keys:
             raise ValueError(f"{path}: no embedding vectors")
-        return cls(dim=dim, table=table)
+        unique(path, linenos, keys, "hash '{}'")
+        return cls(dim=len(vectors[0]), table=dict(zip(keys, vectors)))
 
     def embed_text(self, text: str) -> np.ndarray:
         if not text.strip():

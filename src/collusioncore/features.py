@@ -7,15 +7,15 @@ Extraction emits raw values; standardization happens inside the classifier.
 """
 
 import csv
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
+from .embeddings import _vector
 from .records import Dataset
-from .tables import FLOAT, ID_RULE, Kind, choice, floats, lines, parse
+from .tables import ID_RULE, Kind, choice, floats, read_table, unique
 
 MFE_SIZE = 26
 SFE_SIZE = 25
@@ -212,38 +212,20 @@ def write_features(features, path) -> None:
 USER_ID = Kind(r'"(?:[^"\t]|"")+"|[^",\t]+',
                lambda text: text[1:-1].replace('""', '"') if text[0] == '"' else text, ID_RULE)
 LABEL = choice("core", "compromised", "")
-_FIRST_CELL = re.compile(r'"(?:[^"]|"")*"(?=,|$)|[^,]*')
 
 
 def read_features(path) -> list[FeatureVector]:
-    """Read a file written by :func:`write_features`. A line that one pattern
-    of its cells' kinds matches has its values parsed at once by numpy."""
-    numbered = lines(path)
-    lineno, first = next(numbered, (1, ""))
-    header = first.split(",")
-    dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
-    if lineno != 1 or dim < 1 or header != feature_header(dim):
-        raise ValueError(f"{path}: unexpected feature header")
-    row = re.compile(f"({USER_ID.text}),({LABEL.text}),({floats(len(header) - 2)})")
-    out = []
-    seen = set()
-    for lineno, line in numbered:
-        match = row.fullmatch(line)
-        if match and np.isfinite(values := np.fromstring(match[3], sep=",")).all():
-            user, label = USER_ID.value(match[1]), match[2]
-        else:  # the fault, named at its cell
-            first = _FIRST_CELL.match(line)[0]
-            user = parse(path, lineno, "user_id", USER_ID, first)  # an open quote holds a line end
-            rest = line[len(first) + 1:].split(",") if line != first else []
-            if 1 + len(rest) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
-            label, *values = [parse(path, lineno, *cell)
-                              for cell in zip(header[1:], [LABEL] + [FLOAT] * len(rest), rest)]
-            values = np.array(values)
-        if user in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate user '{user}'")
-        seen.add(user)
-        out.append(FeatureVector(user_id=user, label=label or None, mfe=values[:MFE_SIZE],
-                                 sfe=values[MFE_SIZE:MFE_SIZE + SFE_SIZE],
-                                 tfe=values[MFE_SIZE + SFE_SIZE:]))
-    return out
+    """Read a file written by :func:`write_features`."""
+    def columns(text):  # the header names every column
+        header = text[0].split(",")
+        dim = len(header) - 2 - MFE_SIZE - SFE_SIZE
+        if dim < 1 or header != feature_header(dim):
+            raise ValueError(f"{path}: unexpected feature header")
+        return ((header[0], USER_ID), (header[1], LABEL),
+                (header[2:], floats(len(header) - 2, _vector))), 1
+
+    linenos, (users, labels, values) = read_table(path, header=columns, sep=",")
+    unique(path, linenos, users, "user '{}'")
+    return [FeatureVector(user_id=user, label=label or None, mfe=row[:MFE_SIZE],
+                          sfe=row[MFE_SIZE:MFE_SIZE + SFE_SIZE], tfe=row[MFE_SIZE + SFE_SIZE:])
+            for user, label, row in zip(users, labels, values)]

@@ -14,7 +14,7 @@ from operator import or_
 from pathlib import Path
 
 from .records import Dataset
-from .tables import ID, ID_RULE, format_rows, integer, read_table, valid_id, write_rows
+from .tables import ID, ID_RULE, format_rows, integer, read_table, unique, valid_id, write_rows
 
 
 @dataclass(frozen=True)
@@ -263,16 +263,6 @@ def write_edgelist(graph: Ccn, path) -> None:
 EDGES = (("source", ID), ("target", ID), ("weight", integer(1)))
 
 
-def _first_repeat(keys) -> int | None:
-    """The index of the first key equal to an earlier one, if any."""
-    seen = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i
-        seen.add(key)
-    return None
-
-
 def read_edgelist(path) -> Ccn:
     """Read a graph written by :func:`write_edgelist`.
 
@@ -281,15 +271,16 @@ def read_edgelist(path) -> Ccn:
     linenos, (sources, targets, weights) = read_table(path, EDGES, EDGELIST_HEADER)
     edges = dict(zip(zip(sources, targets), weights))
     if len(edges) < len(weights) or not edges.keys().isdisjoint(zip(targets, sources)):
-        i = _first_repeat(map(frozenset, zip(sources, targets)))  # else a self-loop, refused below
-        if i is not None:
-            raise ValueError(f"{path}:{linenos[i]}: edge ({sources[i]}, {targets[i]}) listed twice")
+        for lineno, a, b in zip(linenos, sources, targets):  # a self-loop is its own reverse
+            if a == b:
+                raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) is a self-loop")
+        unique(path, linenos, list(map(frozenset, zip(sources, targets))), "edge ({}, {})",
+               sources, targets)
     nodes = set(sources) | set(targets)
     sidecar = nodes_sidecar(path)
     if sidecar.exists():
         linenos, (listed,) = read_table(sidecar, (("node", ID),), NODES_HEADER)
-        if (i := _first_repeat(listed)) is not None:
-            raise ValueError(f"{sidecar}:{linenos[i]}: node '{listed[i]}' listed twice")
+        unique(sidecar, linenos, listed, "node '{}'")
         nodes.update(listed)
     return Ccn.build(nodes, edges)
 

@@ -12,12 +12,14 @@ value list, the ``sweep_beta_<b>.csv`` file name, the JSON files and
 ``model.npz``.
 
 A file read back is split into lines at LF, CR and CRLF, numbered from 1
-(:func:`lines`). Each cell is of a :class:`Kind` (an id, an int from a lower
-bound, a finite float) and reads back only in the text its writer gives it:
-ASCII, a canonical int, a float's ``repr``. Any other text is the fault
-``path:line: column '<name>' …``. The record files follow ingest instead, the
-``--config`` file (typed by people) shares only the line rule, and
-``model.npz`` is a numpy archive.
+(:func:`lines`), and its table is read by :func:`read_table`. Each cell is of
+a :class:`Kind` (an id, an int from a lower bound, a finite float, a run of
+floats) and reads back only in the text its writer gives it: ASCII, a
+canonical int, a float's ``repr``. Any other text is the fault ``path:line:
+column '<name>' …``; a line of other cells is ``… expected N fields``, and a
+key listed twice ``… listed twice`` (:func:`unique`). The record files follow
+ingest instead, the ``--config`` file (typed by people) shares only the line
+rule, and ``model.npz`` is a numpy archive.
 """
 
 import csv
@@ -63,9 +65,9 @@ def choice(*words: str) -> Kind:
     return Kind("|".join(words), str, "must be " + " or ".join(map(repr, words)))
 
 
-def floats(n: int) -> str:
-    """The text of ``n`` comma-joined :data:`FLOAT` cells."""
-    return f"(?:{FLOAT.text})(?:,(?:{FLOAT.text})){{{n - 1}}}"
+def floats(n: int, value: Callable) -> Kind:
+    """``n`` comma-joined :data:`FLOAT` cells, read as one by ``value``."""
+    return Kind(f"(?:{FLOAT.text})(?:,(?:{FLOAT.text})){{{n - 1}}}", value, FLOAT.rule)
 
 
 def format_rows(rows, sep: str) -> str:
@@ -95,29 +97,24 @@ def not_utf8(path) -> str:
     return f"{path}:{len(_split_lines(data))}: not valid UTF-8"
 
 
-def _numbered(path, header) -> tuple[list, list]:
-    """The numbers and the texts of the non-empty lines after ``header``."""
+def _text(path) -> list:
     try:
-        text = _split_lines(Path(path).read_bytes())
+        return _split_lines(Path(path).read_bytes())
     except UnicodeDecodeError:
         raise ValueError(not_utf8(path)) from None
-    if header is not None and text[0] != header:
-        raise ValueError(f"{path}: unexpected header {text[0]!r}")
-    start = 1 if header is None else 2
-    text = text[start - 1:]
-    return [lineno for lineno, line in enumerate(text, start) if line], list(filter(None, text))
 
 
-def lines(path, header=None):
+def _numbered(text: list, start: int = 0) -> tuple[list, list]:
+    """The numbers and the texts of the non-empty lines from ``text[start]``."""
+    text = text[start:]
+    return ([lineno for lineno, line in enumerate(text, start + 1) if line],
+            list(filter(None, text)))
+
+
+def lines(path):
     """``(line number, line)`` of each non-empty line of a UTF-8 text file:
-    LF, CR and CRLF each end a line, which loses only that ending. A given
-    ``header`` must be the first line."""
-    return zip(*_numbered(path, header))
-
-
-def read_rows(path, header=None):
-    """``(line number, cells)`` of each non-empty line, split on tab."""
-    return ((lineno, line.split("\t")) for lineno, line in lines(path, header))
+    LF, CR and CRLF each end a line, which loses only that ending."""
+    return zip(*_numbered(_text(path)))
 
 
 def parse(path, lineno: int, name: str, kind: Kind, text: str):
@@ -130,50 +127,84 @@ def parse(path, lineno: int, name: str, kind: Kind, text: str):
     raise ValueError(f"{path}:{lineno}: column '{name}' {kind.rule}, got {text!r}")
 
 
-def parse_cells(path, lineno: int, columns, cells: list) -> list:
-    """The value of each tab-separated cell of one line, by its column's
-    ``(name, kind)``; a bad cell is the fault."""
-    if len(cells) != len(columns):
-        raise ValueError(f"{path}:{lineno}: expected {len(columns)} tab-separated "
-                         f"field{'s' * (len(columns) > 1)}")
-    return [parse(path, lineno, name, kind, text) for (name, kind), text in zip(columns, cells)]
-
-
-def read_table(path, columns, header=None) -> tuple[list, list]:
-    """The numbers of the non-empty lines of ``path`` and the values of each
-    column's cells, as :func:`parse_cells` reads them. One pattern checks
-    every line at once, and each column is read whole."""
-    linenos, text = _numbered(path, header)
-    row = "\t".join(f"(?:{kind.text})" for _, kind in columns)  # no kind's text holds a tab or LF
-    try:  # a line break not followed by a row of the columns' kinds
-        if text and not re.search(f"\n(?!{row}(?:\n|\\Z))", "\n" + "\n".join(text)):
-            cells = "\t".join(text).split("\t")
-            return linenos, [cells[i::len(columns)] if kind.value is str else
-                             list(map(kind.value, cells[i::len(columns)]))
-                             for i, (_, kind) in enumerate(columns)]
-    except ValueError:  # a float past the largest: named below
+def _row(path, lineno: int, line: str, row, columns, sep: str) -> list:
+    """The values of one line's cells, or its fault: the first cell that the
+    cell's kind refuses, else its number of fields. A cell ends at the
+    separator after it, unless its kind's text runs past one (a quoted id)."""
+    try:
+        if match := row.fullmatch(line):
+            return [kind.value(text) for (_, kind), text in zip(columns, match.groups())]
+    except ValueError:  # a float past the largest
         pass
-    rows = [parse_cells(path, lineno, columns, line.split("\t"))
-            for lineno, line in zip(linenos, text)]
+    cells = []  # (name, kind, the separator that ends it); a run's floats end at commas
+    for name, kind in columns:
+        cells += [(name, kind, sep)] if isinstance(name, str) else [(n, FLOAT, ",") for n in name]
+    at = 0
+    for name, kind, end in cells:
+        if at > len(line):
+            break
+        whole = re.match(f"(?:{kind.text})(?={end}|\\Z)", line[at:])
+        text = whole[0] if whole else line[at:].partition(end)[0]
+        parse(path, lineno, name, kind, text)
+        at += len(text) + 1
+    raise ValueError(f"{path}:{lineno}: expected {len(cells)} field{'s' * (len(cells) > 1)}")
+
+
+def read_table(path, columns=None, header=None, sep: str = "\t") -> tuple[list, list]:
+    """The numbers of the non-empty lines after the header, and the values of
+    each column: ``(name, kind)``, or ``(names, floats(len(names), value))``.
+    ``header`` is the first line's text, or a check of the lines that gives
+    the columns and the index of the first row. A tab table is checked by one
+    search and cut by one split, as no cell holds a tab; ``features.csv``,
+    whose quoted ids and float runs hold commas, is matched line by line."""
+    text = _text(path)
+    if isinstance(header, str) and text[0] != header:
+        raise ValueError(f"{path}: unexpected header {text[0]!r}")
+    columns, start = header(text) if callable(header) else (columns, int(header is not None))
+    linenos, text = _numbered(text, start)
+    if sep == "\t":
+        row = "\t".join(f"(?:{kind.text})" for _, kind in columns)  # no kind holds a tab or LF
+        try:  # a line break not followed by a row
+            if not re.search(f"\n(?!{row}(?:\n|\\Z))", "\n" + "\n".join(text)):
+                cells = "\t".join(text).split("\t")
+                return linenos, [cells[i::len(columns)] if kind.value is str else
+                                 list(map(kind.value, cells[i::len(columns)]))
+                                 for i, (_, kind) in enumerate(columns)]
+        except ValueError:  # a value its kind refuses: named below
+            pass
+    row = re.compile(sep.join(f"({kind.text})" for _, kind in columns))  # no kind holds a group
+    rows = [_row(path, lineno, line, row, columns, sep) for lineno, line in zip(linenos, text)]
     return linenos, [list(values) for values in zip(*rows)] or [[] for _ in columns]
+
+
+def unique(path, linenos, keys, name: str, *shown) -> None:
+    """Refuse the first key equal to an earlier one, at its line: ``path:line:
+    <name> listed twice``, ``name`` formatted by that row's cells of ``shown``,
+    else by its key."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            cells = [column[i] for column in shown] or [key]
+            raise ValueError(f"{path}:{linenos[i]}: {name.format(*cells)} listed twice")
+        seen.add(key)
 
 
 def read_roles(path, roles, summary=None) -> tuple[dict, dict]:
     """``{user: role}`` of the ``user<TAB>role`` lines, each user once, and
-    with ``summary`` the values of the ``# key=value`` lines whose key it gives
-    a kind, each key once (its other ``#`` lines are then comments)."""
-    columns = (("user_id", ID), ("role", choice(*roles)))
-    users, values = {}, {}
-    for lineno, cells in read_rows(path):
-        if summary is not None and len(cells) == 1 and cells[0].startswith("# "):
-            key, _, text = cells[0][2:].partition("=")  # a user's cell may start with "# " too
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: key '{key}' listed twice")
-            if key in summary:
-                values[key] = parse(path, lineno, key, summary[key], text)
-            continue
-        user, role = parse_cells(path, lineno, columns, cells)
-        if user in users:
-            raise ValueError(f"{path}:{lineno}: user '{user}' listed twice")
-        users[user] = role
-    return users, values
+    with ``summary`` the values of the ``# key=value`` lines before them whose
+    key it gives a kind, each key once (its other ``#`` lines are comments)."""
+    columns, values = (("user_id", ID), ("role", choice(*roles))), {}
+
+    def head(text):  # a user's line may start with "# " too, but holds a tab
+        start = next((i for i, line in enumerate(text)
+                      if line and (line[:2] != "# " or "\t" in line)), len(text))
+        keyed = [(lineno, key, value) for lineno, line in zip(*_numbered(text[:start]))
+                 for key, _, value in [line[2:].partition("=")] if key in summary]
+        unique(path, [lineno for lineno, _, _ in keyed], [key for _, key, _ in keyed], "key '{}'")
+        values.update((key, parse(path, lineno, key, summary[key], value))
+                      for lineno, key, value in keyed)
+        return columns, start
+
+    linenos, (users, assigned) = read_table(path, columns, None if summary is None else head)
+    unique(path, linenos, users, "user '{}'")
+    return dict(zip(users, assigned)), values

@@ -719,6 +719,21 @@ REJECTED = {
     "pipeline-empty-id-in-labels": (
         lambda p: ["pipeline", *p.data, "--dim", "8", "--epochs", "1", "--folds", "2",
                    "--labels", write(p.tmp / "labels.tsv", "\tcompromised\n")]),
+    "korse-self-loop-edge": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1\nc\tc\t2\n")]),
+    "korse-short-edge-line": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\n")]),
+    "korse-long-edge-line": (
+        lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1\t2\n")]),
+    "korse-two-cell-sidecar-line": (
+        lambda p: ["korse", "--graph", with_sidecar(p.tmp, "# ccn v1\na\tb\t3\n",
+                                                    "# ccn nodes v1\na\tb\n")]),
+    "pipeline-three-cell-label-line": (
+        lambda p: ["pipeline", *p.data, "--labels",
+                   write(p.tmp / "labels.tsv", "u0001\tcore\tx\n")]),
+    "communities-three-cell-partition-line": (
+        lambda p: ["communities", "--graph", p.graph, "--partition",
+                   write(p.tmp / "partition.tsv", "# core_threshold=1\nu0001\tcore\tx\n")]),
     "korse-underscore-weight": (
         lambda p: ["korse", "--graph", write(p.tmp / "ccn.tsv", "# ccn v1\na\tb\t1_0\n")]),
     "korse-spaced-weight": (
@@ -824,6 +839,12 @@ REJECTED_MESSAGE = {
         "partition.tsv:2: column 'user_id' must be non-empty, without tab, CR or LF, got ''",
     "pipeline-empty-id-in-labels":
         "labels.tsv:1: column 'user_id' must be non-empty, without tab, CR or LF, got ''",
+    "korse-self-loop-edge": "ccn.tsv:3: edge (c, c) is a self-loop",
+    "korse-short-edge-line": "ccn.tsv:2: expected 3 fields",
+    "korse-long-edge-line": "ccn.tsv:2: expected 3 fields",
+    "korse-two-cell-sidecar-line": "ccn.tsv.nodes:2: expected 1 field",
+    "pipeline-three-cell-label-line": "labels.tsv:1: expected 2 fields",
+    "communities-three-cell-partition-line": "partition.tsv:2: expected 2 fields",
     "korse-underscore-weight": "ccn.tsv:2: column 'weight' must be an integer >= 1, got '1_0'",
     "korse-spaced-weight": "ccn.tsv:3: column 'weight' must be an integer >= 1, got ' 3'",
     "korse-non-ascii-digit-weight":
@@ -842,7 +863,7 @@ REJECTED_MESSAGE = {
     "features-embeddings-dim-x": "emb.txt:1: column 'dim' must be an integer >= 2, got 'x'",
     "features-embeddings-non-ascii-dim":
         "emb.txt:1: column 'dim' must be an integer >= 2, got '\u0662\\t'",
-    "features-embeddings-line-without-tab": "emb.txt:2: expected 'hash<TAB>' and 2 values",
+    "features-embeddings-line-without-tab": "emb.txt:2: expected 3 fields",
     "features-embeddings-non-numeric-value":
         "emb.txt:3: column 'value_1' must be a finite float, got 'x'",
     "features-dim-1": "dim must be >= 2, got 1",

@@ -333,7 +333,7 @@ VALUES = ",".join(["0.5"] * (MFE_SIZE + SFE_SIZE + 2))
 BAD_ROWS = {
     "unknown-label": ([f"u1,periphery,{VALUES}"], 2,
                       "column 'label' must be 'core' or 'compromised' or '', got 'periphery'"),
-    "duplicate-user": ([f"u1,core,{VALUES}", f"u1,,{VALUES}"], 3, "duplicate user 'u1'"),
+    "duplicate-user": ([f"u1,core,{VALUES}", f"u1,,{VALUES}"], 3, "user 'u1' listed twice"),
     "field-count": ([f"u1,core,{VALUES},0.5"], 2, "expected 55 fields"),
     "nan": ([f"u1,core,{VALUES[:-3]}nan"], 2, "column 'tfe_1' must be a finite float, got 'nan'"),
     "inf": ([f"u1,,inf{VALUES[3:]}"], 2, "column 'mfe_0' must be a finite float, got 'inf'"),

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import collusioncore
 from collusioncore.embeddings import FileEmbedder, HashEmbedder, write_embedding_file
-from collusioncore.features import read_features, write_features
+from collusioncore.features import feature_header, read_features, write_features
 from collusioncore.graph import Ccn, read_edgelist, write_edgelist
 from collusioncore.korse import korse, read_partition, write_partition
 from collusioncore.records import ingest, valid_id
 from collusioncore.synth import read_labels, write_labels
-from collusioncore.tables import format_rows, read_rows, write_rows
+from collusioncore.tables import ID, format_rows, lines, read_table, write_rows
 
 from conftest import graph_from_edges, odd_features
 
@@ -39,11 +39,15 @@ def write_bytes(path, data: bytes):
     return path
 
 
+PAIRS = (("x", ID), ("y", ID))
+
+
 def test_read_rows_numbers_every_line_and_skips_blank_ones(tmp_path):
     path = write_bytes(tmp_path / "t.tsv", b"# v1\na\tb\n\n\nc\n\t\n")
-    assert list(read_rows(path)) == [(1, ["# v1"]), (2, ["a", "b"]), (5, ["c"]), (6, ["", ""])]
-    assert list(read_rows(path, "# v1")) == [(2, ["a", "b"]), (5, ["c"]), (6, ["", ""])]
-    assert list(read_rows(write_bytes(tmp_path / "h.tsv", b"# v1\n"), "# v1")) == []
+    assert list(lines(path)) == [(1, "# v1"), (2, "a\tb"), (5, "c"), (6, "\t")]
+    path = write_bytes(tmp_path / "t.tsv", b"# v1\na\tb\n\n\nc\td\n")
+    assert read_table(path, PAIRS, "# v1") == ([2, 5], [["a", "c"], ["b", "d"]])
+    assert read_table(write_bytes(tmp_path / "h.tsv", b"# v1\n"), PAIRS, "# v1") == ([], [[], []])
 
 
 @pytest.mark.parametrize("data", [b"# v2\na\n", b"", b"\n# v1\n", b"# v1 \n"],
@@ -53,20 +57,23 @@ def test_read_rows_refuses_a_first_line_other_than_the_header(tmp_path, data):
     first = data.decode("utf-8").partition("\n")[0]
     message = f"{path}: unexpected header {first!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        list(read_rows(path, "# v1"))
+        read_table(path, PAIRS, "# v1")
 
 
 def test_read_rows_reads_crlf_as_lf(tmp_path):
     lf = write_bytes(tmp_path / "lf.tsv", b"# v1\na\tb\n\nc\td\n")
     crlf = write_bytes(tmp_path / "crlf.tsv", b"# v1\r\na\tb\r\n\r\nc\td\r\n")
-    assert list(read_rows(crlf, "# v1")) == list(read_rows(lf, "# v1"))
+    assert read_table(crlf, PAIRS, "# v1") == read_table(lf, PAIRS, "# v1") == (
+        [2, 4], [["a", "c"], ["b", "d"]])
+    assert list(lines(crlf)) == list(lines(lf))
 
 
 def test_read_rows_gives_cells_back_unchanged(tmp_path):
     cells = [" lead", "trail ", "# hash", "k=v", "a,b", 'q"t', "'", "ü x", "\x0b"]
     path = tmp_path / "t.tsv"
     write_rows(path, [cells], "\t")
-    assert list(read_rows(path)) == [(1, cells)]
+    assert read_table(path, [(f"c{i}", ID) for i in range(len(cells))]) == (
+        [1], [[cell] for cell in cells])
 
 
 # ids an output can hold: the prefixes and suffixes a reader might trim or
@@ -195,6 +202,47 @@ def test_only_tables_and_records_decode_a_text_file():
             for call in ("read_text(", "csv.reader(", ".splitlines("):
                 assert call not in source, f"{module.name} calls {call}"
 
+
+
+def test_only_tables_imports_re():
+    """Every cell is matched by the kinds in ``tables``, so no other module
+    holds a pattern of its own."""
+    for module in sorted(Path(collusioncore.__file__).parent.glob("*.py")):
+        if module.stem != "tables":
+            source = module.read_text(encoding="utf-8")
+            assert not re.search(r"^(import re\b|from re import)", source, re.M), module.name
+
+
+VALUES = ",".join(["0.5"] * 53)  # the floats of a dim-2 features row
+# id: (reader, {file: text}, the file read, the fault) of keys x y y x: the
+# first key equal to an earlier one is named, not the later pair
+REPEATS = {
+    "edges": (read_edgelist, {"ccn.tsv": "# ccn v1\na\tb\t1\nb\tc\t1\nc\tb\t1\nb\ta\t1\n"},
+              "ccn.tsv", "4: edge (c, b)"),
+    "sidecar": (read_edgelist, {"ccn.tsv": "# ccn v1\na\tb\t1\n",
+                                "ccn.tsv.nodes": "# ccn nodes v1\na\nb\nb\na\n"},
+                "ccn.tsv.nodes", "4: node 'b'"),
+    "labels": (read_labels, {"labels.tsv": "u1\tcore\nu2\tcore\nu2\tcore\nu1\tcore\n"},
+               "labels.tsv", "3: user 'u2'"),
+    "summary": (read_partition, {"partition.tsv": "# core_size=1\n# peak_wicci=0.5\n"
+                                 "# peak_wicci=0.5\n# core_size=1\nu1\tcore\n"},
+                "partition.tsv", "3: key 'peak_wicci'"),
+    "embeddings": (FileEmbedder.load, {"emb.txt": "dim=2\nh1\t0.5,0.5\nh2\t0.5,0.5\n"
+                                       "h2\t0.5,0.5\nh1\t0.5,0.5\n"}, "emb.txt", "4: hash 'h2'"),
+    "features": (read_features, {"features.csv": ",".join(feature_header(2)) + "".join(
+        f"\n{user},,{VALUES}" for user in ("u1", "u2", "u2", "u1"))},
+                 "features.csv", "4: user 'u2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_a_repeat_is_named_at_the_first_line_that_repeats_a_key(tmp_path, case):
+    reader, files, name, fault = REPEATS[case]
+    for file, text in files.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        reader(tmp_path / sorted(files)[0])
+    assert str(exc.value) == f"{tmp_path / name}:{fault} listed twice"
 
 
 # the lines before a fault, ending at LF, CR or CRLF, blank ones included
