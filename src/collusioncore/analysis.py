@@ -13,6 +13,7 @@ from .graph import Ccn, components, density, prefix_edges
 from .kcore import _degree_map, coreness
 from .korse import CorePartition
 from .records import Dataset
+from .settings import SETTINGS, check
 from .tables import write_rows
 
 ORDER_KEYS = (
@@ -83,16 +84,15 @@ def _removal_counts(n: int, step_fraction: float) -> list[int]:
     return counts
 
 
-def removal_curve(graph: Ccn, order_key: str, step_fraction: float = 0.05) -> RemovalCurve:
+def removal_curve(graph: Ccn, order_key: str,
+                  step_fraction: float = SETTINGS["step"].default) -> RemovalCurve:
     """Remove nodes by descending order key and record breakage checkpoints.
 
     At each multiple of ``step_fraction`` the remaining graph's component
     sizes and the unweighted density of the removed-so-far induced subgraph
-    are recorded. Ties in the order key break by ascending node id. Steps
-    below 1e-300 are rejected: they would overflow the checkpoint search.
+    are recorded. Ties in the order key break by ascending node id.
     """
-    if not (1e-300 <= step_fraction <= 0.05):
-        raise ValueError("step_fraction must be in [1e-300, 0.05]")
+    check("step", step_fraction, "step_fraction")
     values = _order_values(graph, order_key)
     order = sorted(graph.nodes, key=lambda n: (-values[n], n))
     n = len(order)
@@ -201,6 +201,7 @@ def louvain(graph: Ccn, seed: int = 0) -> CommunitySet:
     is deterministic per seed. The stored modularity is recomputed directly
     from the final assignment on the input graph.
     """
+    check("seed", seed)
     if graph.n_nodes == 0:
         raise ValueError("louvain requires a non-empty graph")
     if graph.total_weight == 0:

@@ -14,6 +14,7 @@ import heapq
 import math
 
 from .graph import Ccn
+from .settings import check
 
 
 def weighted_betweenness(graph: Ccn) -> dict:
@@ -66,7 +67,7 @@ def weighted_betweenness(graph: Ccn) -> dict:
 def wbc_baseline(graph: Ccn, k: int | None = None) -> list:
     """(node, betweenness) pairs by descending betweenness (ties by id),
     optionally only the top k."""
-    if k is not None and k < 0:
-        raise ValueError("k must be >= 0")
+    if k is not None:
+        check("threshold_k", k, "k")
     scores = weighted_betweenness(graph)
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]

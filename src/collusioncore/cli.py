@@ -7,8 +7,8 @@ failure, 5 internal error. A command writes into a staging directory beside
 ``--out``; its files move into ``--out`` only once it has finished, so a run
 that exits non-zero leaves ``--out`` as it was (the missing parents of
 ``--out`` may be created). ``ingest-check`` keeps its report on exit 4.
-A flat ``key=value`` config file can supply tunable settings; command-line
-flags win over the config file.
+A flat ``key=value`` config file can supply the tunable settings of
+``collusioncore.settings``, checked as the library checks them; flags win.
 
 All randomness flows from one ``--seed`` (default 7). Stages derive from
 it deterministically: the generator and the stub embedder use it directly,
@@ -21,7 +21,6 @@ of each file it read, ``--config`` and a graph's ``.nodes`` sidecar included.
 import argparse
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -57,6 +56,7 @@ from .graph import (
 from .kcore import MODES, coreness, write_coreness
 from .korse import korse, read_partition, write_partition, write_sweep
 from .records import ingest, validate, write_dataset
+from .settings import SETTINGS, check
 from .tables import format_rows, lines, write_rows
 
 EXIT_OK = 0
@@ -73,22 +73,6 @@ class InputError(Exception):
 class ValidationError(Exception):
     """Referential-integrity failure; maps to exit code 4."""
 
-
-# Tunable settings: name -> (default, bound the library enforces, its text).
-# A config file may provide any of them; flags win over the config file.
-TUNABLE_DEFAULTS = {
-    "seed": (7, lambda v: v >= 0, ">= 0"),
-    "beta": (1.0, lambda v: v > 0, "> 0"),
-    "step": (0.05, lambda v: 1e-300 <= v <= 0.05, "in [1e-300, 0.05]"),
-    "dim": (768, lambda v: v >= 2, ">= 2"),
-    "pair_cap": (200, lambda v: v >= 0, ">= 0"),
-    "epochs": (300, lambda v: v >= 1, ">= 1"),
-    "learning_rate": (0.01, math.isfinite, "finite"),
-    "momentum": (0.9, math.isfinite, "finite"),
-    "batch_size": (32, lambda v: v >= 1, ">= 1"),
-    "folds": (10, lambda v: v >= 2, ">= 2"),
-    "threshold_k": (0, lambda v: v >= 0, ">= 0"),
-}
 
 # Argument names of input files; the manifest records a digest of each one given.
 INPUT_ARGS = ("config", "comments", "videos", "users", "graph", "partition", "labels",
@@ -182,14 +166,14 @@ def _read_config(path) -> dict:
 def _resolve_settings(args) -> dict:
     """Every tunable setting: flag, else config file value, else default.
 
-    Unknown config keys and given values outside their bound are InputErrors.
+    Unknown config keys and values outside their bound are InputErrors.
     """
     config = _read(_read_config, args.config, "config") if args.config else {}
-    unknown = sorted(set(config) - set(TUNABLE_DEFAULTS))
+    unknown = sorted(set(config) - set(SETTINGS))
     if unknown:
         raise InputError(f"config: unknown key(s) {', '.join(unknown)}")
     settings = {}
-    for name, (default, ok, bound) in TUNABLE_DEFAULTS.items():
+    for name, (default, _, _) in SETTINGS.items():
         value = getattr(args, name, None)
         if value is None and name in config:
             try:
@@ -198,11 +182,11 @@ def _resolve_settings(args) -> dict:
                 raise InputError(
                     f"config: {name}={config[name]!r} is not a valid {type(default).__name__}"
                 ) from None
-        if value is None:
-            value = default
-        elif not ok(value):
-            raise InputError(f"{name} must be {bound}, got {value!r}")
-        settings[name] = value
+        settings[name] = default if value is None else value
+        try:
+            check(name, settings[name])
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     return settings
 
 
@@ -266,14 +250,8 @@ def _labeled(feats, per_class: int) -> list:
 
 def _nurse_config(args, dim):
     try:
-        return nurse.NurseConfig(
-            embedding_dim=dim,
-            learning_rate=_setting(args, "learning_rate"),
-            momentum=_setting(args, "momentum"),
-            epochs=_setting(args, "epochs"),
-            batch_size=_setting(args, "batch_size"),
-            seed=_setting(args, "seed"),
-        )
+        return nurse.NurseConfig(embedding_dim=dim,
+                                 **{name: _setting(args, name) for name in nurse.TRAIN_SETTINGS})
     except ValueError as exc:
         raise InputError(f"features: {exc}") from None  # too few embedding values
 
@@ -585,9 +563,10 @@ def _add_provider_args(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--embeddings",
                         help="precomputed embedding file, read in place of the stub")
-    source.add_argument("--dim", type=int, help="stub embedding dimension (default 768)")
+    source.add_argument("--dim", type=int,
+                        help=f"stub embedding dimension (default {SETTINGS['dim'].default})")
     p.add_argument("--pair-cap", dest="pair_cap", type=int,
-                   help="cap per similarity set (default 200)")
+                   help=f"cap per similarity set (default {SETTINGS['pair_cap'].default})")
 
 
 def _add_train_args(p):
@@ -610,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
             "settings (--config key; its flag is the key with dashes, threshold_k is --k;\n"
             "an unknown or repeated config key is an error):\n"
             + "".join(f"  {name:<24}default {default!r}, {bound}\n"
-                      for name, (default, _, bound) in TUNABLE_DEFAULTS.items())
+                      for name, (default, _, bound) in SETTINGS.items())
             + "\ninput formats (graph, partition, labels, features and model files are\n"
             "outputs below):\n"
             "  comments/videos/users   one JSON object per line (.jsonl) or CSV\n"
@@ -650,13 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("korse", cmd_korse, "threshold sweep core/periphery split")
     p.add_argument("--graph", required=True)
-    p.add_argument("--beta", type=float, help="density exponent (default 1.0)")
+    p.add_argument("--beta", type=float,
+                   help=f"density exponent (default {SETTINGS['beta'].default})")
 
     p = command("breakage", cmd_breakage, "node-removal breakage curves")
     p.add_argument("--graph", required=True)
     p.add_argument("--order-key", dest="order_key", default="all",
                    choices=("all",) + ORDER_KEYS)
-    p.add_argument("--step", type=float, help="checkpoint fraction (default 0.05)")
+    p.add_argument("--step", type=float,
+                   help=f"checkpoint fraction (default {SETTINGS['step'].default})")
 
     p = command("communities", cmd_communities, "louvain communities of the periphery")
     p.add_argument("--graph", required=True)

@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 
+from .settings import SETTINGS, check
 from .tables import ID, floats, integer, parse, read_table, unique, write_rows
 
 
@@ -35,9 +36,9 @@ class HashEmbedder:
     yields the zero vector and bumps ``empty_text_count`` as a warning flag.
     """
 
-    def __init__(self, dim: int = 768, seed: int = 0):
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
+    def __init__(self, dim: int = SETTINGS["dim"].default, seed: int = 0):
+        check("dim", dim)
+        check("seed", seed)
         self.dim = dim
         self.seed = seed
         self.empty_text_count = 0

@@ -15,14 +15,11 @@ import numpy as np
 
 from .embeddings import _vector
 from .records import Dataset
+from .settings import SETTINGS, check
 from .tables import ID_RULE, Kind, choice, floats, read_table, unique
 
 MFE_SIZE = 26
 SFE_SIZE = 25
-
-# Pairwise-similarity sets are capped at the most recent items per user to
-# bound the quadratic cost; well above observed per-user activity.
-DEFAULT_PAIR_CAP = 200
 
 
 def stat5(values) -> list[float]:
@@ -156,7 +153,7 @@ def extract_all(
     partition=None,
     *,
     provider,
-    pair_cap: int = DEFAULT_PAIR_CAP,
+    pair_cap: int = SETTINGS["pair_cap"].default,
 ) -> list[FeatureVector]:
     """One FeatureVector per user, in ascending user-id order.
 
@@ -164,6 +161,7 @@ def extract_all(
     and labels ("core" / "compromised") are attached. Each comment of an
     extracted user is embedded once, and each video text once per call.
     """
+    check("pair_cap", pair_cap)
     if partition is None:
         user_ids = sorted(u.user_id for u in dataset.users)
         labels = {}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .graph import Ccn, density, prefix_edges
 from .kcore import coreness
+from .settings import SETTINGS, check
 from .tables import FLOAT, integer, read_roles, write_rows
 
 
@@ -41,7 +42,7 @@ class CorePartition:
     sweep_trace: tuple
 
 
-def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
+def korse(graph: Ccn, beta: float = SETTINGS["beta"].default) -> CorePartition:
     """Sweep the weighted k-cores and return the best-scoring partition.
 
     Candidates are nested (the core at value c holds every node of coreness
@@ -51,8 +52,7 @@ def korse(graph: Ccn, beta: float = 1.0) -> CorePartition:
     values selects the same candidate, so the sweep's cost is set by the
     graph, not by its weights.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check("beta", beta)
     if graph.n_edges == 0:
         raise ValueError("korse requires a graph with at least one edge")
     values = coreness(graph, "weighted")
@@ -126,8 +126,7 @@ def write_sweep(partition: CorePartition, path, beta: float) -> None:
     """CSV of the sweep, one row per candidate, scored at ``beta``; only the
     score depends on it, so one :func:`korse` run writes, byte for byte, the
     sweep of every ``beta``."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check("beta", beta)
     if not partition.sweep_trace:
         raise ValueError("write_sweep needs the sweep trace of a korse run")
     top = partition.sweep_trace[0].threshold

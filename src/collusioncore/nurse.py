@@ -63,6 +63,7 @@ from fractions import Fraction
 import numpy as np
 
 from .features import MFE_SIZE, SFE_SIZE
+from .settings import SETTINGS, check
 from .tables import write_rows
 
 BRANCH_ORDER = ("tfe", "sfe", "mfe")  # concatenation order of branch outputs
@@ -70,6 +71,8 @@ CORE = 1  # class index of the core label in softmax outputs
 PROB_FLOOR = 1e-12
 PREDICT_BLOCK = 32  # users per dense conv pass in predict_proba
 HULL_BLOCK = 128  # rows per convex-layer search in training
+# the NurseConfig fields named as their settings (embedding_dim is the "dim" setting)
+TRAIN_SETTINGS = ("learning_rate", "momentum", "epochs", "batch_size", "seed")
 
 # The paper's fixed architecture (NurseConfig holds the training settings):
 # conv channels, one dense layer per branch, train-time dropout on the
@@ -82,20 +85,19 @@ DROPOUT = {"sfe": 0.3, "mfe": 0.25}
 
 @dataclass(frozen=True)
 class NurseConfig:
-    embedding_dim: int = 768
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    epochs: int = 300
-    batch_size: int = 32
+    embedding_dim: int = SETTINGS["dim"].default
+    learning_rate: float = SETTINGS["learning_rate"].default
+    momentum: float = SETTINGS["momentum"].default
+    epochs: int = SETTINGS["epochs"].default
+    batch_size: int = SETTINGS["batch_size"].default
     seed: int = 0
     branches: tuple = BRANCH_ORDER
     class_weight: str = "none"  # "none" | "balanced"
 
     def __post_init__(self):
-        # the conv is width 2, so it needs 2 embedding values
-        for name, low in (("embedding_dim", 2), ("epochs", 1), ("batch_size", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+        check("dim", self.embedding_dim, "embedding_dim")
+        for name in TRAIN_SETTINGS:
+            check(name, getattr(self, name))
         if not self.branches or any(b not in BRANCH_ORDER for b in self.branches):
             raise ValueError(f"branches must be a non-empty subset of {BRANCH_ORDER}")
         if self.class_weight not in ("none", "balanced"):
@@ -170,8 +172,7 @@ def _raw_inputs(features, config: NurseConfig) -> dict:
 
 
 def _standardize(model: NurseModel, X: dict) -> dict:
-    """Each block z-scored. Only training adds the conv candidates of the
-    TFE block, under ``"hull"``: its many steps pay back their build."""
+    """Each block z-scored."""
     return {b: (X[b] - model.norm_mean[b]) / model.norm_std[b] for b in X}
 
 
@@ -554,10 +555,11 @@ def train(features, config: NurseConfig) -> NurseModel:
 
 def _stack_inputs(feature_sets, configs) -> tuple:
     """(models, rngs, X, y, weights) of a stack: each model initialized from
-    its own seed's generator and given its set's z-scoring; the
-    standardized blocks of every set, one run of rows per model in model
-    order; and the (models, users) labels and class weights (or None).
-    Each set's raw and standardized blocks are freed once stacked."""
+    its own seed's generator and given its set's z-scoring; every set's
+    standardized blocks, one run of rows per model in model order, with the
+    TFE block's conv candidates under ``"hull"`` (training's many steps pay
+    back their build); and the (models, users) labels and class weights (or
+    None). Each set's raw and standardized blocks are freed once stacked."""
     models, rngs, blocks, labels, weights = [], [], [], [], []
     for features, config in zip(feature_sets, configs):
         if not features:
@@ -787,7 +789,7 @@ def summarize_folds(per_fold) -> EvalReport:
 
 
 def evaluate(features, config: NurseConfig, mode: str = "balanced",
-             folds: int = 10) -> EvalReport:
+             folds: int = SETTINGS["folds"].default) -> EvalReport:
     """Stratified cross-validated ranking evaluation.
 
     ``balanced`` undersamples the majority class to parity before folding;
@@ -810,8 +812,7 @@ def evaluate(features, config: NurseConfig, mode: str = "balanced",
     """
     if mode not in ("balanced", "complete"):
         raise ValueError("mode must be 'balanced' or 'complete'")
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    check("folds", folds)
     features = sorted(features, key=lambda fv: fv.user_id)
     _labels_array(features)  # validates labels
     rng = np.random.default_rng(config.seed)
@@ -867,7 +868,7 @@ ABLATION_SUBSETS = (
 
 
 def ablations(features, config: NurseConfig, mode: str = "balanced",
-              folds: int = 10) -> dict:
+              folds: int = SETTINGS["folds"].default) -> dict:
     """Cross-validated reports per branch subset, keyed by subset name.
 
     Absent branches are removed from the architecture entirely, shrinking

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .records import CommentRecord, Dataset, UserRecord, VideoRecord
+from .settings import SETTINGS, check
 from .tables import read_roles, write_rows
 
 # Behavioral contrast of planted core channels: fewer and shorter uploads,
@@ -91,9 +92,10 @@ class SynthConfig:
     n_compromised: int = 200
     n_videos: int = 400
     peripheral_community_count: int = 8
-    seed: int = 7
+    seed: int = SETTINGS["seed"].default
 
     def __post_init__(self):
+        check("seed", self.seed)
         if self.n_core < 0 or self.n_compromised < 0 or self.n_videos < 0:
             raise ValueError("counts must be >= 0")
         if self.n_core + self.n_compromised < 2:

@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from collusioncore.features import (
-    DEFAULT_PAIR_CAP,
     _recent,
     _video_text,
     feature_header,
@@ -48,6 +47,7 @@ from collusioncore.nurse import (
 from collusioncore.records import (
     Dataset, IngestError, _parse_comment, _parse_user, _parse_video,
 )
+from collusioncore.settings import SETTINGS
 
 
 def random_weighted_graph(rng, max_nodes=12, max_weight=5, edge_prob=0.35, min_nodes=4):
@@ -365,7 +365,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (norm_a * norm_b))
 
 
-def oracle_sfe(dataset, user_id, provider, pair_cap=DEFAULT_PAIR_CAP):
+def oracle_sfe(dataset, user_id, provider, pair_cap=SETTINGS["pair_cap"].default):
     """The similarity block with one :func:`cosine` call per pair, each of
     which converts both vectors and takes both norms afresh."""
     own_videos = {v.video_id for v in dataset.videos_by_uploader.get(user_id, ())}

@@ -7,7 +7,6 @@ import pytest
 
 from collusioncore.embeddings import HashEmbedder
 from collusioncore.features import (
-    DEFAULT_PAIR_CAP,
     MFE_SIZE,
     SFE_SIZE,
     FeatureVector,
@@ -23,6 +22,7 @@ from collusioncore.features import (
 )
 from collusioncore.graph import build_ccn
 from collusioncore.korse import CorePartition, korse
+from collusioncore.settings import SETTINGS
 from collusioncore.tables import ID_RULE
 
 from conftest import make_comment, make_dataset, make_user, make_video, odd_features
@@ -77,7 +77,10 @@ def provider():
     return HashEmbedder(dim=64, seed=9)
 
 
-def features_of(dataset, user_id, provider, pair_cap=DEFAULT_PAIR_CAP):
+PAIR_CAP = SETTINGS["pair_cap"].default
+
+
+def features_of(dataset, user_id, provider, pair_cap=PAIR_CAP):
     """The FeatureVector of one user, from extract_all over every user."""
     by_id = {fv.user_id: fv for fv in extract_all(dataset, provider=provider, pair_cap=pair_cap)}
     return by_id[user_id]
@@ -162,7 +165,7 @@ def test_extract_all_embeds_each_comment_and_video_once(synth_default, partition
         expected.update(c.text for c in comments)
         own = sorted(v.video_id for v in dataset.videos_by_uploader.get(fv.user_id, ()))
         others = sorted({c.video_id for c in comments if c.video_id not in own})
-        videos.update(own[:DEFAULT_PAIR_CAP] + others[:DEFAULT_PAIR_CAP])
+        videos.update(own[:PAIR_CAP] + others[:PAIR_CAP])
     expected.update(_video_text(dataset.videos_by_id[vid]) for vid in videos)
     assert counting.texts == expected
 

@@ -81,7 +81,8 @@ def test_a_file_call_is_found():
 
 # The layers a graph-only process runs load with the package; the numpy
 # layers load on first use.
-GRAPH_LAYERS = ("records", "tables", "graph", "kcore", "korse", "analysis", "centrality")
+GRAPH_LAYERS = ("records", "tables", "settings", "graph", "kcore", "korse", "analysis",
+                "centrality")
 LAZY_LAYERS = ("embeddings", "features", "nurse", "synth")
 
 
@@ -185,7 +186,8 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 def test_star_import_and_dir_give_the_layers_and_their_public_names():
-    expected = {*PUBLIC, "tables", *(name for names in PUBLIC.values() for name in names)}
+    expected = {*PUBLIC, "settings", "tables",
+                *(name for names in PUBLIC.values() for name in names)}
     namespace = {}
     exec("from collusioncore import *", namespace)
     assert namespace.keys() - {"__builtins__"} == expected
@@ -224,7 +226,8 @@ def test_graph_commands_run_without_numpy(synth_default, tmp_path):
     run = subprocess.run([sys.executable, "-c", GRAPH_RUN, json.dumps(commands)], env=env,
                          capture_output=True, text=True, check=True)
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["registered"] == sorted(f"collusioncore.{m}" for m in PUBLIC.keys() | {"tables"})
+    assert result["registered"] == sorted(f"collusioncore.{m}"
+                                          for m in PUBLIC.keys() | {"settings", "tables"})
     assert result["codes"] == [0, 0, 0, 0]
     assert result["numpy"] is False
     assert (tmp_path / "korse" / "partition.tsv").exists()

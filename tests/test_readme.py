@@ -5,7 +5,8 @@ import argparse
 import re
 from pathlib import Path
 
-from collusioncore.cli import OUTPUTS, TUNABLE_DEFAULTS, build_parser
+from collusioncore.cli import OUTPUTS, build_parser
+from collusioncore.settings import SETTINGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,7 +47,7 @@ def test_settings_table_lists_the_tunable_settings():
     rows = [(re.match(r"`(\w+)`", name).group(1), default.split()[0], bound)
             for name, default, bound in table("Subcommands", "| setting | default | bound |")]
     assert rows == [(name, repr(default), bound)
-                    for name, (default, _, bound) in TUNABLE_DEFAULTS.items()]
+                    for name, (default, _, bound) in SETTINGS.items()]
 
 
 def test_outputs_table_lists_every_output():
